@@ -140,21 +140,24 @@ void BM_RegionCopyInOut(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionCopyInOut);
 
+/// Arg = payload bytes: 2 kB is the eager fragment and 8 kB the PULL_REPLY
+/// block the cluster and PingPong workloads put on the wire.
 void BM_WireEncodeDecode(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   core::Packet p;
   core::PullReplyBody body;
   body.handle = 7;
   body.offset = 123456;
-  body.data.assign(8192, std::byte{0x42});
+  body.data.assign(bytes, std::byte{0x42});
   p.body = std::move(body);
   for (auto _ : state) {
     auto wire = core::encode(p);
     auto q = core::decode(wire);
     benchmark::DoNotOptimize(q);
   }
-  state.SetBytesProcessed(state.iterations() * 8192);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_WireEncodeDecode);
+BENCHMARK(BM_WireEncodeDecode)->Arg(2048)->Arg(8192);
 
 /// With --trace-out=PREFIX, one instrumented simulated 1 MB rendezvous runs
 /// after the wall-clock benchmarks so even this bench can emit a Chrome

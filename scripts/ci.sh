@@ -148,10 +148,12 @@ fi
 #  1. against the committed BENCH_seed.json for the bit-stable sim-time
 #     latency metrics (tight threshold, cannot flake) — throughput metrics
 #     are newer than that baseline and ride along record-only;
-#  2. against the committed BENCH_pr6.json for the wall-clock throughput
-#     metrics (events_per_sec, sim_ns_per_wall_ms). Wall-clock numbers vary
-#     with the machine, so the tolerance is generous and overridable via
-#     PINSIM_PERF_TPUT_TOL (relative drop, default 0.5);
+#  2. against the committed BENCH_pr12.json for the wall-clock throughput
+#     metrics (events_per_sec, sim_ns_per_wall_ms), the first point taken
+#     with the carry-less-multiply frame CRC, so putting the bytewise CRC
+#     back fails here. Wall-clock numbers vary with the machine, so the
+#     tolerance is generous and overridable via PINSIM_PERF_TPUT_TOL
+#     (relative drop, default 0.5);
 #  3. against the committed BENCH_pr8.json, the first point carrying the
 #     cluster-soak stages and their tenant_fairness digests — this is where
 #     Jain-index drops gate.
@@ -195,9 +197,9 @@ perf_tier() {
       --delta-out build/BENCH_delta.json; then
     failed=1
   fi
-  if [[ -f BENCH_pr6.json ]]; then
+  if [[ -f BENCH_pr12.json ]]; then
     if ! python3 scripts/bench_compare.py compare \
-        --baseline BENCH_pr6.json --current build/BENCH_ci.json \
+        --baseline BENCH_pr12.json --current build/BENCH_ci.json \
         --throughput-threshold "${tput_tol}" \
         --delta-out build/BENCH_tput_delta.json; then
       failed=1

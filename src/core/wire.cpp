@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace pinsim::core {
 
 namespace {
@@ -102,15 +106,109 @@ struct Crc32Table {
 
 constexpr Crc32Table kCrc32;
 
-}  // namespace
-
-std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
-  std::uint32_t crc = 0xffffffffu;
+/// Advances the (un-inverted) CRC register over `bytes`, one table lookup
+/// per byte.
+std::uint32_t crc32_bytewise(std::uint32_t crc,
+                             std::span<const std::byte> bytes) noexcept {
   for (const std::byte b : bytes) {
     crc = kCrc32.entries[(crc ^ static_cast<std::uint8_t>(b)) & 0xffu] ^
           (crc >> 8);
   }
-  return crc ^ 0xffffffffu;
+  return crc;
+}
+
+#if defined(__x86_64__)
+
+/// Frames shorter than this (acks, pulls, notifies) stay on the table loop:
+/// the fold needs four 16-byte lanes to start.
+constexpr std::size_t kFoldMinBytes = 64;
+
+/// One fold step: x.lo * k.lo ^ x.hi * k.hi, i.e. x carried 2 x 64 bits
+/// further along the stream, modulo the polynomial.
+__attribute__((target("pclmul,sse4.1"))) __m128i clmul_fold(
+    __m128i x, __m128i k) noexcept {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+/// Advances the CRC register over the first `bytes.size() & ~15` bytes by
+/// carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ", Intel 2009; Linux crc32-pclmul):
+/// four 128-bit lanes fold 64 bytes per step, collapse to one lane, fold the
+/// remaining 16-byte blocks, then reduce 128 -> 64 -> 32 bits and finish
+/// with a bit-reflected Barrett reduction. The constants are x^n mod P for
+/// the reflected IEEE polynomial 0xedb88320. Requires bytes.size() >= 64;
+/// returns the register state, so the caller finishes the tail bytewise.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
+    std::uint32_t crc, std::span<const std::byte> bytes) noexcept {
+  const auto load = [&bytes](std::size_t off) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(bytes.data() + off));
+  };
+  // Each pair is (low, high) = (k_odd, k_even).
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 =
+      _mm_xor_si128(load(0), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load(16);
+  __m128i x2 = load(32);
+  __m128i x3 = load(48);
+  std::size_t off = 64;
+  for (; off + 64 <= bytes.size(); off += 64) {
+    x0 = _mm_xor_si128(clmul_fold(x0, k1k2), load(off));
+    x1 = _mm_xor_si128(clmul_fold(x1, k1k2), load(off + 16));
+    x2 = _mm_xor_si128(clmul_fold(x2, k1k2), load(off + 32));
+    x3 = _mm_xor_si128(clmul_fold(x3, k1k2), load(off + 48));
+  }
+  __m128i x = _mm_xor_si128(clmul_fold(x0, k3k4), x1);
+  x = _mm_xor_si128(clmul_fold(x, k3k4), x2);
+  x = _mm_xor_si128(clmul_fold(x, k3k4), x3);
+  for (; off + 16 <= bytes.size(); off += 16) {
+    x = _mm_xor_si128(clmul_fold(x, k3k4), load(off));
+  }
+
+  // 128 -> 64 bits (k4 times the low half), appending 32 zero bits.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                    _mm_clmulepi64_si128(k3k4, x, 0x01));
+  // 64 -> 32 bits (k5 times the low 32 bits).
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, mask32), k5, 0x00));
+  // Barrett: q = (x mod x^32) * mu, then x ^= (q mod x^32) * P'.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x, q), 1));
+}
+
+bool cpu_has_clmul() noexcept {
+  static const bool has = __builtin_cpu_supports("pclmul") &&
+                          __builtin_cpu_supports("sse4.1");
+  return has;
+}
+
+#endif  // __x86_64__
+
+}  // namespace
+
+std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
+  std::uint32_t crc = 0xffffffffu;
+#if defined(__x86_64__)
+  if (bytes.size() >= kFoldMinBytes && cpu_has_clmul()) {
+    const std::size_t folded = bytes.size() & ~std::size_t{15};
+    crc = crc32_fold(crc, bytes.first(folded));
+    bytes = bytes.subspan(folded);
+  }
+#endif
+  return crc32_bytewise(crc, bytes) ^ 0xffffffffu;
+}
+
+std::uint32_t frame_checksum_bytewise(
+    std::span<const std::byte> bytes) noexcept {
+  return crc32_bytewise(0xffffffffu, bytes) ^ 0xffffffffu;
 }
 
 const char* packet_type_name(PacketType t) noexcept {

@@ -294,8 +294,15 @@ class WireChecksumError : public WireFormatError {
 inline constexpr std::size_t kChecksumBytes = 4;
 
 /// CRC-32 (IEEE 802.3 polynomial) over `bytes`. Exposed so tests and fault
-/// tooling can craft or verify frames by hand.
+/// tooling can craft or verify frames by hand. On x86-64 CPUs with PCLMULQDQ
+/// and SSE4.1, frames of 64 bytes or more are folded by carry-less multiply;
+/// everything else runs the byte-at-a-time table. Both give the same value.
 [[nodiscard]] std::uint32_t frame_checksum(
+    std::span<const std::byte> bytes) noexcept;
+
+/// frame_checksum by the table loop alone, whatever the CPU: the fallback
+/// path, reachable so tests can hold the folded path to it.
+[[nodiscard]] std::uint32_t frame_checksum_bytewise(
     std::span<const std::byte> bytes) noexcept;
 
 /// Serializes a packet (header + body + payload + trailing CRC-32) into

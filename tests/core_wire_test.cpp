@@ -170,6 +170,17 @@ TEST(Wire, EagerFragmentBeyondMessageLengthThrows) {
   EXPECT_THROW(decode(wire), WireFormatError);
 }
 
+/// Flips one bit in every byte position (header, body, payload, CRC itself):
+/// decode must reject each damaged frame, and the pristine one still decodes.
+void expect_every_flip_caught(std::vector<std::byte> wire, PacketType type) {
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    wire[i] ^= std::byte{0x10};
+    EXPECT_THROW((void)decode(wire), WireChecksumError) << "byte " << i;
+    wire[i] ^= std::byte{0x10};
+  }
+  EXPECT_EQ(decode(wire).type(), type);
+}
+
 TEST(Wire, ChecksumCatchesSingleBitFlip) {
   Packet p;
   EagerBody b;
@@ -178,16 +189,75 @@ TEST(Wire, ChecksumCatchesSingleBitFlip) {
   b.seq = 7;
   b.data.assign(64, std::byte{0xa5});
   p.body = b;
-  auto wire = encode(p);
-  // Flip one bit in every byte position (header, body, payload, CRC itself):
-  // decode must reject each damaged frame.
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto damaged = wire;
-    damaged[i] ^= std::byte{0x10};
-    EXPECT_THROW(decode(damaged), WireChecksumError) << "byte " << i;
+  expect_every_flip_caught(encode(p), PacketType::kEager);
+}
+
+TEST(Wire, ChecksumCatchesSingleBitFlipInPullReplyBlock) {
+  // An 8 kB block: the size the folded CRC path carries on the wire.
+  Packet p;
+  PullReplyBody b;
+  b.handle = 3;
+  b.offset = 65536;
+  b.data.resize(8192);
+  for (std::size_t i = 0; i < b.data.size(); ++i) {
+    b.data[i] = static_cast<std::byte>(i * 31 + 7);
   }
-  // The pristine frame still decodes.
-  EXPECT_EQ(decode(wire).type(), PacketType::kEager);
+  p.body = b;
+  expect_every_flip_caught(encode(p), PacketType::kPullReply);
+}
+
+/// Bit-at-a-time CRC-32 over the reflected IEEE polynomial, sharing no code
+/// or table with wire.cpp.
+std::uint32_t crc32_bitwise(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::byte b : bytes) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::byte> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> v(n);
+  std::uint64_t s = seed;
+  for (auto& b : v) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::byte>(s >> 56);
+  }
+  return v;
+}
+
+TEST(Wire, ChecksumMatchesBitwiseReferenceAtEveryShortLength) {
+  // 0..320 spans the <64-byte table-only cut-over, the 64-byte fold block,
+  // the 16-byte fold tail and the sub-16-byte table tail.
+  // Each input is its own exact-size allocation, so under ASan a read past
+  // the span's end is a heap overflow, not a silent read of the next byte.
+  for (std::size_t n = 0; n <= 320; ++n) {
+    const auto v = seeded_bytes(n, 1);
+    const std::uint32_t want = crc32_bitwise(v);
+    EXPECT_EQ(frame_checksum(v), want) << "len " << n;
+    EXPECT_EQ(frame_checksum_bytewise(v), want) << "len " << n;
+  }
+}
+
+TEST(Wire, ChecksumMatchesBitwiseReferenceAtRandomLengthsAndOffsets) {
+  // Unaligned starts exercise the fold's unaligned loads; the span ends
+  // where its allocation does.
+  constexpr std::size_t kMaxLen = 9216;
+  std::uint64_t s = 3;
+  for (int i = 0; i < 200; ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t len = (s >> 33) % (kMaxLen + 1);
+    const std::size_t off = (s >> 17) % 16;
+    const auto buf = seeded_bytes(off + len, s);
+    const auto v = std::span<const std::byte>(buf).subspan(off);
+    const std::uint32_t want = crc32_bitwise(v);
+    EXPECT_EQ(frame_checksum(v), want) << "len " << len << " off " << off;
+    EXPECT_EQ(frame_checksum_bytewise(v), want)
+        << "len " << len << " off " << off;
+  }
 }
 
 TEST(Wire, ChecksumIsLittleEndianTrailerOverPrecedingBytes) {
