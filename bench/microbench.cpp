@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/host.hpp"
 #include "core/region.hpp"
 #include "core/wire.hpp"
 #include "mem/address_space.hpp"
@@ -15,6 +16,7 @@
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/task.hpp"
+#include "workloads/imb.hpp"
 
 namespace {
 
@@ -158,6 +160,56 @@ void BM_WireEncodeDecode(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_WireEncodeDecode)->Arg(2048)->Arg(8192);
+
+/// Frame pool of a perfbench pingpong_rndv 16 MB IMB cell: 4 rotating send
+/// and receive buffers of 16 MB, doubled (65,536 frames, 256 MiB).
+constexpr std::size_t kImbCellFrames = 4 * 4 * (16u << 20) / mem::kPageSize;
+
+/// Builds one host with the 16 MB cell's frame pool: the set-up cost every
+/// IMB cell pays before it sends a byte.
+void BM_HostConstruct(benchmark::State& state) {
+  core::Host::Config hc;
+  hc.memory_frames = kImbCellFrames;
+  for (auto _ : state) {
+    sim::Engine eng;
+    net::Fabric fabric(eng);
+    core::Host host(eng, fabric, hc, core::overlapped_cache_config());
+    benchmark::DoNotOptimize(host.memory().free_frames());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kImbCellFrames * mem::kPageSize));
+}
+BENCHMARK(BM_HostConstruct)->Unit(benchmark::kMillisecond);
+
+/// IMB's buffer set-up for one rank of the 16 MB cell: malloc and fill 4
+/// rotating 16 MB send/receive pairs (sends with a pattern, receives with
+/// zeros) on a fresh host. Only the reserve is timed.
+void BM_ImbReserve(benchmark::State& state) {
+  constexpr std::size_t kBytes = 16u << 20;
+  core::Host::Config hc;
+  hc.memory_frames = kImbCellFrames;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      sim::Engine eng;
+      net::Fabric fabric(eng);
+      core::Host host(eng, fabric, hc, core::overlapped_cache_config());
+      core::Host::Process& rank = host.spawn_process();
+      mpi::Communicator comm({&rank});
+      workloads::ImbSuite::Config cfg;
+      cfg.buffer_rotation = 4;
+      workloads::ImbSuite imb(comm, cfg);
+      state.ResumeTiming();
+      imb.reserve(kBytes, kBytes);
+      benchmark::DoNotOptimize(rank.as.resident_pages());
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * 4 *
+                          static_cast<int64_t>(kBytes));
+}
+BENCHMARK(BM_ImbReserve)->Unit(benchmark::kMillisecond);
 
 /// With --trace-out=PREFIX, one instrumented simulated 1 MB rendezvous runs
 /// after the wall-clock benchmarks so even this bench can emit a Chrome

@@ -922,7 +922,8 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
     PullReplyBody reply;
     reply.handle = body.handle;
     reply.offset = off;
-    reply.data.resize(n);
+    // Both copies below write every byte or the reply is dropped unsent.
+    reply.data = DataChunk::for_overwrite(n);
     // Zero-copy send: the NIC reads the pinned pages during serialization;
     // no CPU copy cost is charged. If the page is not pinned yet this is an
     // overlap miss and the frame is simply not sent (paper §3.3).

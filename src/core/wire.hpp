@@ -53,6 +53,15 @@ class DataChunk {
     return c;
   }
 
+  /// `n` bytes from the frame-buffer pool with unspecified contents, for a
+  /// caller that overwrites every byte before anything reads them.
+  [[nodiscard]] static DataChunk for_overwrite(std::size_t n) {
+    DataChunk c;
+    c.backing_ = frame_buffers().acquire_for_overwrite(n);
+    c.len_ = n;
+    return c;
+  }
+
   ~DataChunk() { recycle(); }
 
   /// Copies duplicate only the viewed window, not the whole frame.

@@ -41,22 +41,22 @@ void Core::dispatch() {
     running_ = true;
     ++stats_.jobs[p];
     stats_.busy[p] += job.duration;
-    eng_.schedule_after(
-        job.duration,
-        // pinlint: allow(D7: the core is host hardware owned by Driver for
-        // the life of the engine; jobs never outlive the machine they run on)
-        [this, done = std::move(job.done)]() mutable {
-          running_ = false;
-          done();
-          // The completion may have submitted follow-up work; if it started
-          // the core itself (submit() when idle dispatches immediately),
-          // running_ is already true again and this dispatch finds nothing
-          // extra to do wrong.
-          if (!running_) dispatch();
-        },
-        {"cpu", kPriorityLabel[p]});
+    current_ = std::move(job.done);
+    // pinlint: allow(D7: the core is host hardware owned by Driver for the
+    // life of the engine; jobs never outlive the machine they run on)
+    eng_.schedule_after(job.duration, [this] { finish(); },
+                        {"cpu", kPriorityLabel[p]});
     return;
   }
+}
+
+void Core::finish() {
+  running_ = false;
+  // The completion may submit() follow-up work, and submit() on an idle core
+  // dispatches at once, overwriting current_: call it from a local.
+  sim::UniqueFunction done = std::move(current_);
+  done();
+  if (!running_) dispatch();
 }
 
 }  // namespace pinsim::cpu

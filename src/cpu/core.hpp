@@ -78,10 +78,15 @@ class Core {
   };
 
   void dispatch();
+  /// Completes the running job: the engine event dispatch() scheduled.
+  void finish();
 
   sim::Engine& eng_;
   std::string name_;
   std::array<std::deque<Job>, kPriorityCount> queues_;
+  /// The running job's completion, kept here so the scheduled event is a
+  /// bare `this` capture that fits UniqueFunction's inline buffer.
+  sim::UniqueFunction current_;
   bool running_ = false;
   Stats stats_;
 };

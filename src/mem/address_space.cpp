@@ -210,11 +210,16 @@ void AddressSpace::fill(VirtAddr addr, std::size_t len, std::byte value) {
   std::size_t done = 0;
   while (done < len) {
     const VirtAddr va = addr + done;
+    const std::uint64_t zero_fills = stats_.minor_faults;
     PageEntry& e = fault_in(va, /*for_write=*/true);
     const std::size_t off = page_offset(va);
     const std::size_t chunk = std::min(len - done, kPageSize - off);
-    auto frame = pm_.data(e.frame);
-    std::memset(frame.data() + off, static_cast<int>(value), chunk);
+    // A page this call just zero-faulted already reads as zeros; swap-ins,
+    // COW breaks and resident pages take the write.
+    if (value != std::byte{0} || stats_.minor_faults == zero_fills) {
+      auto frame = pm_.data(e.frame);
+      std::memset(frame.data() + off, static_cast<int>(value), chunk);
+    }
     done += chunk;
   }
 }

@@ -22,14 +22,26 @@ class PressureInjector;
 /// stays alive (an "orphaned" frame) until the last pin drops. That is
 /// exactly the situation a stale user-space registration cache exploits —
 /// and how our tests make its corruption observable.
+///
+/// Zero-once contract: like the kernel zero-filling a fresh anonymous page,
+/// every byte of the pool is zeroed exactly once before anyone can see it.
+/// On Linux the pool is one private anonymous mapping populated at
+/// construction (MAP_POPULATE), so the kernel hands over zero pages and no
+/// user-space pass writes over them; elsewhere it is value-initialised heap
+/// storage. `alloc()` then re-zeroes only recycled frames: the free list is
+/// LIFO and starts as every frame in increasing id order, so never-used
+/// frames leave it in increasing id order and every frame at or above the
+/// pristine watermark has never been written.
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(std::size_t num_frames);
+  ~PhysicalMemory();
 
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  /// Allocates a zeroed frame with refcount 1. Throws OutOfMemoryError.
+  /// Allocates a zeroed frame with refcount 1: a never-used frame as the
+  /// pool delivered it, a recycled one zeroed here. Throws OutOfMemoryError.
   [[nodiscard]] FrameId alloc();
 
   /// Increments the reference count of a live frame.
@@ -100,7 +112,9 @@ class PhysicalMemory {
  private:
   void check_live(FrameId f) const;
 
-  std::vector<std::byte> bytes_;
+  std::byte* bytes_ = nullptr;       // the pool: total_frames() frames
+  std::vector<std::byte> fallback_;  // backs bytes_ where there is no mmap
+  FrameId pristine_ = 0;             // frames >= this were never handed out
   std::vector<std::uint32_t> refcounts_;  // 0 == free
   std::vector<FrameId> free_list_;
   std::size_t pinned_pages_ = 0;

@@ -83,8 +83,10 @@ class ObjectPool {
 /// and free it after decode; under a pull storm that is two heap round
 /// trips per frame. The pool keeps a bounded stack of retired buffers and
 /// re-issues their capacity. `acquire` always returns a buffer of exactly
-/// `size` value-initialized-or-overwritten bytes (`clear()` + `resize()`),
-/// so recycled capacity can never leak stale bytes into a new frame.
+/// `size` value-initialized bytes (a recycled buffer is emptied, then
+/// resized), so recycled capacity can never leak stale bytes into a new frame;
+/// `acquire_for_overwrite` skips that zeroing for callers that write every
+/// byte before the buffer is read.
 class BufferPool {
  public:
   BufferPool() = default;
@@ -92,10 +94,18 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   [[nodiscard]] std::vector<std::byte> acquire(std::size_t size) {
+    std::vector<std::byte> buf = acquire_for_overwrite(0);
+    buf.resize(size);
+    return buf;
+  }
+
+  /// A buffer of exactly `size` bytes for a caller that overwrites all of
+  /// them: recycled bytes are left as they are (a fresh buffer, or growth
+  /// past a recycled buffer's old size, is still value-initialized).
+  [[nodiscard]] std::vector<std::byte> acquire_for_overwrite(std::size_t size) {
     if (free_.empty()) return std::vector<std::byte>(size);
     std::vector<std::byte> buf = std::move(free_.back());
     free_.pop_back();
-    buf.clear();
     buf.resize(size);
     return buf;
   }

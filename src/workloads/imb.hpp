@@ -63,6 +63,11 @@ class ImbSuite {
 
   [[nodiscard]] static const std::vector<std::string>& benchmark_names();
 
+  /// Ensures each rank has send/recv buffers of at least `send_cap` /
+  /// `recv_cap` bytes, one pair per rotation slot. Every benchmark calls it
+  /// before measuring.
+  void reserve(std::size_t send_cap, std::size_t recv_cap);
+
  private:
   /// Per-rank persistent buffers (IMB allocates once at max size).
   struct Buffers {
@@ -70,10 +75,6 @@ class ImbSuite {
     std::vector<mem::VirtAddr> recv;
     std::size_t capacity = 0;
   };
-
-  /// Ensures each rank has send/recv buffers of at least `send_cap` /
-  /// `recv_cap` bytes.
-  void reserve(std::size_t send_cap, std::size_t recv_cap);
 
   [[nodiscard]] mem::VirtAddr sbuf(int rank, int iter) const;
   [[nodiscard]] mem::VirtAddr rbuf(int rank, int iter) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace pinsim::core {
@@ -97,6 +98,24 @@ TEST(Wire, PullReplyCarriesData) {
   const auto& rb = std::get<PullReplyBody>(q.body);
   EXPECT_EQ(rb.data.size(), 8192u);
   EXPECT_EQ(rb.data[100], std::byte{0x5a});
+}
+
+TEST(Wire, ForOverwriteChunkDrawsFromTheFrameBufferPool) {
+  frame_buffers().release(std::vector<std::byte>(9000, std::byte{0x5a}));
+  const std::size_t retained = frame_buffers().retained();
+  DataChunk c = DataChunk::for_overwrite(8192);
+  EXPECT_EQ(frame_buffers().retained(), retained - 1);
+  EXPECT_EQ(c.size(), 8192u);
+  std::fill(c.begin(), c.end(), std::byte{0x3c});
+  PullReplyBody b;
+  b.data = std::move(c);
+  Packet p;
+  p.body = std::move(b);
+  const Packet q = round_trip(std::move(p));
+  const auto& rb = std::get<PullReplyBody>(q.body);
+  ASSERT_EQ(rb.data.size(), 8192u);
+  EXPECT_EQ(rb.data[0], std::byte{0x3c});
+  EXPECT_EQ(rb.data[8191], std::byte{0x3c});
 }
 
 TEST(Wire, ControlPacketsRoundTrip) {

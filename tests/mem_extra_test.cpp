@@ -2,7 +2,10 @@
 // priority ladder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "cpu/core.hpp"
 #include "mem/address_space.hpp"
@@ -151,16 +154,112 @@ TEST(MemExtra, PhysicalMemoryRefcountLifecycle) {
   mem::PhysicalMemory pm(4);
   const auto f = pm.alloc();
   EXPECT_EQ(pm.refcount(f), 1u);
+  auto dirty = pm.data(f);
+  std::fill(dirty.begin(), dirty.end(), std::byte{0xa5});
   pm.ref(f);
   EXPECT_EQ(pm.refcount(f), 2u);
   pm.unref(f);
   EXPECT_EQ(pm.used_frames(), 1u);
   pm.unref(f);
   EXPECT_EQ(pm.used_frames(), 0u);
-  // Re-allocation hands back a zeroed frame.
+  // Re-allocation hands back the dirtied frame (LIFO), zeroed.
   const auto g = pm.alloc();
-  auto page = pm.data(g);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(page[i], std::byte{0});
+  EXPECT_EQ(g, f);
+  for (auto b : pm.data(g)) ASSERT_EQ(b, std::byte{0});
+}
+
+// --- zero-once frame pool ----------------------------------------------------
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(ZeroOnce, EveryFrameOfAFullyAllocatedPoolReadsZero) {
+  mem::PhysicalMemory pm(256);
+  for (std::size_t i = 0; i < pm.total_frames(); ++i) {
+    const auto f = pm.alloc();
+    EXPECT_EQ(f, i);  // never-used frames leave in id order
+    ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+  }
+  EXPECT_EQ(pm.free_frames(), 0u);
+  EXPECT_THROW((void)pm.alloc(), mem::OutOfMemoryError);
+}
+
+TEST(ZeroOnce, DirtiedRecycledFramesComeBackZeroUnderTheWatermark) {
+  mem::PhysicalMemory pm(8);
+  std::vector<mem::FrameId> frames;
+  for (int i = 0; i < 4; ++i) {
+    frames.push_back(pm.alloc());
+    auto page = pm.data(frames.back());
+    std::fill(page.begin(), page.end(), std::byte{0xee});
+  }
+  // Free out of order, so recycled frames interleave with pristine ones.
+  pm.unref(frames[2]);
+  pm.unref(frames[0]);
+  const auto a = pm.alloc();
+  const auto b = pm.alloc();
+  const auto c = pm.alloc();  // the free list is empty of recycled frames
+  EXPECT_EQ(a, frames[0]);
+  EXPECT_EQ(b, frames[2]);
+  EXPECT_EQ(c, 4u);  // first pristine frame, above the watermark
+  for (auto f : {a, b, c}) EXPECT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+  // The untouched dirty frames keep their bytes.
+  EXPECT_EQ(pm.data(frames[1])[0], std::byte{0xee});
+  EXPECT_EQ(pm.data(frames[3])[mem::kPageSize - 1], std::byte{0xee});
+}
+
+TEST(ZeroOnce, ZeroFillStillWritesOverEveryPageThatHeldData) {
+  mem::PhysicalMemory pm(64);
+  mem::AddressSpace as(pm);
+  const std::size_t len = 6 * mem::kPageSize;
+  const auto a = as.mmap(len);
+  const auto page = [a](std::size_t i) { return a + i * mem::kPageSize; };
+  // Page 0: present and dirty. Page 1: dirty, then swapped out. Page 2:
+  // dirty and COW-shared with a snapshot. Page 3: never touched. Page 4:
+  // partly written (one byte). Page 5: fresh, but on a dirty recycled
+  // frame (an munmap/mmap pair hands the same address and frame back).
+  as.fill(page(0), 3 * mem::kPageSize, std::byte{0x11});
+  ASSERT_TRUE(as.swap_out(page(1)));
+  auto snap = as.cow_snapshot(page(2), mem::kPageSize);
+  const std::byte one{0x22};
+  as.write(page(4) + 100, std::span<const std::byte>(&one, 1));
+  const auto scratch = as.mmap(mem::kPageSize);
+  as.fill(scratch, mem::kPageSize, std::byte{0x33});
+  as.munmap(scratch, mem::kPageSize);
+  ASSERT_FALSE(as.is_present(page(5)));
+
+  as.fill(a, len, std::byte{0});
+
+  std::vector<std::byte> out(len, std::byte{0x7f});
+  as.read(a, out);
+  for (std::size_t i = 0; i < len; ++i) {
+    ASSERT_EQ(out[i], std::byte{0}) << "page " << i / mem::kPageSize;
+  }
+  std::vector<std::byte> old(mem::kPageSize);
+  snap.read(page(2), old);
+  for (auto b : old) ASSERT_EQ(b, std::byte{0x11});  // snapshot kept its copy
+}
+
+TEST(ZeroOnce, ZeroFillElisionLeavesFaultCountsUnchanged) {
+  // The same history filled with zeros and with a non-zero byte must count
+  // the same minor and major faults: the elision skips a write, not a fault.
+  auto run = [](std::byte value) {
+    mem::PhysicalMemory pm(64);
+    mem::AddressSpace as(pm);
+    const auto a = as.mmap(8 * mem::kPageSize);
+    as.fill(a, 2 * mem::kPageSize, std::byte{0x44});
+    EXPECT_TRUE(as.swap_out(a));
+    as.fill(a + 10, 8 * mem::kPageSize - 20, value);
+    return as.stats();
+  };
+  const auto zero = run(std::byte{0});
+  const auto nonzero = run(std::byte{0x55});
+  EXPECT_EQ(zero.minor_faults, 8u);
+  EXPECT_EQ(zero.major_faults, 1u);
+  EXPECT_EQ(zero.minor_faults, nonzero.minor_faults);
+  EXPECT_EQ(zero.major_faults, nonzero.major_faults);
+  EXPECT_EQ(zero.cow_breaks, nonzero.cow_breaks);
 }
 
 TEST(MemExtra, IsMappedAcrossAdjacentVmas) {

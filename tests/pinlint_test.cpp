@@ -88,14 +88,17 @@ TEST(Pinlint, D2AnnotatedLoopsScanClean) {
 TEST(Pinlint, D3FlagsRawAllocationButNotTheSimulatorIdioms) {
   const auto r = run_pinlint("--root=" + fixture("d3") + " src");
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_hits(r.output, ": D3: "), 4) << r.output;
+  EXPECT_EQ(count_hits(r.output, ": D3: "), 8) << r.output;
   EXPECT_NE(r.output.find("raw 'new'"), std::string::npos);
   EXPECT_NE(r.output.find("raw 'delete'"), std::string::npos);
-  EXPECT_NE(r.output.find("raw 'malloc()'"), std::string::npos);
-  EXPECT_NE(r.output.find("raw 'free()'"), std::string::npos);
-  // The `// pinlint: allow(D3: ...)` call, the member call heap.malloc(),
-  // the declaration `void* malloc(...)` and `= delete` must not fire:
-  // exactly the 4 raw sites above and nothing else.
+  EXPECT_EQ(count_hits(r.output, "raw 'malloc()'"), 3) << r.output;
+  EXPECT_EQ(count_hits(r.output, "raw 'free()'"), 2) << r.output;
+  EXPECT_EQ(count_hits(r.output, "raw 'calloc()'"), 1) << r.output;
+  // Qualified libc (`std::malloc`, `std::free`, `::calloc`) and
+  // `return malloc(...)` fire like the bare calls. The `// pinlint:
+  // allow(D3: ...)` call, the member call heap.malloc(), the declaration
+  // `void* malloc(...)`, the definition `Heap::malloc` and `= delete` must
+  // not: exactly the 8 raw sites above and nothing else.
 }
 
 TEST(Pinlint, D4CrossChecksCountersAgainstIncrementsAndReport) {

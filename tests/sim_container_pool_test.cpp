@@ -208,6 +208,23 @@ TEST(BufferPool, RecyclesCapacityWithoutLeakingStaleBytes) {
   EXPECT_EQ(pool.retained(), 0u);
 }
 
+TEST(BufferPool, AcquireForOverwriteReusesCapacityWithoutZeroing) {
+  mem::BufferPool pool;
+  auto buf = pool.acquire(256);
+  for (auto& b : buf) b = std::byte{0xAB};
+  const std::byte* data = buf.data();
+  pool.release(std::move(buf));
+
+  auto again = pool.acquire_for_overwrite(128);
+  EXPECT_EQ(again.data(), data);
+  EXPECT_EQ(again.size(), 128u);
+  EXPECT_EQ(again[127], std::byte{0xAB});  // left for the caller to overwrite
+  EXPECT_EQ(pool.retained(), 0u);
+
+  auto fresh = pool.acquire_for_overwrite(64);  // empty pool: new buffer
+  EXPECT_EQ(fresh.size(), 64u);
+}
+
 TEST(BufferPool, EmptyBuffersAreNotRetained) {
   mem::BufferPool pool;
   pool.release(std::vector<std::byte>{});

@@ -700,15 +700,24 @@ void Linter::check_d3(const SourceFile& f) {
     }
     if ((s == "malloc" || s == "calloc" || s == "realloc" || s == "free") &&
         i + 1 < t.size() && t[i + 1].text == "(") {
-      // Method calls (heap.malloc, p.heap.free) and declarations
-      // (`VirtAddr malloc(std::size_t)`) are the simulator's own API.
-      const bool member = i > 0 && (t[i - 1].text == "." ||
-                                    t[i - 1].text == "->" ||
-                                    t[i - 1].text == "::");
+      // Method calls (heap.malloc, p.heap.free), out-of-class definitions
+      // (`MallocSim::malloc`) and declarations (`VirtAddr malloc(std::size_t)`)
+      // are the simulator's own API; `std::malloc` and `::malloc` are libc.
+      // A keyword names neither a class (`return ::malloc(n)`) nor a return
+      // type (`return malloc(n)`).
+      static const std::set<std::string> kKeywords = {
+          "return", "co_return", "co_yield", "throw", "else", "do"};
+      const auto names_type = [](const Token& tok) {
+        return tok.kind == Tok::kIdent && kKeywords.count(tok.text) == 0;
+      };
+      const bool member =
+          i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->" ||
+                    (t[i - 1].text == "::" && i > 1 && names_type(t[i - 2]) &&
+                     t[i - 2].text != "std"));
       // Return type directly before the name: `VirtAddr malloc(...)`,
       // `void* malloc(...)`, `VirtAddr& malloc(...)`.
       const bool declaration =
-          i > 0 && (t[i - 1].kind == Tok::kIdent || t[i - 1].text == "*" ||
+          i > 0 && (names_type(t[i - 1]) || t[i - 1].text == "*" ||
                     t[i - 1].text == "&");
       if (!member && !declaration) {
         add(f, t[i].line, "D3",

@@ -28,6 +28,20 @@ void drop(void* p) {
   free(p);
 }
 
+void* qualified() {
+  void* p = std::malloc(64);  // namespace-qualified libc is still libc
+  std::free(p);
+  return ::calloc(4, 16);  // so is the global scope
+}
+
+void* returned() {
+  return malloc(16);  // `return` is no return type
+}
+
+void* Heap::malloc(unsigned long n) {  // out-of-class definition: API
+  return heap_storage(n);
+}
+
 void* simulated(Heap& heap) {
   return heap.malloc(64);  // member call: MallocSim idiom, not libc
 }
