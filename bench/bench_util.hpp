@@ -209,8 +209,9 @@ struct ObsRig {
     return false;
   }
 
-  /// One JSON object for the whole run: per-endpoint protocol counters plus
-  /// the latency/size histograms.
+  /// One JSON object for the whole run: per-endpoint protocol counters, the
+  /// host- and fabric-wide values once each (one `hosts` row per host, one
+  /// `fabric` object for the cluster), then the latency/size histograms.
   [[nodiscard]] std::string json_report() {
     std::string out = "{\"endpoints\":[";
     bool first = true;
@@ -222,7 +223,14 @@ struct ObsRig {
         out += core::format_json_report(h->process(i), *h);
       }
     }
-    out += "],\"histograms\":";
+    out += "],\"hosts\":[";
+    for (std::size_t i = 0; i < cluster->hosts.size(); ++i) {
+      if (i != 0) out += ',';
+      out += core::format_json_host(*cluster->hosts[i]);
+    }
+    out += "],\"fabric\":";
+    out += core::format_json_fabric(*cluster->fabric);
+    out += ",\"histograms\":";
     out += latency.json();
     out += ",\"critical_path\":";
     out += critical_path.json();

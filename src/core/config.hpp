@@ -160,19 +160,11 @@ struct ProtocolConfig {
   bool distribute_interrupts = true;
 };
 
-/// Observability knobs (see src/obs/). The typed event bus is attached at
-/// runtime via Driver::set_bus; this only sizes the legacy string tracer.
-struct TraceConfig {
-  /// Ring capacity applied to a tracer attached via Driver::set_tracer.
-  std::size_t tracer_capacity = 65536;
-};
-
 /// Everything the stack needs to know, grouped.
 struct StackConfig {
   PinningConfig pinning;
   CacheConfig cache;
   ProtocolConfig protocol;
-  TraceConfig trace;
 };
 
 /// Named presets matching the paper's figure legends.

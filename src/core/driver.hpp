@@ -14,7 +14,6 @@
 #include "obs/relay.hpp"
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::net {
 class Watchdog;
@@ -54,20 +53,10 @@ class Driver {
     return id < endpoints_.size() ? endpoints_[id].get() : nullptr;
   }
 
-  /// Attaches a protocol tracer (nullptr detaches). The stack records
-  /// packet, pinning and invalidation events into it; see sim/trace.hpp.
-  /// The tracer must outlive the driver (teardown still emits — cached
-  /// regions unpin during endpoint destruction) or be detached first.
-  /// Internally this is one sink of the typed event relay — typed emission
-  /// renders the same legacy strings (obs/legacy.hpp) so old tests hold.
-  void set_tracer(sim::Tracer* t) noexcept {
-    if (t != nullptr) t->set_capacity(config_.trace.tracer_capacity);
-    relay_.set_tracer(t);
-  }
-  [[nodiscard]] sim::Tracer* tracer() noexcept { return relay_.tracer(); }
-
   /// Attaches a typed event bus (nullptr detaches); see obs/bus.hpp. The
-  /// stack emits obs::Events into it alongside the legacy tracer. The
+  /// stack emits packet, pinning and invalidation obs::Events into it. The
+  /// bus must outlive the driver (teardown still emits — cached regions
+  /// unpin during endpoint destruction) or be detached first. The
   /// watchdog (if attached) shares the bus so lifecycle events interleave
   /// with protocol events in one deterministic stream.
   void set_bus(obs::Bus* bus) noexcept;

@@ -329,7 +329,7 @@ class Endpoint {
                    sim::Time extra_cost = 0);
 
   /// Stamps (node, ep) onto `e` and hands it to the driver's observability
-  /// relay; a no-op (one pointer compare) with no tracer or bus attached.
+  /// relay; a no-op (one pointer compare) with no bus attached.
   void obs_emit(obs::Event e);
 
   [[nodiscard]] bool match_ok(const RecvRequest& r, std::uint64_t match) const {

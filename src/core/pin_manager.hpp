@@ -45,7 +45,7 @@ class PinManager : public mem::PinArbiter::TenantOps {
 
   /// `relay` (optional) is the typed observability emission point; it must
   /// outlive the manager (the Endpoint passes its Driver's relay, whose
-  /// address is stable). Tracer/bus attachment happens on the relay, so a
+  /// address is stable). Bus attachment happens on the relay, so a
   /// sink attached after construction is still picked up.
   PinManager(sim::Engine& eng, cpu::Core& core, const cpu::CpuModel& cpu,
              const PinningConfig& cfg, Counters& counters,

@@ -9,7 +9,6 @@
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::mem {
 
@@ -118,10 +117,6 @@ class PressureInjector {
   /// One synchronous storm pass over all watched address spaces (also used
   /// by tests and the torture harness).
   void storm_once();
-
-  /// Attaches a tracer; decisions are recorded under `pressure.deny`,
-  /// `pressure.sweep`, `pressure.migrate` and `pressure.cow`.
-  void set_tracer(sim::Tracer* t) noexcept { relay_.set_tracer(t); }
 
   /// Attaches a typed event bus; decisions are emitted as kPressure* events.
   void set_bus(obs::Bus* bus) noexcept { relay_.set_bus(bus); }

@@ -8,7 +8,6 @@
 #include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::net {
 
@@ -96,10 +95,6 @@ class FaultInjector {
     link_plans_[link_key(src, dst)] = plan;
   }
   void clear_link_plans() { link_plans_.clear(); }
-
-  /// Attaches a tracer; fault decisions are recorded under the categories
-  /// `fault.drop`, `fault.corrupt`, `fault.dup` and `fault.reorder`.
-  void set_tracer(sim::Tracer* t) noexcept { relay_.set_tracer(t); }
 
   /// Attaches a typed event bus; decisions are emitted as kFault* events.
   void set_bus(obs::Bus* bus) noexcept { relay_.set_bus(bus); }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <set>
 
-#include "obs/legacy.hpp"
 
 namespace pinsim::obs {
 

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "sim/time.hpp"
 
 namespace pinsim::obs {
 
 /// Every event kind the stack emits. One enum across layers so sinks can
-/// switch on it without string matching; the legacy string tracer derives
-/// its dotted categories from these (see legacy.hpp).
+/// switch on it without string matching; `event_kind_name` gives each kind
+/// the one name every exporter prints.
 enum class EventKind : std::uint8_t {
   // Wire / driver.
   kPktTx,            // frame handed to the NIC
@@ -89,6 +90,7 @@ enum class EventKind : std::uint8_t {
   kNetCongestionDrop,  // bounded egress queue overflowed; frame lost
 };
 
+/// The kind's snake_case name (Chrome trace, flight recorder, `describe`).
 [[nodiscard]] const char* event_kind_name(EventKind k) noexcept;
 
 /// Sender-side identity of one message chain: every hop of a rendezvous or
@@ -122,5 +124,8 @@ struct Event {
   std::uint64_t len = 0;      // byte length / total pages
   const char* label = nullptr;
 };
+
+/// One-line human rendering (invariant violation windows, debug dumps).
+[[nodiscard]] std::string describe(const Event& e);
 
 }  // namespace pinsim::obs

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/legacy.hpp"
 
 namespace pinsim::obs {
 

@@ -2,15 +2,12 @@
 
 #include "obs/bus.hpp"
 #include "obs/event.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::obs {
 
-/// The per-component emission point: a Bus pointer for typed sinks plus the
-/// legacy sim::Tracer pointer, either of which may be null. Components own a
-/// Relay (or hold a pointer to one with a stable address) and emit typed
-/// events through it; the relay renders the legacy string form for the
-/// tracer so every pre-existing `Tracer`-based test and tool keeps working.
+/// The per-component emission point: a Bus pointer for typed sinks, null
+/// when nothing is attached. Components own a Relay (or hold a pointer to
+/// one with a stable address) and emit typed events through it.
 ///
 /// A relay registers itself with the bus it points at and unregisters when
 /// repointed or destroyed, feeding the Bus teardown-order guard: destroying
@@ -22,17 +19,12 @@ class Relay {
   Relay() = default;
   Relay(const Relay&) = delete;
   Relay& operator=(const Relay&) = delete;
-  Relay(Relay&& o) noexcept : bus_(o.bus_), tracer_(o.tracer_) {
-    o.bus_ = nullptr;
-    o.tracer_ = nullptr;
-  }
+  Relay(Relay&& o) noexcept : bus_(o.bus_) { o.bus_ = nullptr; }
   Relay& operator=(Relay&& o) noexcept {
     if (this != &o) {
       if (bus_ != nullptr) bus_->unregister_emitter();
       bus_ = o.bus_;
-      tracer_ = o.tracer_;
       o.bus_ = nullptr;
-      o.tracer_ = nullptr;
     }
     return *this;
   }
@@ -46,19 +38,18 @@ class Relay {
     if (b != nullptr) b->register_emitter();
     bus_ = b;
   }
-  void set_tracer(sim::Tracer* t) noexcept { tracer_ = t; }
   [[nodiscard]] Bus* bus() const noexcept { return bus_; }
-  [[nodiscard]] sim::Tracer* tracer() const noexcept { return tracer_; }
 
   [[nodiscard]] bool active() const noexcept {
-    return tracer_ != nullptr || (bus_ != nullptr && bus_->active());
+    return bus_ != nullptr && bus_->active();
   }
 
-  void emit(const Event& e) const;
+  void emit(const Event& e) const {
+    if (active()) bus_->emit(e);
+  }
 
  private:
   Bus* bus_ = nullptr;
-  sim::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace pinsim::obs

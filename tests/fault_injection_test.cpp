@@ -8,10 +8,11 @@
 #include <memory>
 #include <vector>
 
+#include "capture_sink.hpp"
 #include "core/host.hpp"
 #include "net/fault.hpp"
+#include "obs/bus.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace pinsim::net {
 namespace {
@@ -280,20 +281,20 @@ TEST(FaultStack, BurstyLossRecoversEndToEnd) {
 
 TEST(FaultStack, FaultDecisionsAreTraced) {
   Rig rig(fast_retry_stack());
-  sim::Tracer tracer(rig.eng, 4096);
-  rig.fabric->faults().set_tracer(&tracer);
+  test::CaptureSink trace;
+  obs::Bus bus(rig.eng);
+  bus.attach(&trace);
+  rig.fabric->faults().set_bus(&bus);
   net::FaultPlan plan;
   plan.loss = 0.1;
   plan.corrupt = 0.1;
   transfer_and_verify(rig, plan, 128 * 1024);
+  rig.fabric->faults().set_bus(nullptr);  // the bus dies before the rig
 
-  bool saw_drop = false, saw_corrupt = false;
-  for (const auto& ev : tracer.records()) {
-    if (ev.category == "fault.drop") saw_drop = true;
-    if (ev.category == "fault.corrupt") saw_corrupt = true;
-  }
-  EXPECT_TRUE(saw_drop);
-  EXPECT_TRUE(saw_corrupt);
+  EXPECT_NE(trace.find_first(obs::EventKind::kFaultDrop),
+            test::CaptureSink::npos);
+  EXPECT_NE(trace.find_first(obs::EventKind::kFaultCorrupt),
+            test::CaptureSink::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// The typed event bus and its exporters: legacy string rendering stays
-// byte-identical to the old call-site formatting, the Chrome-trace writer
-// emits loadable JSON, and the latency recorder distills a real two-host
+// The typed event bus and its exporters: every kind is named, a relay
+// forwards only while its bus is active, the Chrome-trace writer emits
+// loadable JSON, and the latency recorder distills a real two-host
 // rendezvous run into histograms — with the invariant checker staying clean.
 #include <gtest/gtest.h>
 
@@ -10,13 +10,14 @@
 #include <sstream>
 #include <string>
 
+#include "capture_sink.hpp"
 #include "core/host.hpp"
 #include "obs/bus.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/invariants.hpp"
 #include "obs/json.hpp"
 #include "obs/latency.hpp"
-#include "obs/legacy.hpp"
+#include "obs/relay.hpp"
 #include "sim/task.hpp"
 
 namespace pinsim::obs {
@@ -32,73 +33,22 @@ Event ev(EventKind kind) {
   return e;
 }
 
-// --- legacy string rendering -------------------------------------------------
+// --- event kinds --------------------------------------------------------------
 
-TEST(LegacyStrings, MatchPreBusFormats) {
-  Event tx = ev(EventKind::kPktTx);
-  tx.peer = 3;
-  tx.label = "rndv";
-  auto s = legacy_strings(tx);
-  EXPECT_EQ(s.category, "pkt.tx");
-  EXPECT_EQ(s.detail, "rndv to node 3");
-
-  Event rx = ev(EventKind::kPktRx);
-  rx.peer = 2;
-  rx.peer_ep = 1;
-  rx.label = "pull";
-  s = legacy_strings(rx);
-  EXPECT_EQ(s.category, "pkt.rx");
-  EXPECT_EQ(s.detail, "pull from node 2 ep 1");
-
-  Event pin = ev(EventKind::kPinInvalidate);
-  pin.region = 5;
-  pin.offset = 3;
-  pin.len = 8;
-  pin.label = "mmu notifier";
-  s = legacy_strings(pin);
-  EXPECT_EQ(s.category, "pin.invalidate");
-  EXPECT_EQ(s.detail, "region 5 mmu notifier (3/8 pages)");
-
-  Event miss = ev(EventKind::kOverlapMissRecv);
-  miss.offset = 8192;
-  s = legacy_strings(miss);
-  EXPECT_EQ(s.category, "pin.miss");
-  EXPECT_EQ(s.detail, "recv offset 8192");
-
-  Event drop = ev(EventKind::kFaultDrop);
-  drop.node = 0;
-  drop.peer = 1;
-  drop.len = 1500;
-  s = legacy_strings(drop);
-  EXPECT_EQ(s.category, "fault.drop");
-  EXPECT_EQ(s.detail, "frame 0->1 (1500B)");
-
-  Event deny = ev(EventKind::kPressureDeny);
-  deny.label = "burst pin denial";
-  s = legacy_strings(deny);
-  EXPECT_EQ(s.category, "pressure.deny");
-  EXPECT_EQ(s.detail, "burst pin denial");
-}
-
-TEST(LegacyStrings, EveryKindHasNameAndCategory) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kFaultReorder); ++k) {
-    Event e = ev(static_cast<EventKind>(k));
-    EXPECT_STRNE(event_kind_name(e.kind), "unknown");
-    EXPECT_NE(legacy_strings(e).category, "unknown");
+TEST(EventKind, EveryKindHasAName) {
+  for (int k = 0; k <= static_cast<int>(EventKind::kNetCongestionDrop); ++k) {
+    EXPECT_STRNE(event_kind_name(static_cast<EventKind>(k)), "unknown");
   }
 }
 
-// --- bus, relay, tracer sink -------------------------------------------------
+// --- bus, relay ---------------------------------------------------------------
 
 TEST(Bus, StampsTimeAndFansOut) {
   sim::Engine eng;
   Bus bus(eng);
   EXPECT_FALSE(bus.active());
 
-  struct Capture final : Sink {
-    std::vector<Event> seen;
-    void on_event(const Event& e) override { seen.push_back(e); }
-  } a, b;
+  test::CaptureSink a, b;
   bus.attach(&a);
   bus.attach(&b);
   bus.attach(&a);  // double attach is idempotent
@@ -106,43 +56,43 @@ TEST(Bus, StampsTimeAndFansOut) {
 
   eng.schedule_at(250, [&] { bus.emit(ev(EventKind::kSendDone)); });
   eng.run();
-  ASSERT_EQ(a.seen.size(), 1u);
-  ASSERT_EQ(b.seen.size(), 1u);
-  EXPECT_EQ(a.seen[0].time, 250);
+  ASSERT_EQ(a.events.size(), 1u);
+  ASSERT_EQ(b.events.size(), 1u);
+  EXPECT_EQ(a.events[0].time, 250);
 
   bus.detach(&a);
   bus.emit(ev(EventKind::kSendDone));
-  EXPECT_EQ(a.seen.size(), 1u);
-  EXPECT_EQ(b.seen.size(), 2u);
+  EXPECT_EQ(a.events.size(), 1u);
+  EXPECT_EQ(b.events.size(), 2u);
 }
 
-TEST(Relay, RendersLegacyAndForwardsTyped) {
+TEST(Relay, ForwardsOnlyWhileItsBusIsActive) {
   sim::Engine eng;
-  sim::Tracer direct(eng);
-  sim::Tracer via_sink(eng);
   Bus bus(eng);
-  TracerSink sink(via_sink);
-  bus.attach(&sink);
+  test::CaptureSink sink;
 
   Relay relay;
   EXPECT_FALSE(relay.active());
-  relay.set_tracer(&direct);
-  relay.set_bus(&bus);
-  EXPECT_TRUE(relay.active());
+  relay.emit(ev(EventKind::kSendDone));  // no bus: dropped, not a crash
 
+  relay.set_bus(&bus);
+  EXPECT_FALSE(relay.active());  // a bus with no sink is inactive too
+  relay.emit(ev(EventKind::kSendDone));
+
+  bus.attach(&sink);
+  EXPECT_TRUE(relay.active());
   Event e = ev(EventKind::kRndvPost);
   e.seq = 4;
-  e.len = 65536;
-  e.peer = 2;
   relay.emit(e);
+  ASSERT_EQ(sink.events.size(), 1u);
+  EXPECT_EQ(sink.events[0].kind, EventKind::kRndvPost);
+  EXPECT_EQ(sink.events[0].seq, 4u);
 
-  // The relay's inline rendering and the TracerSink adaptation must agree
-  // byte for byte — one formatting authority, two paths.
-  ASSERT_EQ(direct.records().size(), 1u);
-  ASSERT_EQ(via_sink.records().size(), 1u);
-  EXPECT_EQ(direct.records()[0].category, via_sink.records()[0].category);
-  EXPECT_EQ(direct.records()[0].detail, via_sink.records()[0].detail);
-  EXPECT_EQ(direct.records()[0].category, "req.rndv");
+  bus.detach(&sink);
+  EXPECT_FALSE(relay.active());
+  relay.emit(ev(EventKind::kSendDone));
+  EXPECT_EQ(sink.events.size(), 1u);
+  relay.set_bus(nullptr);
 }
 
 // --- json helpers ------------------------------------------------------------

@@ -243,8 +243,12 @@ TEST(PinArbiterIntegration, StarvedTenantRecoversHeadroomFromIdleHog) {
   EXPECT_NE(report.find("tenant: arb_requests="), std::string::npos) << report;
   const std::string json = format_json_report(starved, a);
   EXPECT_NE(json.find("\"tenant_arb_grants\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"fabric_congestion_dropped\""), std::string::npos)
-      << json;
+  const std::string host_json = format_json_host(a);
+  EXPECT_NE(host_json.find("\"quota_denials\""), std::string::npos)
+      << host_json;
+  const std::string fabric_json = format_json_fabric(fabric);
+  EXPECT_NE(fabric_json.find("\"congestion_dropped\""), std::string::npos)
+      << fabric_json;
 }
 
 }  // namespace

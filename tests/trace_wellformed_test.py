@@ -2,7 +2,9 @@
 """Well-formedness gate for every observability artifact a quick
 instrumented bench run emits: each `.trace.json` / `.flight.json` must be
 valid Chrome Trace Event JSON with in-order span timestamps, and each
-`.report.json` must be a valid JSON object carrying the report sections.
+`.report.json` must be a valid JSON object carrying the report sections,
+with host- and fabric-scope values only in its `hosts` / `fabric` sections,
+never in an `endpoints[]` row.
 
 The C++ side has json_valid() unit coverage; this test closes the loop on
 the files as actually written — truncated writes, a stray comma from a
@@ -95,11 +97,21 @@ def check_report(path):
         return fail(path, f"malformed JSON: {e}")
     if not isinstance(doc, dict):
         return fail(path, "report is not a JSON object")
-    missing = [k for k in ("invariant_violations", "profile", "flight")
+    missing = [k for k in ("invariant_violations", "profile", "flight",
+                           "hosts", "fabric")
                if k not in doc]
     if missing:
         return fail(path, f"report missing sections: {missing}")
-    return True
+    # Host- and fabric-wide values are reported once, in `hosts` and
+    # `fabric`; copied into every endpoint row they would sum to nonsense.
+    ok = True
+    for i, row in enumerate(doc.get("endpoints", [])):
+        leaked = sorted(k for k in row
+                        if k.startswith(("host_", "fabric_")))
+        if leaked:
+            ok = fail(path, f"endpoints[{i}] carries host/fabric-scope "
+                            f"keys {leaked}")
+    return ok
 
 
 def main():

@@ -28,13 +28,13 @@
 //   D3  no raw new/delete/malloc/free outside mem/malloc_sim — simulated
 //       process heaps go through MallocSim, host-side ownership through
 //       standard containers and smart pointers.
-//   D4  counter consistency: every Counters member in core/counters.hpp must
-//       be incremented somewhere under src/ and serialized by
-//       core/report.cpp (and only declared counters may be serialized).
+//   D4  counter table: every row of the PINSIM_COUNTERS table in
+//       core/counters.hpp must be incremented somewhere under src/. Both
+//       reports are generated from the table, so serialization needs no
+//       check.
 //   D5  obs::Event kind exhaustiveness: every EventKind enumerator must be
-//       rendered by obs/legacy.cpp (the single formatting authority), and
-//       every switch over EventKind anywhere must be exhaustive or carry a
-//       default label.
+//       named by obs/event.cpp (event_kind_name), and every switch over
+//       EventKind anywhere must be exhaustive or carry a default label.
 //   D6  header hygiene: #pragma once, no `using namespace` in headers, and
 //       include-self-sufficiency spot checks for common std:: types.
 //   D7  callback lifetime (src/ only): a lambda handed to the engine
@@ -727,42 +727,39 @@ void Linter::check_d3(const SourceFile& f) {
   }
 }
 
-// --- D4: counter consistency -----------------------------------------------
+// --- D4: counter table ------------------------------------------------------
+
+// The rows of the `PINSIM_COUNTERS` table in core/counters.hpp: (member,
+// line) for every `X("section", member, ...` line of the macro body. The
+// tokenizer skips preprocessor lines, so the body is read as text.
+std::vector<std::pair<std::string, int>> counter_table_rows(
+    const SourceFile& f) {
+  std::ifstream in(f.path, std::ios::binary);
+  std::vector<std::pair<std::string, int>> rows;
+  bool in_table = false;
+  std::string text;
+  for (int line = 1; std::getline(in, text); ++line) {
+    if (text.rfind("#define PINSIM_COUNTERS(", 0) == 0) in_table = true;
+    if (!in_table) continue;
+    const std::size_t x = text.find("X(\"");
+    const std::size_t q =
+        x == std::string::npos ? x : text.find("\",", x + 3);
+    if (q != std::string::npos) {
+      std::size_t b = q + 2;
+      while (b < text.size() && text[b] == ' ') ++b;
+      std::size_t e = b;
+      while (e < text.size() && ident_char(text[e])) ++e;
+      if (e > b) rows.emplace_back(text.substr(b, e - b), line);
+    }
+    if (text.empty() || text.back() != '\\') in_table = false;
+  }
+  return rows;
+}
 
 void Linter::check_d4() {
   SourceFile* counters = find_rel("src/core/counters.hpp");
-  SourceFile* report = find_rel("src/core/report.cpp");
-  if (counters == nullptr || report == nullptr) return;  // not this repo shape
+  if (counters == nullptr) return;  // not this repo shape
 
-  // Harvest `std::uint64_t NAME = 0;` members of struct Counters.
-  std::vector<std::pair<std::string, int>> members;  // name, line
-  const auto& t = counters->tokens;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text == "struct" && t[i + 1].text == "Counters") {
-      begin = i;
-      break;
-    }
-  }
-  int depth = 0;
-  for (std::size_t i = begin; i < t.size(); ++i) {
-    if (t[i].text == "{") ++depth;
-    if (t[i].text == "}") {
-      if (--depth == 0) break;
-    }
-    if (depth == 1 && t[i].text == "uint64_t" && i + 1 < t.size() &&
-        t[i + 1].kind == Tok::kIdent && i + 2 < t.size() &&
-        (t[i + 2].text == "=" || t[i + 2].text == ";")) {
-      members.emplace_back(t[i + 1].text, t[i + 1].line);
-    }
-  }
-
-  auto mentions = [](const SourceFile& f, const std::string& name) {
-    for (const auto& tok : f.tokens) {
-      if (tok.kind == Tok::kIdent && tok.text == name) return true;
-    }
-    return false;
-  };
   auto incremented_in = [](const SourceFile& f, const std::string& name) {
     const auto& tk = f.tokens;
     for (std::size_t i = 0; i < tk.size(); ++i) {
@@ -793,10 +790,19 @@ void Linter::check_d4() {
     return false;
   };
 
-  for (const auto& [name, line] : members) {
+  // Both reports are generated from the table, so every row is serialized
+  // by construction; what the table cannot guarantee is that anything
+  // ever counts.
+  const auto rows = counter_table_rows(*counters);
+  if (rows.empty()) {
+    diags_.push_back({counters->rel, 1, "D4",
+                      "no `X(\"section\", member, ...` rows found in the "
+                      "PINSIM_COUNTERS table — D4 would check nothing"});
+  }
+  for (const auto& [name, line] : rows) {
     bool inc = false;
     for (const auto& f : files_) {
-      if (f.rel == "src/core/counters.hpp") continue;
+      if (f.rel == counters->rel) continue;
       if (f.rel.rfind("src/", 0) == 0 && incremented_in(f, name)) {
         inc = true;
         break;
@@ -806,26 +812,6 @@ void Linter::check_d4() {
       diags_.push_back({counters->rel, line, "D4",
                         "counter '" + name +
                             "' is declared but never incremented under src/"});
-    }
-    if (!mentions(*report, name)) {
-      diags_.push_back({counters->rel, line, "D4",
-                        "counter '" + name +
-                            "' is declared but not serialized by "
-                            "core/report.cpp — it can silently rot"});
-    }
-  }
-
-  // Vice versa: every `c.NAME` the report reads must be a declared counter.
-  std::set<std::string> declared;
-  for (const auto& [name, line] : members) declared.insert(name);
-  const auto& rt = report->tokens;
-  for (std::size_t i = 2; i < rt.size(); ++i) {
-    if (rt[i].kind == Tok::kIdent && rt[i - 1].text == "." &&
-        rt[i - 2].text == "c" && declared.count(rt[i].text) == 0 &&
-        rt[i].text != "overlap_miss_rate") {
-      diags_.push_back({report->rel, rt[i].line, "D4",
-                        "report reads 'c." + rt[i].text +
-                            "' which is not a Counters member"});
     }
   }
 }
@@ -868,20 +854,21 @@ void Linter::check_d5() {
   if (kinds.empty()) return;
   const std::set<std::string> kind_set(kinds.begin(), kinds.end());
 
-  // (a) The single formatting authority must render every kind.
-  if (SourceFile* legacy = find_rel("src/obs/legacy.cpp")) {
+  // (a) event_kind_name, the one name every exporter prints, must name
+  // every kind.
+  if (SourceFile* names = find_rel("src/obs/event.cpp")) {
     std::set<std::string> seen;
-    for (const auto& tok : legacy->tokens) {
+    for (const auto& tok : names->tokens) {
       if (tok.kind == Tok::kIdent && kind_set.count(tok.text) != 0) {
         seen.insert(tok.text);
       }
     }
     for (const auto& k : kinds) {
       if (seen.count(k) == 0) {
-        diags_.push_back({legacy->rel, 1, "D5",
+        diags_.push_back({names->rel, 1, "D5",
                           "EventKind::" + k +
-                              " is never rendered by obs/legacy.cpp — every "
-                              "kind needs a legacy string form"});
+                              " is never named by obs/event.cpp — every "
+                              "kind needs an event_kind_name"});
       }
     }
   }
@@ -1659,7 +1646,7 @@ void write_sarif(std::ostream& out, const std::vector<Diag>& live,
       {"D1", "no nondeterminism sources outside sim/random"},
       {"D2", "no iteration over unordered containers"},
       {"D3", "no raw allocation outside mem/malloc_sim"},
-      {"D4", "every counter must be incremented and serialized"},
+      {"D4", "every counter-table row must be incremented under src/"},
       {"D5", "EventKind handling must be exhaustive"},
       {"D6", "header hygiene: pragma once, no using-namespace, IWYU"},
       {"D7", "deferred callbacks must revalidate captured state"},

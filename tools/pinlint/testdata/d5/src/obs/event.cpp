@@ -1,5 +1,5 @@
-// pinlint fixture: the formatting authority renders kA and kB but forgot
-// kC. The switch itself has a default, so only the rendering rule fires
+// pinlint fixture: event_kind_name names kA and kB but forgot
+// kC. The switch itself has a default, so only the naming rule fires
 // here. Never compiled.
 #include "event.hpp"
 
