@@ -4,6 +4,7 @@
 // memory paths are fast enough to run thousands of them).
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -166,7 +167,8 @@ BENCHMARK(BM_WireEncodeDecode)->Arg(2048)->Arg(8192);
 constexpr std::size_t kImbCellFrames = 4 * 4 * (16u << 20) / mem::kPageSize;
 
 /// Builds one host with the 16 MB cell's frame pool: the set-up cost every
-/// IMB cell pays before it sends a byte.
+/// IMB cell pays before it sends a byte. After the first iteration the pool
+/// reuses the populated memory the previous host left clean.
 void BM_HostConstruct(benchmark::State& state) {
   core::Host::Config hc;
   hc.memory_frames = kImbCellFrames;
@@ -180,6 +182,42 @@ void BM_HostConstruct(benchmark::State& state) {
                           static_cast<int64_t>(kImbCellFrames * mem::kPageSize));
 }
 BENCHMARK(BM_HostConstruct)->Unit(benchmark::kMillisecond);
+
+/// Rebuilds the 16 MB cell's host after a host whose rank reserved the
+/// cell's buffers: the timed construction re-zeroes the frames that rank
+/// wrote. Only the second construction is timed.
+void BM_HostConstructAfterImbCell(benchmark::State& state) {
+  constexpr std::size_t kBytes = 16u << 20;
+  core::Host::Config hc;
+  hc.memory_frames = kImbCellFrames;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      sim::Engine eng;
+      net::Fabric fabric(eng);
+      core::Host host(eng, fabric, hc, core::overlapped_cache_config());
+      core::Host::Process& rank = host.spawn_process();
+      mpi::Communicator comm({&rank});
+      workloads::ImbSuite::Config cfg;
+      cfg.buffer_rotation = 4;
+      workloads::ImbSuite imb(comm, cfg);
+      imb.reserve(kBytes, kBytes);
+    }
+    {
+      sim::Engine eng;
+      net::Fabric fabric(eng);
+      std::optional<core::Host> host;
+      state.ResumeTiming();
+      host.emplace(eng, fabric, hc, core::overlapped_cache_config());
+      benchmark::DoNotOptimize(host->memory().free_frames());
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kImbCellFrames * mem::kPageSize));
+}
+BENCHMARK(BM_HostConstructAfterImbCell)->Unit(benchmark::kMillisecond);
 
 /// IMB's buffer set-up for one rank of the 16 MB cell: malloc and fill 4
 /// rotating 16 MB send/receive pairs (sends with a pattern, receives with

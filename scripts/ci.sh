@@ -157,7 +157,8 @@ fi
 #  3. against the committed BENCH_pr8.json, the first point carrying the
 #     cluster-soak stages and their tenant_fairness digests — this is where
 #     Jain-index drops gate.
-# The tier also runs the profiler-overhead smoke: an instrumented fig6 run
+# The tier also runs the benchmark's self-test (perfbench/selftest.py) and
+# the profiler-overhead smoke: an instrumented fig6 run
 # (dispatch profiler + flight recorder + trace sinks attached) must stay
 # within PINSIM_PERF_PROF_TOL relative slowdown of the plain run — a
 # backstop against the always-on observer hook growing per-dispatch cost.
@@ -204,6 +205,11 @@ perf_tier() {
         --delta-out build/BENCH_tput_delta.json; then
       failed=1
     fi
+  fi
+  # The repo benchmark's self-test: ledger attribution, and traced vs
+  # untraced units reporting the same simulated-time results.
+  if ! python3 perfbench/selftest.py; then
+    failed=1
   fi
   if [[ -f BENCH_pr8.json ]]; then
     if ! python3 scripts/bench_compare.py compare \

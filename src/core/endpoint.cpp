@@ -1179,8 +1179,13 @@ void Endpoint::maybe_optimistic_rerequest(PullState& ps,
   // Data for a later block implies earlier requests were (partly) lost:
   // re-request the oldest incomplete block, rate-limited (footnote 4).
   // "Lost" means missing on the wire — a block whose frames all arrived and
-  // are merely queued behind the copy engine is fine.
-  for (std::size_t i = 0; i < arrived_block; ++i) {
+  // are merely queued behind the copy engine is fine. Blocks only ever turn
+  // complete, so the scan starts past the complete prefix.
+  while (ps.first_incomplete < arrived_block &&
+         ps.blocks[ps.first_incomplete].complete) {
+    ++ps.first_incomplete;
+  }
+  for (std::size_t i = ps.first_incomplete; i < arrived_block; ++i) {
     PullBlock& blk = ps.blocks[i];
     if (!blk.requested || blk.complete ||
         blk.frames_received == blk.frame_seen.size()) {

@@ -243,6 +243,7 @@ class Endpoint {
     std::vector<PullBlock> blocks;
     std::size_t next_block = 0;
     std::size_t blocks_done = 0;
+    std::size_t first_incomplete = 0;  // blocks before it are all complete
     std::size_t requested_incomplete = 0;
     bool started = false;  // pulls flowing (pin gate passed)
     bool done = false;     // data complete, NOTIFY (re)transmitting

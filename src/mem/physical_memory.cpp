@@ -3,30 +3,79 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 #include <new>
 
 #if defined(__linux__)
 #include <sys/mman.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace pinsim::mem {
 
 namespace {
 
-/// A private anonymous mapping of `len` bytes that the kernel has already
-/// faulted in with zero pages, or nullptr where no such mapping exists.
-std::byte* map_populated(std::size_t len) {
 #if defined(__linux__)
-  if (len == 0) return nullptr;
-  void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+
+/// A private anonymous mapping of `frames` frames that the kernel faulted in
+/// with zero pages, of which only the first `dirty` may since have been
+/// written.
+struct Arena {
+  std::byte* bytes = nullptr;
+  std::size_t frames = 0;
+  std::size_t dirty = 0;
+};
+
+/// Arenas of destroyed pools, still mapped and populated, for the next pool
+/// of this process. Never destroyed, so a pool destroyed during static
+/// teardown can still return its arena. Unsynchronized: the simulator is
+/// single-threaded.
+std::vector<Arena>& arena_cache() {
+  // pinlint: allow(D3: leaked on purpose; pools outlive static destructors)
+  static auto* cache = new std::vector<Arena>;
+  return *cache;
+}
+
+void unmap(const Arena& a) {
+  ASAN_UNPOISON_MEMORY_REGION(a.bytes, a.frames * kPageSize);
+  ::munmap(a.bytes, a.frames * kPageSize);
+}
+
+/// Hands out the smallest cached arena of at least `frames` frames with its
+/// first `frames` frames zero (and, under ASan, only those unpoisoned). On a
+/// miss, unmaps every cached arena before mapping a fresh populated one, so
+/// the process never maps more than it would without the cache.
+Arena acquire_arena(std::size_t frames) {
+  auto& cache = arena_cache();
+  auto best = cache.end();
+  for (auto it = cache.begin(); it != cache.end(); ++it) {
+    if (it->frames >= frames &&
+        (best == cache.end() || it->frames < best->frames)) {
+      best = it;
+    }
+  }
+  if (best != cache.end()) {
+    const Arena a = *best;
+    cache.erase(best);
+    ASAN_UNPOISON_MEMORY_REGION(a.bytes, frames * kPageSize);
+    std::memset(a.bytes, 0, std::min(a.dirty, frames) * kPageSize);
+    return a;
+  }
+  for (const Arena& a : cache) unmap(a);
+  cache.clear();
+  void* p = ::mmap(nullptr, frames * kPageSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc{};
-  return static_cast<std::byte*>(p);
-#else
-  (void)len;
-  return nullptr;
-#endif
+  return {static_cast<std::byte*>(p), frames, 0};
 }
+
+#endif
 
 }  // namespace
 
@@ -44,17 +93,33 @@ PhysicalMemory::PhysicalMemory(std::size_t num_frames)
   for (std::size_t i = num_frames; i-- > 0;) {
     free_list_.push_back(static_cast<FrameId>(i));
   }
-  bytes_ = map_populated(num_frames * kPageSize);
-  if (bytes_ == nullptr) {
-    fallback_.resize(num_frames * kPageSize);
-    bytes_ = fallback_.data();
+#if defined(__linux__)
+  if (num_frames != 0) {
+    const Arena a = acquire_arena(num_frames);
+    bytes_ = a.bytes;
+    arena_frames_ = a.frames;
+    // Frames past this pool that an earlier, larger pool wrote stay dirty.
+    arena_dirty_ = a.dirty > num_frames ? a.dirty : 0;
+    return;
   }
+#endif
+  fallback_.resize(num_frames * kPageSize);
+  bytes_ = fallback_.data();
 }
 
 PhysicalMemory::~PhysicalMemory() {
 #if defined(__linux__)
-  if (fallback_.empty() && total_frames() != 0) {
-    ::munmap(bytes_, total_frames() * kPageSize);
+  if (arena_frames_ != 0) {
+    const Arena a{bytes_, arena_frames_,
+                  std::max<std::size_t>(pristine_, arena_dirty_)};
+    try {
+      arena_cache().push_back(a);
+    } catch (const std::bad_alloc&) {
+      unmap(a);  // no room to cache it: hand it back to the kernel
+      return;
+    }
+    // A cached arena belongs to no pool: under ASan, touching it is an error.
+    ASAN_POISON_MEMORY_REGION(a.bytes, a.frames * kPageSize);
   }
 #endif
 }

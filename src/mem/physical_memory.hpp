@@ -28,10 +28,14 @@ class PressureInjector;
 /// On Linux the pool is one private anonymous mapping populated at
 /// construction (MAP_POPULATE), so the kernel hands over zero pages and no
 /// user-space pass writes over them; elsewhere it is value-initialised heap
-/// storage. `alloc()` then re-zeroes only recycled frames: the free list is
-/// LIFO and starts as every frame in increasing id order, so never-used
-/// frames leave it in increasing id order and every frame at or above the
-/// pristine watermark has never been written.
+/// storage. The kernel populates each mapping once per process: a destroyed
+/// pool hands its mapping (an "arena") to a process-wide cache, and the next
+/// pool takes the smallest cached arena that fits, zeroing during
+/// construction only the prefix of frames earlier pools handed out.
+/// `alloc()` then re-zeroes only recycled frames: the free list is LIFO and
+/// starts as every frame in increasing id order, so never-used frames leave
+/// it in increasing id order and every frame at or above the pristine
+/// watermark has never been written.
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(std::size_t num_frames);
@@ -114,6 +118,8 @@ class PhysicalMemory {
 
   std::byte* bytes_ = nullptr;       // the pool: total_frames() frames
   std::vector<std::byte> fallback_;  // backs bytes_ where there is no mmap
+  std::size_t arena_frames_ = 0;     // frames of its arena (0: none)
+  std::size_t arena_dirty_ = 0;      // its watermark if > total_frames()
   FrameId pristine_ = 0;             // frames >= this were never handed out
   std::vector<std::uint32_t> refcounts_;  // 0 == free
   std::vector<FrameId> free_list_;

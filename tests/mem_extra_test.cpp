@@ -262,6 +262,79 @@ TEST(ZeroOnce, ZeroFillElisionLeavesFaultCountsUnchanged) {
   EXPECT_EQ(zero.cow_breaks, nonzero.cow_breaks);
 }
 
+// A pool's memory outlives the pool: the next pool of the process may get
+// the same populated mapping back, with whatever the last owner wrote.
+
+/// Builds a pool of `frames` frames, fills every frame with `pattern` and
+/// destroys it.
+void dirty_every_frame(std::size_t frames, std::byte pattern) {
+  mem::PhysicalMemory pm(frames);
+  for (std::size_t i = 0; i < frames; ++i) {
+    auto page = pm.data(pm.alloc());
+    std::fill(page.begin(), page.end(), pattern);
+  }
+}
+
+TEST(ZeroOnce, PoolAfterAFullyDirtiedPoolReadsZero) {
+  constexpr std::size_t kFrames = 512;
+  for (std::size_t frames : {kFrames / 2, kFrames, 2 * kFrames}) {
+    SCOPED_TRACE(frames);
+    dirty_every_frame(kFrames, std::byte{0xa5});
+    {
+      mem::PhysicalMemory pm(frames);
+      for (std::size_t i = 0; i < frames; ++i) {
+        const auto f = pm.alloc();
+        ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+      }
+    }
+    dirty_every_frame(kFrames, std::byte{0x5a});
+    mem::PhysicalMemory pm(frames);
+    mem::AddressSpace as(pm);
+    const std::size_t len = frames * mem::kPageSize;
+    const auto a = as.mmap(len);
+    std::vector<std::byte> out(len, std::byte{0x7f});
+    as.read(a, out);  // faults every frame in
+    EXPECT_EQ(pm.free_frames(), 0u);
+    for (std::size_t i = 0; i < len; i += mem::kPageSize) {
+      ASSERT_TRUE(all_zero(std::span(out).subspan(i, mem::kPageSize)))
+          << "page " << i / mem::kPageSize;
+    }
+  }
+}
+
+TEST(ZeroOnce, LivePoolsNeverShareFrames) {
+  constexpr std::size_t kFrames = 2048;
+  dirty_every_frame(kFrames, std::byte{0x3c});  // leaves an arena that fits
+  mem::PhysicalMemory a(kFrames);
+  mem::PhysicalMemory b(kFrames);
+  std::vector<mem::FrameId> fa, fb;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    fa.push_back(a.alloc());
+    fb.push_back(b.alloc());
+  }
+  for (auto f : fa) {
+    auto page = a.data(f);
+    std::fill(page.begin(), page.end(), std::byte{0xc3});
+  }
+  for (auto f : fb) ASSERT_TRUE(all_zero(b.data(f))) << "frame " << f;
+}
+
+TEST(ZeroOnce, SmallPoolKeepsDirtPastItsRangeMarked) {
+  // A small pool that writes nothing must not forget that an earlier, larger
+  // pool dirtied frames beyond its own range. kLarge exceeds every other
+  // pool in this binary, so its first pool maps afresh and leaves its arena
+  // as the only one the small pool can take.
+  constexpr std::size_t kLarge = 4096;
+  constexpr std::size_t kSmall = 8;
+  dirty_every_frame(kLarge, std::byte{0x99});
+  { mem::PhysicalMemory small(kSmall); }
+  mem::PhysicalMemory pm(kLarge);
+  for (std::size_t i = 0; i < kLarge; ++i) {
+    const auto f = pm.alloc();
+    ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+  }
+}
+
 TEST(MemExtra, IsMappedAcrossAdjacentVmas) {
   mem::PhysicalMemory pm(64);
   mem::AddressSpace as(pm);
