@@ -23,6 +23,18 @@ namespace {
 
 using namespace pinsim;
 
+/// Wheel filings per scheduled event, as a benchmark counter.
+void report_filings(benchmark::State& state, const sim::Engine& eng,
+                    std::uint64_t schedules) {
+  state.counters["filings_per_schedule"] =
+      schedules == 0 ? 0.0
+                     : static_cast<double>(eng.filings()) /
+                           static_cast<double>(schedules);
+}
+
+/// Bursts of 0-6 ns delays: every event lands in the live 64 ns window.
+/// No workload schedules this close; BM_EngineClusterDelays is the
+/// realistic mix.
 void BM_EngineScheduleDispatch(benchmark::State& state) {
   sim::Engine eng;
   std::uint64_t sink = 0;
@@ -34,8 +46,61 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * 256);
+  report_filings(state, eng,
+                 static_cast<std::uint64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_EngineScheduleDispatch);
+
+/// A timestamp the engine files at wheel level `lvl` (level 0: the live
+/// 64 ns window): it keeps `now`'s bits above the level's 6-bit field and is
+/// ahead of `now` in that field. `r` supplies the random bits. When `now`
+/// sits in the field's last bucket, no such time exists and the event goes
+/// one level up.
+sim::Time when_at_level(sim::Time now, int lvl, std::uint64_t r) {
+  if (lvl == 0) return now + r % (64 - (now & 63));
+  const int shift = 6 * lvl;
+  const sim::Time field = (now >> shift) & 63;
+  if (field == 63) return when_at_level(now, lvl + 1, r);
+  const sim::Time parent = now & ~((sim::Time{1} << (shift + 6)) - 1);
+  const sim::Time bucket = field + 1 + (r >> 32) % (63 - field);
+  return parent | (bucket << shift) | (r & ((sim::Time{1} << shift) - 1));
+}
+
+/// Steady-state hold model with the cluster soak's level mix: 1024 events
+/// stay pending, and each dispatch schedules its successor. Of the quick
+/// soak's schedules, 53% land at wheel level 1 (the next 64 ns-4 us), 42%
+/// at level 2, 4.5% at level 3 and the rest in the live window.
+void BM_EngineClusterDelays(benchmark::State& state) {
+  struct Hold {
+    sim::Engine eng;
+    std::vector<int> levels;         // per-schedule level, drawn from the mix
+    std::vector<std::uint64_t> bits;  // per-schedule random bits
+    std::size_t next = 0;
+    std::uint64_t schedules = 0;
+
+    void schedule() {
+      const std::size_t i = next++ & (levels.size() - 1);
+      ++schedules;
+      eng.schedule_at(when_at_level(eng.now(), levels[i], bits[i]),
+                      [this] { schedule(); });
+    }
+  };
+  Hold hold;
+  sim::Rng rng(7);
+  for (int i = 0; i < (1 << 16); ++i) {
+    const std::uint64_t pick = rng.next_below(1000);
+    hold.levels.push_back(pick < 530 ? 1 : pick < 950 ? 2 : pick < 995 ? 3 : 0);
+    hold.bits.push_back(rng.next_u64());
+  }
+  for (int i = 0; i < 1024; ++i) hold.schedule();
+  for (auto _ : state) {
+    for (int i = 0; i < 256; ++i) hold.eng.step();
+  }
+  benchmark::DoNotOptimize(hold.eng.processed());
+  state.SetItemsProcessed(state.iterations() * 256);
+  report_filings(state, hold.eng, hold.schedules);
+}
+BENCHMARK(BM_EngineClusterDelays);
 
 /// Million-event scheduler torture: the timing-wheel acceptance workload.
 /// Bursts of schedules over three horizons (most short like protocol RTOs,

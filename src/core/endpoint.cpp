@@ -439,11 +439,7 @@ void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
   const auto from_peer = [node, peer_ep](std::uint64_t key) {
     return (key >> 41) == node && ((key >> 33) & 0xff) == peer_ep;
   };
-  std::vector<std::uint64_t> stale;
-  for (std::uint64_t key : completed_) {
-    if (from_peer(key)) stale.push_back(key);
-  }
-  for (std::uint64_t key : stale) completed_.erase(key);
+  completed_.erase_if(from_peer);
   std::erase_if(completed_fifo_, from_peer);
 }
 

@@ -23,6 +23,7 @@
 #include "obs/event.hpp"
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/hash_map.hpp"
 
 namespace pinsim::core {
 
@@ -395,7 +396,7 @@ class Endpoint {
   sim::FlatMap<std::uint32_t, mem::ObjectPool<PullState>::Ptr> pulls_;
   std::uint32_t next_pull_handle_ = 1;
 
-  sim::FlatSet<std::uint64_t> completed_;
+  sim::HashSet completed_;
   std::deque<std::uint64_t> completed_fifo_;
   sim::FlatSet<std::uint64_t> pending_pull_retries_;  // sender fast-retry polls
 };

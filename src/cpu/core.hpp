@@ -2,8 +2,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -62,7 +63,7 @@ class Core {
   [[nodiscard]] bool busy() const noexcept { return running_; }
   [[nodiscard]] std::size_t queued() const noexcept;
   [[nodiscard]] std::size_t queued_at(Priority p) const noexcept {
-    return queues_[static_cast<std::size_t>(p)].size();
+    return queues_[static_cast<std::size_t>(p)].size;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -73,8 +74,35 @@ class Core {
 
  private:
   struct Job {
-    sim::Time duration;
+    sim::Time duration = 0;
     sim::UniqueFunction done;
+  };
+
+  /// FIFO ring of jobs. The buffer doubles when full and never shrinks, so
+  /// a core that has seen its peak backlog queues without allocating.
+  struct JobQueue {
+    std::vector<Job> buf;  // power-of-two size, or empty
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    void push(Job job) {
+      if (size == buf.size()) {
+        std::vector<Job> grown(buf.empty() ? 4 : buf.size() * 2);
+        for (std::size_t i = 0; i < size; ++i) {
+          grown[i] = std::move(buf[(head + i) & (buf.size() - 1)]);
+        }
+        buf = std::move(grown);
+        head = 0;
+      }
+      buf[(head + size) & (buf.size() - 1)] = std::move(job);
+      ++size;
+    }
+    Job pop() {
+      Job job = std::move(buf[head]);
+      head = (head + 1) & (buf.size() - 1);
+      --size;
+      return job;
+    }
   };
 
   void dispatch();
@@ -83,7 +111,7 @@ class Core {
 
   sim::Engine& eng_;
   std::string name_;
-  std::array<std::deque<Job>, kPriorityCount> queues_;
+  std::array<JobQueue, kPriorityCount> queues_;
   /// The running job's completion, kept here so the scheduled event is a
   /// bare `this` capture that fits UniqueFunction's inline buffer.
   sim::UniqueFunction current_;

@@ -58,8 +58,9 @@ void CriticalPathAnalyzer::transition(Chain& c, sim::Time now, Phase next) {
   c.since = now;
 }
 
-void CriticalPathAnalyzer::close(Chain& c, std::uint64_t key, sim::Time now,
-                                 bool aborted) {
+void CriticalPathAnalyzer::close(std::uint32_t idx, std::uint64_t key,
+                                 sim::Time now, bool aborted) {
+  Chain& c = chains_[idx];
   transition(c, now, c.cur);
   c.rec.end = now;
   c.rec.aborted = aborted;
@@ -87,49 +88,81 @@ void CriticalPathAnalyzer::close(Chain& c, std::uint64_t key, sim::Time now,
       if (slowest_.size() > top_k_) slowest_.pop_back();
     }
   }
+  unlink_region(idx);
+  free_chains_.push_back(idx);
   open_.erase(key);
+}
+
+void CriticalPathAnalyzer::link_region(std::uint32_t idx) {
+  Chain& c = chains_[idx];
+  c.region_prev = kNoChain;
+  c.region_next = kNoChain;
+  const auto [it, inserted] =
+      by_region_.emplace(pin_key(c.rec.node, c.rec.ep, c.region), idx);
+  if (!inserted) {
+    c.region_next = it->second;
+    chains_[it->second].region_prev = idx;
+    it->second = idx;
+  }
+}
+
+void CriticalPathAnalyzer::unlink_region(std::uint32_t idx) {
+  const Chain& c = chains_[idx];
+  if (c.region_next != kNoChain) {
+    chains_[c.region_next].region_prev = c.region_prev;
+  }
+  if (c.region_prev != kNoChain) {
+    chains_[c.region_prev].region_next = c.region_next;
+    return;
+  }
+  const std::uint64_t pk = pin_key(c.rec.node, c.rec.ep, c.region);
+  if (c.region_next == kNoChain) {
+    by_region_.erase(pk);
+  } else {
+    by_region_.find(pk)->second = c.region_next;
+  }
 }
 
 void CriticalPathAnalyzer::on_pin_event(const Event& e) {
   const std::uint64_t pk = pin_key(e.node, e.ep, e.region);
-  switch (e.kind) {
-    case EventKind::kPinStart: {
-      pins_open_.insert(pk);
-      // pinlint: unordered-ok(independent per-chain field updates, no emission)
-      for (auto& [k, c] : open_) {
-        if (c.in_handshake && !c.pin_open && c.rec.rndv &&
-            c.rec.node == e.node && c.rec.ep == e.ep && c.region == e.region) {
+  if (e.kind == EventKind::kPinStart) {
+    pins_open_.insert(pk);
+  } else if (e.kind != EventKind::kPinRestart) {
+    pins_open_.erase(pk);
+  }
+  const auto head = by_region_.find(pk);
+  if (head == by_region_.end()) return;
+  // Only the open chains on this region can be affected.
+  for (std::uint32_t i = head->second; i != kNoChain;
+       i = chains_[i].region_next) {
+    Chain& c = chains_[i];
+    switch (e.kind) {
+      case EventKind::kPinStart:
+        if (c.in_handshake && !c.pin_open && c.rec.rndv) {
           c.pin_open = true;
           c.pin_since = e.time;
         }
-      }
-      break;
-    }
-    case EventKind::kPinDone:
-    case EventKind::kPinFail: {
-      pins_open_.erase(pk);
-      // pinlint: unordered-ok(independent per-chain field updates, no emission)
-      for (auto& [k, c] : open_) {
-        if (c.pin_open && c.rec.node == e.node && c.rec.ep == e.ep &&
-            c.region == e.region) {
+        break;
+      case EventKind::kPinDone:
+      case EventKind::kPinFail:
+        if (c.pin_open) {
           c.sender_pin += e.time - c.pin_since;
           c.pin_open = false;
         }
-      }
-      break;
+        break;
+      case EventKind::kPinRestart:
+        ++c.rec.pin_restarts;
+        break;
+      default:
+        break;
     }
-    case EventKind::kPinRestart: {
-      // pinlint: unordered-ok(independent per-chain counter bumps, no emission)
-      for (auto& [k, c] : open_) {
-        if (c.rec.node == e.node && c.rec.ep == e.ep && c.region == e.region) {
-          ++c.rec.pin_restarts;
-        }
-      }
-      break;
-    }
-    default:
-      break;
   }
+}
+
+CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::find_chain(
+    std::uint64_t key) {
+  const auto it = open_.find(key);
+  return it == open_.end() ? nullptr : &chains_[it->second];
 }
 
 CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::resolve_receiver(
@@ -137,9 +170,7 @@ CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::resolve_receiver(
   // Receiver-local events carry the pull handle in `seq`; the handle was
   // bound to the sender-side chain at kPullStart.
   const auto hit = pulls_.find(chain_key(e.node, e.ep, e.seq));
-  if (hit == pulls_.end()) return nullptr;
-  const auto it = open_.find(hit->second);
-  return it == open_.end() ? nullptr : &it->second;
+  return hit == pulls_.end() ? nullptr : find_chain(hit->second);
 }
 
 void CriticalPathAnalyzer::on_event(const Event& e) {
@@ -168,7 +199,23 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
         c.cur = Phase::kTransfer;
         c.in_handshake = false;
       }
-      open_[chain_key(e.node, e.ep, e.seq)] = c;
+      // A re-post of an open key replaces its chain in place.
+      const std::uint64_t ck = chain_key(e.node, e.ep, e.seq);
+      std::uint32_t idx;
+      if (const auto it = open_.find(ck); it != open_.end()) {
+        idx = it->second;
+        unlink_region(idx);
+      } else if (!free_chains_.empty()) {
+        idx = free_chains_.back();
+        free_chains_.pop_back();
+        open_.emplace(ck, idx);
+      } else {
+        idx = static_cast<std::uint32_t>(chains_.size());
+        chains_.emplace_back();
+        open_.emplace(ck, idx);
+      }
+      chains_[idx] = c;
+      link_region(idx);
       break;
     }
 
@@ -178,17 +225,17 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
       const std::uint64_t ck = chain_key(
           e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset));
       pulls_[chain_key(e.node, e.ep, e.seq)] = ck;
-      if (auto it = open_.find(ck); it != open_.end()) {
-        transition(it->second, e.time, Phase::kTransfer);
+      if (Chain* c = find_chain(ck); c != nullptr) {
+        transition(*c, e.time, Phase::kTransfer);
       }
       break;
     }
 
     case EventKind::kOverlapMissSend: {
-      const auto it = open_.find(chain_key(e.node, e.ep, e.seq));
-      if (it != open_.end() && !it->second.in_handshake) {
-        ++it->second.rec.overlap_misses;
-        transition(it->second, e.time, Phase::kPinStall);
+      Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
+      if (c != nullptr && !c->in_handshake) {
+        ++c->rec.overlap_misses;
+        transition(*c, e.time, Phase::kPinStall);
       }
       break;
     }
@@ -201,14 +248,14 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
     }
 
     case EventKind::kRetransmit: {
-      const auto it = open_.find(chain_key(e.node, e.ep, e.seq));
-      if (it != open_.end()) {
-        ++it->second.rec.retransmits;
+      if (Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
+          c != nullptr) {
+        ++c->rec.retransmits;
         // Pin stalls keep the blame: the retransmission is the mechanism,
         // the unpinned page is the cause. Handshake retransmits just widen
         // the handshake.
-        if (it->second.cur == Phase::kTransfer) {
-          transition(it->second, e.time, Phase::kRetransmit);
+        if (c->cur == Phase::kTransfer) {
+          transition(*c, e.time, Phase::kRetransmit);
         }
       }
       break;
@@ -225,10 +272,10 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
 
     // Bytes moving again ends a stall: flip back to transfer.
     case EventKind::kCopyOut: {
-      const auto it = open_.find(chain_key(e.node, e.ep, e.seq));
-      if (it != open_.end() && (it->second.cur == Phase::kPinStall ||
-                                it->second.cur == Phase::kRetransmit)) {
-        transition(it->second, e.time, Phase::kTransfer);
+      Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
+      if (c != nullptr &&
+          (c->cur == Phase::kPinStall || c->cur == Phase::kRetransmit)) {
+        transition(*c, e.time, Phase::kTransfer);
       }
       break;
     }
@@ -246,8 +293,8 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
       const std::uint64_t ck = chain_key(
           e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset));
       if (e.kind == EventKind::kRecvDone) {
-        if (auto it = open_.find(ck); it != open_.end()) {
-          transition(it->second, e.time, Phase::kCompletion);
+        if (Chain* c = find_chain(ck); c != nullptr) {
+          transition(*c, e.time, Phase::kCompletion);
         }
       }
       pulls_.erase(chain_key(e.node, e.ep, e.seq));
@@ -257,7 +304,7 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
     case EventKind::kSendDone:
     case EventKind::kSendAbort: {
       const std::uint64_t ck = chain_key(e.node, e.ep, e.seq);
-      if (auto it = open_.find(ck); it != open_.end()) {
+      if (const auto it = open_.find(ck); it != open_.end()) {
         close(it->second, ck, e.time, e.kind == EventKind::kSendAbort);
       }
       break;
@@ -277,7 +324,10 @@ void CriticalPathAnalyzer::on_event(const Event& e) {
 
 void CriticalPathAnalyzer::finalize() {
   orphaned_count_ += open_.size();
+  chains_.clear();
+  free_chains_.clear();
   open_.clear();
+  by_region_.clear();
   pulls_.clear();
   pins_open_.clear();
 }

@@ -3,12 +3,11 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "sim/hash_map.hpp"
 
 namespace pinsim::obs {
 
@@ -114,6 +113,8 @@ class CriticalPathAnalyzer final : public Sink {
   [[nodiscard]] std::string digest() const;
 
  private:
+  static constexpr std::uint32_t kNoChain = 0xffffffffu;
+
   struct Chain {
     Breakdown rec;
     Phase cur = Phase::kHandshake;
@@ -123,18 +124,28 @@ class CriticalPathAnalyzer final : public Sink {
     bool pin_open = false;         // a pin job for `region` is running
     sim::Time pin_since = 0;
     sim::Time sender_pin = 0;      // accrued pin-blocked handshake time
+    // Links of the list of open chains on the same (node, ep, region).
+    std::uint32_t region_prev = kNoChain;
+    std::uint32_t region_next = kNoChain;
   };
 
   void transition(Chain& c, sim::Time now, Phase next);
-  void close(Chain& c, std::uint64_t key, sim::Time now, bool aborted);
+  void close(std::uint32_t idx, std::uint64_t key, sim::Time now,
+             bool aborted);
   void on_pin_event(const Event& e);
+  Chain* find_chain(std::uint64_t key);
   Chain* resolve_receiver(const Event& e);
+  void link_region(std::uint32_t idx);
+  void unlink_region(std::uint32_t idx);
 
   std::size_t max_records_;
   std::size_t top_k_;
-  std::unordered_map<std::uint64_t, Chain> open_;      // chain key -> state
-  std::unordered_map<std::uint64_t, std::uint64_t> pulls_;  // handle -> chain
-  std::unordered_set<std::uint64_t> pins_open_;        // running pin jobs
+  std::vector<Chain> chains_;                // open chain pool
+  std::vector<std::uint32_t> free_chains_;   // free slots of chains_
+  sim::HashMap<std::uint32_t> open_;         // chain key -> chains_ slot
+  sim::HashMap<std::uint32_t> by_region_;    // pin key -> first chain slot
+  sim::HashMap<std::uint64_t> pulls_;        // handle -> chain key
+  sim::HashSet pins_open_;                   // running pin jobs
   std::vector<Breakdown> completed_;
   std::vector<Breakdown> slowest_;
   std::array<sim::Time, kPhaseCount> phase_totals_{};

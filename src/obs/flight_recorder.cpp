@@ -269,7 +269,7 @@ void FlightRecorder::compact_arg_names(EventKind k, const char*& a,
 void FlightRecorder::on_event(const Event& e) {
   if (held_ == cap_) ++dropped_;
   ring_[head_] = compact_encode(e);
-  head_ = (head_ + 1) % cap_;
+  if (++head_ == cap_) head_ = 0;
   if (held_ < cap_) ++held_;
   ++recorded_;
   if (auto_dump_on_abort_ && !dumping_ &&

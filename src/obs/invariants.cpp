@@ -14,7 +14,11 @@ void InvariantChecker::violate(const Event& e, std::string message) {
     Violation v;
     v.message = std::move(message);
     v.event = e;
-    v.window.assign(window_.begin(), window_.end());
+    v.window.reserve(window_held_);
+    const std::size_t start = window_held_ == kWindow ? window_head_ : 0;
+    for (std::size_t i = 0; i < window_held_; ++i) {
+      v.window.push_back(window_[(start + i) % kWindow]);
+    }
     violations_.push_back(std::move(v));
     if (violation_hook_) violation_hook_(violations_.back());
   }
@@ -73,8 +77,9 @@ void InvariantChecker::on_pin_event(const Event& e) {
 }
 
 void InvariantChecker::on_event(const Event& e) {
-  window_.push_back(e);
-  if (window_.size() > kWindow) window_.pop_front();
+  window_[window_head_] = e;
+  window_head_ = (window_head_ + 1) % kWindow;
+  if (window_held_ < kWindow) ++window_held_;
 
   switch (e.kind) {
     case EventKind::kPinReset:
@@ -125,6 +130,9 @@ void InvariantChecker::on_event(const Event& e) {
         violate(e, "send completion for seq " + std::to_string(e.seq) +
                        " that was never posted");
       }
+      // The retry budget belongs to this send: a later send reusing the seq
+      // (after a wrap) starts from zero retries.
+      send_retries_.erase(key(e.node, e.ep, e.seq));
       break;
 
     case EventKind::kRetransmit: {

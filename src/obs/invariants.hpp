@@ -1,14 +1,14 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "sim/hash_map.hpp"
 
 namespace pinsim::obs {
 
@@ -89,11 +89,13 @@ class InvariantChecker final : public Sink {
   }
 
   std::size_t page_bytes_;
-  std::unordered_map<std::uint64_t, RegionModel> regions_;
-  std::unordered_map<std::uint64_t, Event> open_sends_;
-  std::unordered_map<std::uint64_t, Event> open_pulls_;
-  std::unordered_map<std::uint64_t, std::uint64_t> send_retries_;
-  std::deque<Event> window_;
+  sim::HashMap<RegionModel> regions_;
+  sim::HashMap<Event> open_sends_;
+  sim::HashMap<Event> open_pulls_;
+  sim::HashMap<std::uint64_t> send_retries_;  // open sends' last retry
+  std::array<Event, kWindow> window_;  // ring of the latest events
+  std::size_t window_head_ = 0;        // oldest event once the ring is full
+  std::size_t window_held_ = 0;
   std::vector<Violation> violations_;
   std::uint64_t violation_count_ = 0;
   std::function<void(const Violation&)> violation_hook_;

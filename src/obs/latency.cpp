@@ -8,17 +8,17 @@ namespace pinsim::obs {
 
 namespace {
 
-void record_open(std::unordered_map<std::uint64_t, sim::Time>& open,
+void record_open(sim::HashMap<sim::Time>& open,
                  std::uint64_t k, sim::Time t) {
   open[k] = t;  // a re-post overwrites: latency measured from the last start
 }
 
-void record_close(std::unordered_map<std::uint64_t, sim::Time>& open,
+void record_close(sim::HashMap<sim::Time>& open,
                   std::uint64_t k, sim::Time t, sim::LogHistogram& h) {
-  auto it = open.find(k);
+  const auto it = open.find(k);
   if (it == open.end()) return;
   h.add(static_cast<double>(t - it->second));
-  open.erase(it);
+  open.erase(k);
 }
 
 std::string histogram_json(const sim::LogHistogram& h) {

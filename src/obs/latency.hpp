@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "sim/hash_map.hpp"
 #include "sim/stats.hpp"
 
 namespace pinsim::obs {
@@ -56,9 +56,9 @@ class LatencyRecorder final : public Sink {
   }
 
   sim::LogHistogram pin_, send_, pull_, sizes_;
-  std::unordered_map<std::uint64_t, sim::Time> pin_open_;
-  std::unordered_map<std::uint64_t, sim::Time> send_open_;
-  std::unordered_map<std::uint64_t, sim::Time> pull_open_;
+  sim::HashMap<sim::Time> pin_open_;
+  sim::HashMap<sim::Time> send_open_;
+  sim::HashMap<sim::Time> pull_open_;
 };
 
 }  // namespace pinsim::obs

@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "sim/hash_map.hpp"
 
 namespace pinsim::obs {
 
@@ -78,12 +77,12 @@ class MetricsSampler final : public Sink {
   bool dirty_ = false;        // events seen since the last pushed sample
 
   // Gauge state.
-  std::unordered_map<std::uint64_t, std::uint64_t> frontiers_;  // region->pages
+  sim::HashMap<std::uint64_t> frontiers_;  // region -> pages
   std::uint64_t pinned_pages_ = 0;
-  std::unordered_set<std::uint64_t> pin_jobs_;
-  std::unordered_set<std::uint64_t> sends_;
-  std::unordered_set<std::uint64_t> pulls_;
-  std::unordered_map<std::uint32_t, std::uint64_t> port_depths_;  // port->depth
+  sim::HashSet pin_jobs_;
+  sim::HashSet sends_;
+  sim::HashSet pulls_;
+  sim::HashMap<std::uint64_t> port_depths_;  // port -> depth
   std::uint64_t port_queue_depth_ = 0;  // running sum over port_depths_
 
   // Counter accumulators for the open interval.

@@ -42,14 +42,31 @@ void Engine::free_node(std::uint32_t idx) {
 }
 
 void Engine::file_node(std::uint32_t idx) {
+  ++filings_;
   Node& n = slab_[idx];
   assert(n.when >= now_ && "filing an event into the past");
-  if (n.when == now_) {
-    n.where = Where::kDue;
-    due_.emplace_back(idx, n.seq);
+  if (!in_window(n.when)) {
+    link_wheel(idx);
     return;
   }
+  n.where = Where::kDue;
+  // Only schedule_at files into a live run, and its node carries the
+  // highest seq yet: its slot is after every entry with when <= its own.
+  const DueEntry d{n.when, n.seq, idx};
+  if (due_cursor_ == due_.size() || due_.back().when <= d.when) {
+    due_.push_back(d);
+    return;
+  }
+  const auto pos = std::upper_bound(
+      due_.begin() + static_cast<std::ptrdiff_t>(due_cursor_), due_.end(),
+      d.when, [](Time t, const DueEntry& e) { return t < e.when; });
+  due_.insert(pos, d);
+}
+
+void Engine::link_wheel(std::uint32_t idx) {
+  Node& n = slab_[idx];
   const int lvl = level_for(n.when, now_);
+  assert(lvl > 0 && "wheel filing inside the due run's window");
   const int b =
       static_cast<int>((n.when >> (kLevelBits * lvl)) & (kBucketsPerLevel - 1));
   n.level = static_cast<std::uint16_t>(lvl);
@@ -106,29 +123,34 @@ bool Engine::cancel(EventId id) {
   Node& n = slab_[idx];
   if (n.seq != id.seq || n.where == Where::kFree) return false;
   if (n.where == Where::kWheel) bucket_unlink(idx);
-  // A node in the due batch is freed in place; its (idx, seq) entry fails
-  // the generation check at dispatch and is skipped.
+  // A node in the due run is freed in place; its entry fails the
+  // generation check at dispatch and is skipped.
   n.cb = Callback{};
   free_node(idx);
   --live_;
   return true;
 }
 
-bool Engine::fire_one() {
+bool Engine::fire_one(Time limit) {
   while (due_cursor_ < due_.size()) {
-    const auto [idx, seq] = due_[due_cursor_++];
-    Node& n = slab_[idx];
-    if (n.where != Where::kDue || n.seq != seq) continue;  // cancelled
-    assert(n.when == now_ && "due batch out of sync with the clock");
+    const DueEntry d = due_[due_cursor_];
+    Node& n = slab_[d.idx];
+    if (n.where != Where::kDue || n.seq != d.seq) {  // cancelled
+      ++due_cursor_;
+      continue;
+    }
+    if (d.when > limit) return false;
+    ++due_cursor_;
+    now_ = d.when;
     Callback cb = std::move(n.cb);
     const TaskTag tag = n.tag;
     const Time created = n.created;
-    free_node(idx);
+    free_node(d.idx);
     --live_;
     ++processed_;
-    // Compact the batch before dispatch when this entry exhausted it, so
-    // same-time events scheduled by `cb` itself start a fresh batch instead
-    // of growing an already-consumed vector forever.
+    // Reset the run before dispatch when this entry exhausted it, so events
+    // `cb` schedules into the window start a fresh run instead of growing an
+    // already-consumed vector.
     if (due_cursor_ == due_.size()) {
       due_.clear();
       due_cursor_ = 0;
@@ -148,16 +170,16 @@ bool Engine::fire_one() {
 }
 
 bool Engine::extract_next(Time limit) {
-  assert(due_cursor_ == due_.size() && "extracting with a live due batch");
+  assert(due_.empty() && "extracting with a live due run");
   for (;;) {
     // Find the occupied bucket with the earliest possible event: per level,
     // the lowest occupied bucket at or after now_'s own bucket (the filing
     // invariant guarantees nothing sits behind it). Its window start is a
-    // lower bound on the timestamps it holds — exact at level 0.
+    // lower bound on the timestamps it holds.
     int best_level = -1;
     int best_bucket = 0;
     Time best_time = 0;
-    for (int lvl = 0; lvl < kLevels; ++lvl) {
+    for (int lvl = 1; lvl < kLevels; ++lvl) {
       if (occupied_[lvl] == 0) continue;
       const int shift = kLevelBits * lvl;
       const int cur = static_cast<int>((now_ >> shift) & (kBucketsPerLevel - 1));
@@ -178,64 +200,54 @@ bool Engine::extract_next(Time limit) {
         wstart = (now_ & ~field_end_mask) | (static_cast<Time>(b) << shift);
       }
       if (wstart < now_) wstart = now_;
-      // Strict-or-equal replacement: on a window-start tie prefer the
-      // higher level, which may hold an equal-timestamp event with a lower
-      // seq that must cascade down before the batch is extracted.
+      // On a window-start tie prefer the higher level: it cascades first,
+      // and the loop below then also takes the lower bucket's window.
       if (best_level < 0 || wstart <= best_time) {
         best_level = lvl;
         best_bucket = b;
         best_time = wstart;
       }
     }
-    if (best_level < 0) return false;     // wheel empty
-    if (best_time > limit) return false;  // nothing due at or before limit
-
-    // Advancing to the window start is safe: no event exists before it.
-    now_ = best_time;
+    if (best_level < 0) break;  // wheel empty
+    if (due_.empty()) {
+      if (best_time > limit) break;  // nothing due at or before limit
+      // Advancing to the window start is safe: no event exists before it.
+      now_ = best_time;
+    } else if (!in_window(best_time)) {
+      break;  // the run holds the whole window
+    }
     Bucket& bk = wheel_[best_level][best_bucket];
     std::uint32_t idx = bk.head;
     bk.head = bk.tail = kNil;
     occupied_[best_level] &= ~(std::uint64_t{1} << best_bucket);
-    if (best_level == 0) {
-      // Level-0 buckets hold exactly one timestamp: this is the batch.
-      // Cascades may have interleaved arrival order, so sort by seq to keep
-      // the (time, seq) dispatch order bit-exact.
-      const std::size_t start = due_.size();
-      while (idx != kNil) {
-        Node& n = slab_[idx];
-        assert(n.when == now_);
-        const std::uint32_t next = n.next;
+    // A level-1 bucket is one 64 ns window and joins the run whole; a
+    // higher bucket cascades, re-filing what lies past the window.
+    while (idx != kNil) {
+      Node& n = slab_[idx];
+      const std::uint32_t next = n.next;
+      if (best_level > 1) ++filings_;
+      if (in_window(n.when)) {
         n.where = Where::kDue;
         n.prev = n.next = kNil;
-        due_.emplace_back(idx, n.seq);
-        idx = next;
+        due_.push_back(DueEntry{n.when, n.seq, idx});
+      } else {
+        link_wheel(idx);
       }
-      std::sort(due_.begin() + static_cast<std::ptrdiff_t>(start), due_.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
-      return true;
-    }
-    // Higher level: cascade the bucket's nodes down (each re-files at a
-    // strictly lower level, or into the due batch when when == now_).
-    while (idx != kNil) {
-      const std::uint32_t next = slab_[idx].next;
-      file_node(idx);
       idx = next;
     }
-    if (due_cursor_ < due_.size()) {
-      // Cascade dropped equal-timestamp events straight into the batch.
-      std::sort(due_.begin() + static_cast<std::ptrdiff_t>(due_cursor_),
-                due_.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
-      return true;
-    }
   }
+  if (due_.empty()) return false;
+  std::sort(due_.begin(), due_.end(), [](const DueEntry& a, const DueEntry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  });
+  return true;
 }
 
 bool Engine::step() {
-  if (fire_one()) return true;
+  if (fire_one(std::numeric_limits<Time>::max())) return true;
   if (!extract_next(std::numeric_limits<Time>::max())) return false;
-  const bool fired = fire_one();
-  assert(fired && "extract_next produced an empty batch");
+  const bool fired = fire_one(std::numeric_limits<Time>::max());
+  assert(fired && "extract_next produced an empty run");
   return fired;
 }
 
@@ -250,11 +262,13 @@ std::size_t Engine::run_until(Time deadline) {
   std::size_t n = 0;
   stopped_ = false;
   while (!stopped_) {
-    if (now_ <= deadline && fire_one()) {
+    if (fire_one(deadline)) {
       ++n;
       continue;
     }
-    if (now_ > deadline || !extract_next(deadline)) break;
+    // A run entry past the deadline ends the window early; the wheel holds
+    // nothing earlier than the run.
+    if (!due_.empty() || !extract_next(deadline)) break;
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
   return n;
@@ -283,6 +297,9 @@ bool Engine::self_check(std::string* why) const {
         if (node.prev != prev) return fail("bucket links corrupt");
         if (node.seq == 0 || !node.cb) return fail("dead node in a bucket");
         if (node.when <= now_) return fail("wheel node at or behind now()");
+        if (lvl == 0 || in_window(node.when)) {
+          return fail("wheel node inside the due run's window");
+        }
         prev = idx;
         ++wheel_nodes;
       }
@@ -291,10 +308,21 @@ bool Engine::self_check(std::string* why) const {
   }
   std::size_t due_nodes = 0;
   for (std::size_t i = due_cursor_; i < due_.size(); ++i) {
-    const auto [idx, seq] = due_[i];
-    if (idx >= slab_.size()) return fail("due entry out of slab range");
-    const Node& node = slab_[idx];
-    if (node.where == Where::kDue && node.seq == seq) ++due_nodes;
+    const DueEntry& d = due_[i];
+    if (d.idx >= slab_.size()) return fail("due entry out of slab range");
+    if (i > due_cursor_) {
+      const DueEntry& p = due_[i - 1];
+      if (p.when > d.when || (p.when == d.when && p.seq >= d.seq)) {
+        return fail("due run not sorted by (when, seq)");
+      }
+    }
+    const Node& node = slab_[d.idx];
+    if (node.where != Where::kDue || node.seq != d.seq) continue;
+    if (node.when != d.when) return fail("due entry time out of sync");
+    if (d.when < now_ || !in_window(d.when)) {
+      return fail("due entry outside now()'s window");
+    }
+    ++due_nodes;
   }
   std::size_t due_total = 0;
   std::size_t free_listed = 0;
@@ -302,7 +330,7 @@ bool Engine::self_check(std::string* why) const {
     if (slab_[i].where == Where::kDue) ++due_total;
     if (slab_[i].where == Where::kFree) ++free_listed;
   }
-  if (due_total != due_nodes) return fail("due node without a batch entry");
+  if (due_total != due_nodes) return fail("due node without a run entry");
   std::size_t free_walk = 0;
   for (std::uint32_t idx = free_head_; idx != kNil; idx = slab_[idx].next) {
     if (slab_[idx].where != Where::kFree) return fail("live node on free list");

@@ -58,10 +58,17 @@ class DispatchObserver {
 /// membership tracking on the hot path. Events live in a slab of pooled
 /// nodes; an EventId carries the node's slot plus its generation-unique
 /// sequence number, so cancellation is one bounds check and one compare
-/// instead of a hash lookup. The (time, seq) total order of the former
-/// binary-heap scheduler is preserved bit-exactly: same-time events are
-/// dispatched in ascending sequence order regardless of which buckets they
-/// travelled through.
+/// instead of a hash lookup.
+///
+/// The 64 ns window holding `now()` is not kept in the wheel but in the due
+/// run: a vector sorted by (when, seq) that dispatch walks in order,
+/// advancing the clock to each entry. When the earliest bucket is a level-1
+/// bucket (one 64 ns window), its nodes move into the run as a whole and
+/// are sorted once; a higher-level bucket cascades, and the nodes landing
+/// in the window join the run. An event scheduled into the window while the
+/// run is live is inserted at its (when, seq) slot. Level 0 of the wheel is
+/// therefore never filed. The (time, seq) total order of the former
+/// binary-heap scheduler is preserved bit-exactly.
 class Engine {
  public:
   using Callback = UniqueFunction;
@@ -133,7 +140,13 @@ class Engine {
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Exhaustive accounting audit for tests: walks the wheel, the due batch
+  /// Times a node was placed by its timestamp: once per schedule plus once
+  /// per re-filing when a level-2-or-higher bucket cascades. Moving a due
+  /// level-1 window into the run is dispatch, not a filing. Deterministic,
+  /// so filings per schedule measures wheel work independent of the host.
+  [[nodiscard]] std::uint64_t filings() const noexcept { return filings_; }
+
+  /// Exhaustive accounting audit for tests: walks the wheel, the due run
   /// and the slab free list and cross-checks them against `pending()` and
   /// the occupancy bitmaps. Returns true when consistent; otherwise fills
   /// `why` (if non-null) with the first discrepancy. O(slab size) — not for
@@ -164,7 +177,7 @@ class Engine {
   enum class Where : std::uint8_t {
     kFree = 0,   // on the free list
     kWheel = 1,  // linked into a wheel bucket
-    kDue = 2,    // extracted into the due batch, awaiting dispatch
+    kDue = 2,    // in the due run, awaiting dispatch
   };
 
   struct Node {
@@ -185,32 +198,50 @@ class Engine {
     std::uint32_t tail = kNil;
   };
 
+  /// One due-run entry. `seq` is checked against the node at dispatch, so
+  /// a cancelled (and possibly reused) slot is skipped.
+  struct DueEntry {
+    Time when;
+    std::uint64_t seq;
+    std::uint32_t idx;
+  };
+
+  /// True if `when` lies in the 64 ns window holding now_ (the due run's).
+  [[nodiscard]] bool in_window(Time when) const noexcept {
+    return ((when ^ now_) >> kLevelBits) == 0;
+  }
+
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
-  /// Files node `idx` by `when` relative to `now_`: a wheel bucket, or the
-  /// due batch when `when == now_`.
+  /// Files node `idx` by `when` relative to `now_`: into the due run at its
+  /// (when, seq) slot when `when` is in now_'s window, else a wheel bucket.
   void file_node(std::uint32_t idx);
+  /// Links node `idx` (outside now_'s window) into its wheel bucket.
+  void link_wheel(std::uint32_t idx);
   void bucket_unlink(std::uint32_t idx);
-  /// Advances `now_` to the next event time if it is <= `limit` and moves
-  /// that event's whole same-time batch into `due_` (sorted by seq).
-  /// Returns false — without firing or overshooting `limit` — otherwise.
+  /// With the run exhausted: advances `now_` to the earliest bucket's window
+  /// if that is <= `limit` and moves every node of the new window into the
+  /// run, sorted by (when, seq). Returns false — without overshooting
+  /// `limit` — if nothing is due.
   bool extract_next(Time limit);
-  /// Dispatches the next live entry of the due batch; false if none.
-  bool fire_one();
+  /// Dispatches the next live run entry if its time is <= `limit`, advancing
+  /// `now_` to it; false otherwise.
+  bool fire_one(Time limit);
 
   std::vector<Node> slab_;
   std::uint32_t free_head_ = kNil;
   std::size_t free_count_ = 0;
-  Bucket wheel_[kLevels][kBucketsPerLevel];
+  Bucket wheel_[kLevels][kBucketsPerLevel];  // level 0 unused: the due run
   std::uint64_t occupied_[kLevels] = {};
-  /// Same-time dispatch batch: (slab index, seq) pairs in ascending seq
-  /// order. Entries whose node was cancelled are skipped on dispatch.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> due_;
+  /// The due run: entries [due_cursor_, end) sorted by (when, seq), all in
+  /// now_'s 64 ns window.
+  std::vector<DueEntry> due_;
   std::size_t due_cursor_ = 0;
   std::size_t live_ = 0;
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
+  std::uint64_t filings_ = 0;
   DispatchObserver* observer_ = nullptr;
   bool stopped_ = false;
   std::vector<std::exception_ptr> failures_;

@@ -5,10 +5,18 @@
 // blaming the right phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "obs/critical_path.hpp"
 #include "obs/event.hpp"
+#include "sim/random.hpp"
 
 namespace pinsim::obs {
 namespace {
@@ -330,6 +338,207 @@ TEST(CriticalPath, JsonCarriesPhaseBreakdown) {
   EXPECT_NE(j.find("\"rndv_handshake\":1000"), std::string::npos);
   EXPECT_NE(j.find("\"total_ns\":3000"), std::string::npos);
   EXPECT_NE(j.find("\"dominant\":"), std::string::npos);
+}
+
+/// Sender-pin accounting with the full scan the analyzer used before it
+/// indexed chains by region: every pin event visits every open chain and
+/// matches (node, ep, region). Covers the event kinds of the stream below.
+class ScanReference {
+ public:
+  void on_event(const Event& e) {
+    switch (e.kind) {
+      case EventKind::kRndvPost:
+      case EventKind::kEagerPost: {
+        Chain c;
+        c.node = e.node;
+        c.ep = e.ep;
+        c.region = e.region;
+        c.rndv = e.kind == EventKind::kRndvPost;
+        c.start = c.since = e.time;
+        c.in_handshake = c.rndv;
+        if (c.rndv && pins_.count(std::tuple(e.node, e.ep, e.region)) != 0) {
+          c.pin_open = true;
+          c.pin_since = e.time;
+        }
+        open_[chain_key(e.node, e.ep, e.seq)] = c;
+        break;
+      }
+      case EventKind::kPinStart:
+        pins_.insert(std::tuple(e.node, e.ep, e.region));
+        for (auto& [k, c] : open_) {
+          if (on_region(c, e) && c.in_handshake && !c.pin_open && c.rndv) {
+            c.pin_open = true;
+            c.pin_since = e.time;
+          }
+        }
+        break;
+      case EventKind::kPinDone:
+      case EventKind::kPinFail:
+        pins_.erase(std::tuple(e.node, e.ep, e.region));
+        for (auto& [k, c] : open_) {
+          if (on_region(c, e) && c.pin_open) {
+            c.sender_pin += e.time - c.pin_since;
+            c.pin_open = false;
+          }
+        }
+        break;
+      case EventKind::kPinRestart:
+        for (auto& [k, c] : open_) {
+          if (on_region(c, e)) ++c.restarts;
+        }
+        break;
+      case EventKind::kPullStart: {
+        const auto it = open_.find(chain_key(
+            e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset)));
+        if (it != open_.end()) leave_phase(it->second, e.time);
+        break;
+      }
+      case EventKind::kSendDone:
+      case EventKind::kSendAbort: {
+        const auto it = open_.find(chain_key(e.node, e.ep, e.seq));
+        if (it == open_.end()) break;
+        leave_phase(it->second, e.time);
+        if (e.kind == EventKind::kSendDone) {
+          for (std::size_t i = 0; i < kPhaseCount; ++i) {
+            totals[i] += it->second.phase[i];
+          }
+          latency += e.time - it->second.start;
+          restarts += it->second.restarts;
+          ++completed;
+        }
+        open_.erase(it);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  std::array<sim::Time, kPhaseCount> totals{};
+  sim::Time latency = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t completed = 0;
+
+ private:
+  struct Chain {
+    std::uint32_t node = 0;
+    std::uint8_t ep = 0;
+    std::uint32_t region = 0;
+    bool rndv = false;
+    bool in_handshake = false;
+    bool pin_open = false;
+    sim::Time start = 0;
+    sim::Time since = 0;
+    sim::Time pin_since = 0;
+    sim::Time sender_pin = 0;
+    std::uint32_t restarts = 0;
+    std::array<sim::Time, kPhaseCount> phase{};
+  };
+
+  static bool on_region(const Chain& c, const Event& e) {
+    return c.node == e.node && c.ep == e.ep && c.region == e.region;
+  }
+
+  // Ends the current phase: the handshake splits into sender-pin and
+  // round-trip time; after it, the stream only has transfer time.
+  static void leave_phase(Chain& c, sim::Time now) {
+    const auto idx = [](Phase p) { return static_cast<std::size_t>(p); };
+    if (c.in_handshake) {
+      if (c.pin_open) {
+        c.sender_pin += now - c.pin_since;
+        c.pin_open = false;
+      }
+      const sim::Time span = now - c.since;
+      const sim::Time pin = std::min(c.sender_pin, span);
+      c.phase[idx(Phase::kSenderPin)] += pin;
+      c.phase[idx(Phase::kHandshake)] += span - pin;
+      c.in_handshake = false;
+    } else {
+      c.phase[idx(Phase::kTransfer)] += now - c.since;
+    }
+    c.since = now;
+  }
+
+  std::map<std::uint64_t, Chain> open_;
+  std::set<std::tuple<std::uint32_t, std::uint8_t, std::uint32_t>> pins_;
+};
+
+TEST(CriticalPath, RegionIndexMatchesFullScanOnPinHeavyStream) {
+  // Two nodes x two endpoints x four regions, so many open chains share a
+  // region, interleaved with pin jobs that start, restart, finish and fail
+  // on random regions while chains sit in their handshake.
+  CriticalPathAnalyzer a(1u << 20);
+  ScanReference ref;
+  sim::Rng rng(0xc41a);
+  sim::Time now = 0;
+  std::uint32_t next_seq = 1;
+  std::uint32_t next_handle = 1;
+  std::vector<Event> open_posts;  // posts still open, by position
+  std::vector<bool> pulled;
+  const auto emit = [&](const Event& e) {
+    a.on_event(e);
+    ref.on_event(e);
+  };
+  for (int step = 0; step < 20000; ++step) {
+    now += 1 + rng.next_below(50);
+    const auto node = static_cast<std::uint32_t>(1 + rng.next_below(2));
+    const auto ep = static_cast<std::uint8_t>(rng.next_below(2));
+    const auto region = static_cast<std::uint32_t>(1 + rng.next_below(4));
+    const std::uint64_t pick = rng.next_below(100);
+    Event e = at(now, EventKind::kPktTx);
+    e.node = node;
+    e.ep = ep;
+    e.region = region;
+    if (pick < 25 || open_posts.empty()) {
+      e.kind = rng.next_below(4) == 0 ? EventKind::kEagerPost
+                                      : EventKind::kRndvPost;
+      e.seq = next_seq++;
+      e.len = 65536;
+      open_posts.push_back(e);
+      pulled.push_back(false);
+    } else if (pick < 60) {
+      static constexpr EventKind kPin[] = {
+          EventKind::kPinStart, EventKind::kPinStart, EventKind::kPinDone,
+          EventKind::kPinFail, EventKind::kPinRestart};
+      e.kind = kPin[rng.next_below(5)];
+    } else {
+      const std::size_t i = rng.next_below(open_posts.size());
+      const Event post = open_posts[i];
+      if (post.kind == EventKind::kRndvPost && !pulled[i] &&
+          rng.next_below(2) == 0) {
+        e.kind = EventKind::kPullStart;
+        e.node = 10;  // the receiver
+        e.ep = 0;
+        e.seq = next_handle++;
+        e.peer = post.node;
+        e.peer_ep = post.ep;
+        e.offset = post.seq;
+        pulled[i] = true;
+      } else {
+        e = post;
+        e.time = now;
+        e.kind = rng.next_below(8) == 0 ? EventKind::kSendAbort
+                                        : EventKind::kSendDone;
+        open_posts.erase(open_posts.begin() + static_cast<std::ptrdiff_t>(i));
+        pulled.erase(pulled.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    emit(e);
+  }
+  a.finalize();
+
+  ASSERT_GT(ref.completed, 1000u);
+  EXPECT_EQ(a.completed_count(), ref.completed);
+  EXPECT_EQ(a.latency_total(), ref.latency);
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    EXPECT_EQ(a.phase_total(static_cast<Phase>(i)), ref.totals[i])
+        << phase_name(static_cast<Phase>(i));
+  }
+  EXPECT_GT(a.phase_total(Phase::kSenderPin), 0u);
+  std::uint64_t restarts = 0;
+  for (const auto& b : a.completed()) restarts += b.pin_restarts;
+  EXPECT_EQ(restarts, ref.restarts);
+  EXPECT_GT(restarts, 0u);
 }
 
 }  // namespace

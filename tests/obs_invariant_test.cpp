@@ -217,5 +217,46 @@ TEST(InvariantChecker, ReportListsWindowAndOverflow) {
   EXPECT_NE(rep.find("last "), std::string::npos);
 }
 
+TEST(InvariantChecker, ReusedSeqStartsAFreshRetryBudget) {
+  // A send completes and a later send reuses its seq (as after a 32-bit
+  // wrap). The retry budget is the send's own: the second send's first
+  // retransmit (offset 1) is not a budget regression.
+  InvariantChecker c;
+  for (int round = 0; round < 2; ++round) {
+    Event post = ev(EventKind::kRndvPost);
+    post.seq = 5;
+    c.on_event(post);
+    Event retx = ev(EventKind::kRetransmit);
+    retx.seq = 5;
+    retx.offset = 1;
+    c.on_event(retx);
+    Event done = ev(round == 0 ? EventKind::kSendDone : EventKind::kSendAbort);
+    done.seq = 5;
+    c.on_event(done);
+  }
+  c.finalize();
+  EXPECT_TRUE(c.ok()) << c.report();
+}
+
+TEST(InvariantChecker, WindowHoldsTheLatestEventsOldestFirst) {
+  InvariantChecker c;
+  // 100 clean events, then a violating one: the window is the last 64
+  // events seen, ending with the offender.
+  for (sim::Time t = 1; t <= 100; ++t) {
+    Event e = pin(EventKind::kPinPages, 7, t, 1000);
+    e.time = t;
+    c.on_event(e);
+  }
+  Event bad = pin(EventKind::kPinPages, 7, 1, 1000);  // frontier retreats
+  bad.time = 101;
+  c.on_event(bad);
+  ASSERT_EQ(c.violation_count(), 1u);
+  const auto& w = c.violations()[0].window;
+  ASSERT_EQ(w.size(), 64u);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(w[i].time, 38 + i) << "window slot " << i;
+  }
+}
+
 }  // namespace
 }  // namespace pinsim::obs

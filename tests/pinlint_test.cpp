@@ -79,6 +79,22 @@ TEST(Pinlint, D2FlagsUnorderedIterationThroughThePairedHeader) {
       << r.output;
 }
 
+TEST(Pinlint, D2FlagsIterationOverTheSimulatorHashTables) {
+  const auto r = run_pinlint("--root=" + fixture("d2_hash") + " src");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  // The HashMap range-for and the HashSet begin() fire; the annotated
+  // HashSet loop does not.
+  EXPECT_EQ(count_hits(r.output, ": D2: "), 2) << r.output;
+  EXPECT_NE(r.output.find("src/tables.cpp:8: D2: iteration over unordered "
+                          "container 'open'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("src/tables.cpp:15: D2: iterator traversal of "
+                          "unordered container 'seen'"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(Pinlint, D2AnnotatedLoopsScanClean) {
   const auto r = run_pinlint("--root=" + fixture("d2_clean") + " src");
   EXPECT_EQ(r.exit_code, 0) << r.output;

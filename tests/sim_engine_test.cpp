@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -357,6 +358,112 @@ TEST(Engine, SelfCheckPassesOnFreshAndDrainedEngine) {
   ASSERT_TRUE(eng.self_check(&why)) << why;
   eng.run();
   ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+// Whole-window dispatch: a due 64 ns window is one sorted run. These pin the
+// run's edges — insertion ahead of pending entries, cancellation inside
+// it, a deadline or stop() landing mid-run — each audited by self_check().
+
+TEST(Engine, CallbackSchedulesIntoTheActiveWindowAheadOfLaterEntries) {
+  Engine eng;
+  std::string why;
+  std::vector<int> order;
+  // 130, 140 and 150 share the window [128, 192).
+  eng.schedule_at(130, [&] {
+    order.push_back(130);
+    eng.schedule_at(135, [&] { order.push_back(135); });
+    eng.schedule_after(0, [&] { order.push_back(1300); });  // same instant
+    eng.schedule_at(191, [&] { order.push_back(191); });    // window's end
+    eng.schedule_at(192, [&] { order.push_back(192); });    // next window
+    EXPECT_TRUE(eng.self_check(&why)) << why;
+  });
+  eng.schedule_at(140, [&] { order.push_back(140); });
+  eng.schedule_at(150, [&] { order.push_back(150); });
+  eng.run();
+  EXPECT_EQ(order,
+            (std::vector<int>{130, 1300, 135, 140, 150, 191, 192}));
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+TEST(Engine, CancellingAPendingRunEntrySkipsOnlyIt) {
+  Engine eng;
+  std::string why;
+  std::vector<int> order;
+  Engine::EventId victim;
+  eng.schedule_at(130, [&] {
+    order.push_back(130);
+    EXPECT_TRUE(eng.cancel(victim));
+    EXPECT_FALSE(eng.cancel(victim));
+    EXPECT_TRUE(eng.self_check(&why)) << why;
+    // The freed slot is reused at once; the stale run entry must not fire it
+    // early.
+    eng.schedule_at(170, [&] { order.push_back(170); });
+  });
+  victim = eng.schedule_at(140, [&] { order.push_back(140); });
+  eng.schedule_at(150, [&] { order.push_back(150); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{130, 150, 170}));
+  EXPECT_EQ(eng.pending(), 0u);
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+TEST(Engine, RunUntilDeadlineInsideARunWindowResumesInOrder) {
+  Engine eng;
+  std::string why;
+  std::vector<int> order;
+  eng.schedule_at(130, [&] { order.push_back(130); });
+  eng.schedule_at(150, [&] { order.push_back(150); });
+  eng.schedule_at(160, [&] { order.push_back(160); });
+  EXPECT_EQ(eng.run_until(140), 1u);
+  EXPECT_EQ(eng.now(), 140u);
+  EXPECT_EQ(eng.pending(), 2u);
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+  // Scheduled from outside any callback, before the remaining entries.
+  eng.schedule_at(145, [&] { order.push_back(145); });
+  eng.schedule_after(0, [&] { order.push_back(140); });
+  eng.schedule_at(150, [&] { order.push_back(1500); });  // after 150 (seq)
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{130, 140, 145, 150, 1500, 160}));
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+TEST(Engine, StopMidRunThenResume) {
+  Engine eng;
+  std::string why;
+  std::vector<int> order;
+  eng.schedule_at(130, [&] { order.push_back(130); });
+  eng.schedule_at(131, [&] {
+    order.push_back(131);
+    eng.stop();
+  });
+  eng.schedule_at(132, [&] { order.push_back(132); });
+  eng.schedule_at(5000, [&] { order.push_back(5000); });
+  EXPECT_EQ(eng.run_until(10'000), 2u);
+  EXPECT_TRUE(eng.stop_requested());
+  EXPECT_EQ(eng.now(), 131u);
+  EXPECT_EQ(eng.pending(), 2u);
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+  EXPECT_EQ(eng.run_until(10'000), 2u);
+  EXPECT_EQ(order, (std::vector<int>{130, 131, 132, 5000}));
+  EXPECT_EQ(eng.now(), 10'000u);
+  ASSERT_TRUE(eng.self_check(&why)) << why;
+}
+
+TEST(Engine, FilingsCountSchedulesAndCascades) {
+  Engine eng;
+  // Level 1 (64 ns - 4 us out): filed once, then dispatched with its window.
+  eng.schedule_at(100, [] {});
+  eng.run();
+  EXPECT_EQ(eng.filings(), 1u);
+  // Level 2: filed, then re-filed once when its 4 us bucket cascades.
+  eng.schedule_at(eng.now() + 5000, [] {});
+  eng.run();
+  EXPECT_EQ(eng.filings(), 3u);
+  // Into the live window: one filing, no cascade.
+  eng.schedule_after(0, [] {});
+  eng.run();
+  EXPECT_EQ(eng.filings(), 4u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

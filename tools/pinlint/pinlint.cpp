@@ -22,9 +22,10 @@
 //       pointer-value hashing (std::hash<T*>, pointer-keyed unordered
 //       containers) and pointer printing ("%p").
 //   D2  no iteration (range-for or .begin()) over unordered_map /
-//       unordered_set: bucket order is hash- and pointer-dependent and leaks
-//       into event scheduling and report text. Annotate provably commutative
-//       loops with `// pinlint: unordered-ok(<reason>)`.
+//       unordered_set or the simulator's sim::HashMap / sim::HashSet: bucket
+//       and slot order are layout-dependent and leak into event scheduling
+//       and report text. Annotate provably commutative loops with
+//       `// pinlint: unordered-ok(<reason>)`.
 //   D3  no raw new/delete/malloc/free outside mem/malloc_sim — simulated
 //       process heaps go through MallocSim, host-side ownership through
 //       standard containers and smart pointers.
@@ -557,6 +558,14 @@ void Linter::check_d1(const SourceFile& f) {
 
 // --- D2: unordered iteration -----------------------------------------------
 
+// Container types whose iteration order is not a function of the keys: the
+// standard hash containers and the simulator's open-addressing tables
+// (sim/hash_map.hpp), whose slot order depends on the insert/erase history.
+bool is_unordered_type(const std::string& s) {
+  return s == "unordered_map" || s == "unordered_set" || s == "HashMap" ||
+         s == "HashSet";
+}
+
 // Names declared (in this file) as unordered containers: direct
 // declarations, references/pointers, and declarations through a local
 // `using Alias = std::unordered_map<...>`.
@@ -566,7 +575,7 @@ std::set<std::string> Linter::unordered_names(const SourceFile& f) const {
   const auto& t = f.tokens;
 
   auto harvest_after_template = [&](std::size_t i) -> std::size_t {
-    // t[i] is `unordered_map`/`unordered_set` (or an alias, with no template
+    // t[i] is an unordered container type (or an alias, with no template
     // args). Skip <...> if present, then any of `& * const`, then take the
     // identifier if one follows.
     std::size_t j = i + 1;
@@ -596,7 +605,7 @@ std::set<std::string> Linter::unordered_names(const SourceFile& f) const {
         t[i + 2].text == "=") {
       for (std::size_t j = i + 3; j < t.size() && j < i + 8; ++j) {
         if (t[j].text == ";") break;
-        if (t[j].text == "unordered_map" || t[j].text == "unordered_set") {
+        if (is_unordered_type(t[j].text)) {
           aliases.insert(t[i + 1].text);
           break;
         }
@@ -606,8 +615,7 @@ std::set<std::string> Linter::unordered_names(const SourceFile& f) const {
   // Pass 2: declarations.
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != Tok::kIdent) continue;
-    if (t[i].text == "unordered_map" || t[i].text == "unordered_set" ||
-        aliases.count(t[i].text) != 0) {
+    if (is_unordered_type(t[i].text) || aliases.count(t[i].text) != 0) {
       harvest_after_template(i);
     }
   }
