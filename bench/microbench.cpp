@@ -227,6 +227,66 @@ void BM_WireEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeDecode)->Arg(2048)->Arg(8192);
 
+/// Arg = frame bytes. frame_checksum on the tier this CPU picks: 64 B is the
+/// shortest frame that folds, 2 kB and 8 kB the eager and PULL_REPLY
+/// payloads.
+void BM_FrameChecksum(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> buf(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::frame_checksum(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_FrameChecksum)->Arg(64)->Arg(2048)->Arg(8192);
+
+/// One 8 kB PULL_REPLY through the send and receive paths as the endpoints
+/// run them: copy_out of pinned pages into a chunk with header and CRC room,
+/// encode in place, decode_frame (adopting the frame), copy_in on the
+/// receiver. BM_WireEncodeDecode is the copying encode for comparison.
+void BM_PullReplyFrame(benchmark::State& state) {
+  constexpr std::size_t kBlock = 8192;
+  mem::PhysicalMemory pm(1024);
+  mem::AddressSpace as(pm);
+  const std::size_t bytes = 256 * 1024;
+  const auto src_addr = as.mmap(bytes);
+  const auto dst_addr = as.mmap(bytes);
+  core::Region src(1, as, {core::Segment{src_addr, bytes}});
+  core::Region dst(2, as, {core::Segment{dst_addr, bytes}});
+  for (core::Region* r : {&src, &dst}) {
+    std::vector<mem::FrameId> frames;
+    for (std::size_t i = 0; i < r->page_count(); ++i) {
+      frames.push_back(as.pin_page(r->page_va_at(i)));
+    }
+    r->commit_pins(frames);
+  }
+  std::size_t off = 0;
+  for (auto _ : state) {
+    core::PullReplyBody reply;
+    reply.handle = 7;
+    reply.offset = off;
+    reply.data = core::payload_for_overwrite(core::PacketType::kPullReply,
+                                             kBlock);
+    benchmark::DoNotOptimize(src.copy_out(off, reply.data));
+    core::Packet p;
+    p.body = std::move(reply);
+    net::Frame frame;
+    frame.payload = core::encode(std::move(p));
+    core::Packet q = core::decode_frame(frame);
+    benchmark::DoNotOptimize(
+        dst.copy_in(off, std::get<core::PullReplyBody>(q.body).data));
+    off = (off + kBlock) % bytes;
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBlock));
+  for (core::Region* r : {&src, &dst}) {
+    for (auto& [va, f] : r->take_all_pins()) as.unpin_page(va, f);
+  }
+}
+BENCHMARK(BM_PullReplyFrame);
+
 /// Frame pool of a perfbench pingpong_rndv 16 MB IMB cell: 4 rotating send
 /// and receive buffers of 16 MB, doubled (65,536 frames, 256 MiB).
 constexpr std::size_t kImbCellFrames = 4 * 4 * (16u << 20) / mem::kPageSize;

@@ -218,9 +218,10 @@ void Endpoint::transmit_eager(std::uint32_t seq) {
     body.msg_len = static_cast<std::uint32_t>(req.len);
     body.frag_offset = static_cast<std::uint32_t>(off);
     body.seq = seq;
-    body.data.assign(req.eager_data.begin() + static_cast<std::ptrdiff_t>(off),
-                     req.eager_data.begin() +
-                         static_cast<std::ptrdiff_t>(off + n));
+    // Written once, straight into the buffer that becomes the frame.
+    body.data = payload_for_overwrite(PacketType::kEager, n);
+    std::copy_n(req.eager_data.begin() + static_cast<std::ptrdiff_t>(off), n,
+                body.data.begin());
     send_packet(req.dest, std::move(body), cpu::Priority::kKernel);
     off += n;
   } while (off < req.len);
@@ -919,7 +920,8 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
     reply.handle = body.handle;
     reply.offset = off;
     // Both copies below write every byte or the reply is dropped unsent.
-    reply.data = DataChunk::for_overwrite(n);
+    // The chunk is the frame to be: encode() adds header and CRC in place.
+    reply.data = payload_for_overwrite(PacketType::kPullReply, n);
     // Zero-copy send: the NIC reads the pinned pages during serialization;
     // no CPU copy cost is charged. If the page is not pinned yet this is an
     // overlap miss and the frame is simply not sent (paper §3.3).
@@ -1441,7 +1443,7 @@ void Endpoint::send_packet(EndpointAddr dest, PacketBody body,
 
   net::Frame frame;
   frame.dst = dest.node;
-  frame.payload = encode(pkt);
+  frame.payload = encode(std::move(pkt));
 
   cpu::Core& core = priority == cpu::Priority::kBottomHalf
                         ? bh_core()

@@ -1,6 +1,9 @@
 #include "core/wire.hpp"
 
+#include <cassert>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -10,12 +13,12 @@ namespace pinsim::core {
 
 namespace {
 
+/// Little-endian cursor over a buffer sized exactly for what is written.
 class Writer {
  public:
-  explicit Writer(std::size_t reserve)
-      : out_(frame_buffers().acquire_reserved(reserve)) {}
+  explicit Writer(std::span<std::byte> out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
+  void u8(std::uint8_t v) { out_[pos_++] = static_cast<std::byte>(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
@@ -23,12 +26,14 @@ class Writer {
     for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void bytes(std::span<const std::byte> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
+    if (!b.empty()) std::memcpy(out_.data() + pos_, b.data(), b.size());
+    pos_ += b.size();
   }
-  [[nodiscard]] std::vector<std::byte> take() { return std::move(out_); }
+  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
 
  private:
-  std::vector<std::byte> out_;
+  std::span<std::byte> out_;
+  std::size_t pos_ = 0;
 };
 
 class Reader {
@@ -123,6 +128,10 @@ std::uint32_t crc32_bytewise(std::uint32_t crc,
 /// the fold needs four 16-byte lanes to start.
 constexpr std::size_t kFoldMinBytes = 64;
 
+/// The 512-bit tier needs four 64-byte accumulators to start; shorter frames
+/// go to the 128-bit fold.
+constexpr std::size_t kWideFoldMinBytes = 256;
+
 /// One fold step: x.lo * k.lo ^ x.hi * k.hi, i.e. x carried 2 x 64 bits
 /// further along the stream, modulo the polynomial.
 __attribute__((target("pclmul,sse4.1"))) __m128i clmul_fold(
@@ -131,44 +140,35 @@ __attribute__((target("pclmul,sse4.1"))) __m128i clmul_fold(
                        _mm_clmulepi64_si128(x, k, 0x11));
 }
 
-/// Advances the CRC register over the first `bytes.size() & ~15` bytes by
-/// carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
-/// Generic Polynomials Using PCLMULQDQ", Intel 2009; Linux crc32-pclmul):
-/// four 128-bit lanes fold 64 bytes per step, collapse to one lane, fold the
-/// remaining 16-byte blocks, then reduce 128 -> 64 -> 32 bits and finish
-/// with a bit-reflected Barrett reduction. The constants are x^n mod P for
-/// the reflected IEEE polynomial 0xedb88320. Requires bytes.size() >= 64;
-/// returns the register state, so the caller finishes the tail bytewise.
-__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
-    std::uint32_t crc, std::span<const std::byte> bytes) noexcept {
-  const auto load = [&bytes](std::size_t off) {
-    return _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(bytes.data() + off));
-  };
-  // Each pair is (low, high) = (k_odd, k_even).
-  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
-  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+/// Fold constants of the 128-bit tier. Each pair is (low, high) =
+/// (x^(d+32), x^(d-32)) mod P, bit-reflected, for a fold distance of d bits:
+/// k1k2 carries a lane 512 bits (64 bytes), k3k4 128 bits (16 bytes).
+constexpr long long kK1 = 0x154442bd4, kK2 = 0x1c6e41596;
+constexpr long long kK3 = 0x1751997d0, kK4 = 0x0ccaa009e;
+
+/// Finishes a fold whose four 128-bit lanes x0..x3 stand for the 64 bytes
+/// before `off`: collapses them to one lane, folds the remaining 16-byte
+/// blocks of `bytes` (whose size is a multiple of 16), then reduces
+/// 128 -> 64 -> 32 bits with a bit-reflected Barrett reduction. Returns the
+/// register state. Always inlined, so the 512-bit tier runs it VEX-encoded:
+/// legacy SSE code entered with dirty upper register halves pays a state
+/// transition penalty (measured at ~200 ns per call on an AVX-512 Xeon).
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline std::uint32_t
+crc32_fold_tail(
+    __m128i x0, __m128i x1, __m128i x2, __m128i x3,
+    std::span<const std::byte> bytes, std::size_t off) noexcept {
+  const __m128i k3k4 = _mm_set_epi64x(kK4, kK3);
   const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
   const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
   const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
 
-  __m128i x0 =
-      _mm_xor_si128(load(0), _mm_cvtsi32_si128(static_cast<int>(crc)));
-  __m128i x1 = load(16);
-  __m128i x2 = load(32);
-  __m128i x3 = load(48);
-  std::size_t off = 64;
-  for (; off + 64 <= bytes.size(); off += 64) {
-    x0 = _mm_xor_si128(clmul_fold(x0, k1k2), load(off));
-    x1 = _mm_xor_si128(clmul_fold(x1, k1k2), load(off + 16));
-    x2 = _mm_xor_si128(clmul_fold(x2, k1k2), load(off + 32));
-    x3 = _mm_xor_si128(clmul_fold(x3, k1k2), load(off + 48));
-  }
   __m128i x = _mm_xor_si128(clmul_fold(x0, k3k4), x1);
   x = _mm_xor_si128(clmul_fold(x, k3k4), x2);
   x = _mm_xor_si128(clmul_fold(x, k3k4), x3);
   for (; off + 16 <= bytes.size(); off += 16) {
-    x = _mm_xor_si128(clmul_fold(x, k3k4), load(off));
+    x = _mm_xor_si128(
+        clmul_fold(x, k3k4),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes.data() + off)));
   }
 
   // 128 -> 64 bits (k4 times the low half), appending 32 zero bits.
@@ -184,21 +184,148 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
       _mm_extract_epi32(_mm_xor_si128(x, q), 1));
 }
 
+/// Advances the CRC register over `bytes` (size a multiple of 16, at least
+/// 64) by carry-less-multiply folding (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ", Intel 2009; Linux
+/// crc32-pclmul): four 128-bit lanes fold 64 bytes per step, then
+/// crc32_fold_tail. Returns the register state, so the caller finishes the
+/// tail bytewise.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
+    std::uint32_t crc, std::span<const std::byte> bytes) noexcept {
+  const auto load = [&bytes](std::size_t off) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(bytes.data() + off));
+  };
+  const __m128i k1k2 = _mm_set_epi64x(kK2, kK1);
+
+  __m128i x0 =
+      _mm_xor_si128(load(0), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load(16);
+  __m128i x2 = load(32);
+  __m128i x3 = load(48);
+  std::size_t off = 64;
+  for (; off + 64 <= bytes.size(); off += 64) {
+    x0 = _mm_xor_si128(clmul_fold(x0, k1k2), load(off));
+    x1 = _mm_xor_si128(clmul_fold(x1, k1k2), load(off + 16));
+    x2 = _mm_xor_si128(clmul_fold(x2, k1k2), load(off + 32));
+    x3 = _mm_xor_si128(clmul_fold(x3, k1k2), load(off + 48));
+  }
+  return crc32_fold_tail(x0, x1, x2, x3, bytes, off);
+}
+
+/// clmul_fold on each 128-bit lane of `x`, XORed into `data` (the block
+/// `x` is being carried onto) in one ternary-logic step.
+__attribute__((target("avx512f,vpclmulqdq"))) __m512i clmul_fold512(
+    __m512i x, __m512i k, __m512i data) noexcept {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11),
+                                   data, 0x96);  // a ^ b ^ c
+}
+
+/// The 512-bit tier: the crc32_fold scheme on 64-byte registers. Four
+/// accumulators fold 256 bytes per step with constants
+/// (x^(2048+32), x^(2048-32)) mod P; they collapse into one at the 64-byte
+/// distance (the 128-bit tier's k1k2 in every lane), which then folds the
+/// remaining 64-byte blocks. Its four lanes go to crc32_fold_tail. Requires
+/// bytes.size() >= 256 and a multiple of 16. No lambdas here: they would
+/// not inherit the target attribute.
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.1"))) std::uint32_t
+crc32_fold512(std::uint32_t crc, std::span<const std::byte> bytes) noexcept {
+  const std::byte* p = bytes.data();
+  const std::size_t n = bytes.size();
+  // Set element-wise, not by _mm512_broadcast_i32x4: like the zext/cast and
+  // extract intrinsics, its GCC 12 expansion reads an uninitialized vector
+  // and warns.
+  constexpr long long kK256Lo = 0x11542778a, kK256Hi = 0x1322d1430;
+  const __m512i k256 = _mm512_set_epi64(kK256Hi, kK256Lo, kK256Hi, kK256Lo,
+                                        kK256Hi, kK256Lo, kK256Hi, kK256Lo);
+  const __m512i k64 =
+      _mm512_set_epi64(kK2, kK1, kK2, kK1, kK2, kK1, kK2, kK1);
+
+  // The register enters in the first 32 bits, by a masked move.
+  __m512i z0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_maskz_mov_epi32(1, _mm512_set1_epi32(static_cast<int>(crc))));
+  __m512i z1 = _mm512_loadu_si512(p + 64);
+  __m512i z2 = _mm512_loadu_si512(p + 128);
+  __m512i z3 = _mm512_loadu_si512(p + 192);
+  std::size_t off = 256;
+  for (; off + 256 <= n; off += 256) {
+    z0 = clmul_fold512(z0, k256, _mm512_loadu_si512(p + off));
+    z1 = clmul_fold512(z1, k256, _mm512_loadu_si512(p + off + 64));
+    z2 = clmul_fold512(z2, k256, _mm512_loadu_si512(p + off + 128));
+    z3 = clmul_fold512(z3, k256, _mm512_loadu_si512(p + off + 192));
+  }
+  __m512i z = clmul_fold512(z0, k64, z1);
+  z = clmul_fold512(z, k64, z2);
+  z = clmul_fold512(z, k64, z3);
+  for (; off + 64 <= n; off += 64) {
+    z = clmul_fold512(z, k64, _mm512_loadu_si512(p + off));
+  }
+  // Spill the lanes rather than extract them (the warning again).
+  alignas(64) __m128i lanes[4];
+  _mm512_store_si512(lanes, z);
+  return crc32_fold_tail(lanes[0], lanes[1], lanes[2], lanes[3], bytes, off);
+}
+
 bool cpu_has_clmul() noexcept {
   static const bool has = __builtin_cpu_supports("pclmul") &&
                           __builtin_cpu_supports("sse4.1");
   return has;
 }
 
+bool cpu_has_vpclmul512() noexcept {
+  static const bool has = cpu_has_clmul() &&
+                          __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("vpclmulqdq");
+  return has;
+}
+
 #endif  // __x86_64__
+
+/// The fastest supported tier, picked on first use.
+ChecksumTier best_tier() noexcept {
+  static const ChecksumTier tier = [] {
+    if (checksum_tier_supported(ChecksumTier::kFold512)) {
+      return ChecksumTier::kFold512;
+    }
+    if (checksum_tier_supported(ChecksumTier::kFold128)) {
+      return ChecksumTier::kFold128;
+    }
+    return ChecksumTier::kTable;
+  }();
+  return tier;
+}
 
 }  // namespace
 
-std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
+bool checksum_tier_supported(ChecksumTier tier) noexcept {
+  switch (tier) {
+    case ChecksumTier::kTable:
+      return true;
+#if defined(__x86_64__)
+    case ChecksumTier::kFold128:
+      return cpu_has_clmul();
+    case ChecksumTier::kFold512:
+      return cpu_has_vpclmul512();
+#else
+    case ChecksumTier::kFold128:
+    case ChecksumTier::kFold512:
+      return false;
+#endif
+  }
+  return false;
+}
+
+std::uint32_t frame_checksum_with(ChecksumTier tier,
+                                  std::span<const std::byte> bytes) noexcept {
   std::uint32_t crc = 0xffffffffu;
 #if defined(__x86_64__)
-  if (bytes.size() >= kFoldMinBytes && cpu_has_clmul()) {
-    const std::size_t folded = bytes.size() & ~std::size_t{15};
+  const std::size_t folded = bytes.size() & ~std::size_t{15};
+  if (tier == ChecksumTier::kFold512 && folded >= kWideFoldMinBytes) {
+    crc = crc32_fold512(crc, bytes.first(folded));
+    bytes = bytes.subspan(folded);
+  } else if (tier != ChecksumTier::kTable && folded >= kFoldMinBytes) {
     crc = crc32_fold(crc, bytes.first(folded));
     bytes = bytes.subspan(folded);
   }
@@ -206,9 +333,8 @@ std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
   return crc32_bytewise(crc, bytes) ^ 0xffffffffu;
 }
 
-std::uint32_t frame_checksum_bytewise(
-    std::span<const std::byte> bytes) noexcept {
-  return crc32_bytewise(0xffffffffu, bytes) ^ 0xffffffffu;
+std::uint32_t frame_checksum(std::span<const std::byte> bytes) noexcept {
+  return frame_checksum_with(best_tier(), bytes);
 }
 
 const char* packet_type_name(PacketType t) noexcept {
@@ -255,15 +381,23 @@ std::size_t encoded_overhead(PacketType t) noexcept {
   return kHeaderBytes + kChecksumBytes;
 }
 
-std::vector<std::byte> encode(const Packet& p) {
-  const PacketType t = body_type(p.body);
-  std::size_t data_len = 0;
-  if (const auto* e = std::get_if<EagerBody>(&p.body)) data_len = e->data.size();
-  if (const auto* r = std::get_if<PullReplyBody>(&p.body)) {
-    data_len = r->data.size();
-  }
-  Writer w(encoded_overhead(t) + data_len);
-  w.u8(static_cast<std::uint8_t>(t));
+namespace {
+
+/// The bulk data of an EAGER or PULL_REPLY body; null for the other types.
+template <typename Body>
+auto* bulk_data(Body& b) noexcept {
+  using Chunk = std::conditional_t<std::is_const_v<Body>, const DataChunk,
+                                   DataChunk>;
+  Chunk* data = nullptr;
+  if (auto* e = std::get_if<EagerBody>(&b)) data = &e->data;
+  if (auto* r = std::get_if<PullReplyBody>(&b)) data = &r->data;
+  return data;
+}
+
+/// Writes everything in front of the bulk data: the packet header and the
+/// body's fixed fields, encoded_overhead(t) - kChecksumBytes bytes in all.
+void write_fields(Writer& w, const Packet& p) {
+  w.u8(static_cast<std::uint8_t>(body_type(p.body)));
   w.u8(p.header.src_ep);
   w.u8(p.header.dst_ep);
   w.u8(p.header.src_epoch);
@@ -277,7 +411,6 @@ std::vector<std::byte> encode(const Packet& p) {
           w.u32(body.msg_len);
           w.u32(body.frag_offset);
           w.u32(body.seq);
-          w.bytes(body.data);
         } else if constexpr (std::is_same_v<T, EagerAckBody>) {
           w.u32(body.seq);
         } else if constexpr (std::is_same_v<T, RndvBody>) {
@@ -294,7 +427,6 @@ std::vector<std::byte> encode(const Packet& p) {
         } else if constexpr (std::is_same_v<T, PullReplyBody>) {
           w.u32(body.handle);
           w.u64(body.offset);
-          w.bytes(body.data);
         } else if constexpr (std::is_same_v<T, NotifyBody>) {
           w.u32(body.seq);
           w.u32(body.handle);
@@ -305,14 +437,51 @@ std::vector<std::byte> encode(const Packet& p) {
         }
       },
       p.body);
-  std::vector<std::byte> out = w.take();
-  // Trailing CRC-32 over everything before it. At the end (not the front) so
-  // the dst_ep byte keeps its fixed offset for NIC flow steering.
-  const std::uint32_t crc = frame_checksum(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>(crc >> (8 * i)));
+}
+
+/// Writes the CRC-32 of everything before the last kChecksumBytes of
+/// `frame` into them. At the end (not the front) so the dst_ep byte keeps
+/// its fixed offset for NIC flow steering.
+void seal(std::span<std::byte> frame) noexcept {
+  const std::size_t body = frame.size() - kChecksumBytes;
+  const std::uint32_t crc = frame_checksum(frame.first(body));
+  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
+    frame[body + i] = static_cast<std::byte>(crc >> (8 * i));
   }
+}
+
+}  // namespace
+
+std::vector<std::byte> encode(const Packet& p) {
+  const DataChunk* data = bulk_data(p.body);
+  const std::size_t data_len = data == nullptr ? 0 : data->size();
+  std::vector<std::byte> out = net::frame_buffers().acquire_for_overwrite(
+      encoded_overhead(body_type(p.body)) + data_len);
+  Writer w(out);
+  write_fields(w, p);
+  if (data != nullptr) w.bytes(*data);
+  seal(out);
   return out;
+}
+
+std::vector<std::byte> encode(Packet&& p) {
+  DataChunk* data = bulk_data(p.body);
+  const std::size_t head = encoded_overhead(body_type(p.body)) - kChecksumBytes;
+  if (data == nullptr || data->headroom() != head ||
+      data->tailroom() != kChecksumBytes) {
+    return encode(std::as_const(p));
+  }
+  std::vector<std::byte> out = data->release_backing();
+  Writer w(std::span<std::byte>(out).first(head));
+  write_fields(w, p);
+  assert(w.pos() == head);
+  seal(out);
+  return out;
+}
+
+DataChunk payload_for_overwrite(PacketType t, std::size_t n) {
+  return DataChunk::for_overwrite(n, encoded_overhead(t) - kChecksumBytes,
+                                  kChecksumBytes);
 }
 
 namespace {
@@ -432,23 +601,12 @@ Packet decode_impl(std::span<const std::byte> bytes,
 
 }  // namespace
 
-mem::BufferPool& frame_buffers() {
-  static mem::BufferPool pool;
-  return pool;
-}
-
 Packet decode(std::span<const std::byte> bytes) {
   return decode_impl(bytes, nullptr);
 }
 
 Packet decode_frame(net::Frame& frame) {
-  Packet p = decode_impl(frame.payload, &frame.payload);
-  if (!frame.payload.empty()) {
-    // Not adopted (no bulk data in this packet type): recycle the capacity.
-    frame_buffers().release(std::move(frame.payload));
-  }
-  frame.payload.clear();
-  return p;
+  return decode_impl(frame.payload, &frame.payload);
 }
 
 }  // namespace pinsim::core

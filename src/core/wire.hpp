@@ -14,25 +14,24 @@
 
 namespace pinsim::core {
 
-/// Process-wide recycling pool for frame payload buffers. encode() draws
-/// its output vector from here and DataChunk returns its backing on
-/// destruction, so steady-state traffic stops allocating per frame. The
-/// simulator is single-threaded; the pool is not synchronized.
-[[nodiscard]] mem::BufferPool& frame_buffers();
-
 /// Owning view of a packet's bulk data: a backing buffer plus an
 /// (offset, length) window into it.
 ///
-/// The receive path used to copy every EAGER/PULL_REPLY payload out of the
-/// frame bytes into a fresh vector during decode. A DataChunk instead
-/// *adopts* the whole frame payload and points at the data bytes inside it
-/// (the CRC trailer makes the window trustworthy), so the only remaining
-/// copy on the hot receive path is the one the simulated DMA semantics
-/// require (Region::copy_in). The vector-like surface (resize/assign/
-/// operator[]/iterators) keeps packet-crafting tests and the send path,
-/// which still materialize their own bytes, unchanged.
+/// Receive side: a DataChunk *adopts* the whole frame payload and points at
+/// the data bytes inside it (the CRC trailer makes the window trustworthy),
+/// so the only copy on the hot receive path is the one the simulated DMA
+/// semantics require (Region::copy_in).
 ///
-/// The backing buffer is returned to frame_buffers() on destruction.
+/// Send side: payload_for_overwrite() reserves room for the packet header in
+/// front of the window and for the CRC behind it, as skb_reserve does. The
+/// caller writes the data once, straight into the buffer that becomes the
+/// frame, and encode(Packet&&) fills in header and CRC around it. Any other
+/// chunk — a vector assigned at a packet-crafting site, an adopted receive
+/// window, a resized chunk — has no reserved room and is copied by encode().
+/// The vector-like surface (resize/assign/operator[]/iterators) keeps
+/// packet-crafting tests unchanged.
+///
+/// The backing buffer is returned to net::frame_buffers() on destruction.
 class DataChunk {
  public:
   DataChunk() = default;
@@ -54,11 +53,18 @@ class DataChunk {
   }
 
   /// `n` bytes from the frame-buffer pool with unspecified contents, for a
-  /// caller that overwrites every byte before anything reads them.
-  [[nodiscard]] static DataChunk for_overwrite(std::size_t n) {
+  /// caller that overwrites every byte before anything reads them. The
+  /// window starts `head` bytes into the buffer and ends `tail` bytes
+  /// before its end; that reserved room is reported by headroom() and
+  /// tailroom() until the chunk is resized or reassigned.
+  [[nodiscard]] static DataChunk for_overwrite(std::size_t n,
+                                               std::size_t head,
+                                               std::size_t tail) {
     DataChunk c;
-    c.backing_ = frame_buffers().acquire_for_overwrite(n);
+    c.backing_ = net::frame_buffers().acquire_for_overwrite(head + n + tail);
+    c.off_ = head;
     c.len_ = n;
+    c.reserved_ = true;
     return c;
   }
 
@@ -72,10 +78,14 @@ class DataChunk {
   }
 
   DataChunk(DataChunk&& other) noexcept
-      : backing_(std::move(other.backing_)), off_(other.off_), len_(other.len_) {
+      : backing_(std::move(other.backing_)),
+        off_(other.off_),
+        len_(other.len_),
+        reserved_(other.reserved_) {
     other.backing_.clear();
     other.off_ = 0;
     other.len_ = 0;
+    other.reserved_ = false;
   }
   DataChunk& operator=(DataChunk&& other) noexcept {
     if (this != &other) {
@@ -83,9 +93,11 @@ class DataChunk {
       backing_ = std::move(other.backing_);
       off_ = other.off_;
       len_ = other.len_;
+      reserved_ = other.reserved_;
       other.backing_.clear();
       other.off_ = 0;
       other.len_ = 0;
+      other.reserved_ = false;
     }
     return *this;
   }
@@ -117,6 +129,26 @@ class DataChunk {
     return {data(), len_};
   }
 
+  /// Bytes reserved in front of / behind the window by for_overwrite(); 0
+  /// for every other chunk, however its window happens to sit.
+  [[nodiscard]] std::size_t headroom() const noexcept {
+    return reserved_ ? off_ : 0;
+  }
+  [[nodiscard]] std::size_t tailroom() const noexcept {
+    return reserved_ ? backing_.size() - off_ - len_ : 0;
+  }
+
+  /// Hands the whole backing buffer over — reserved room included — and
+  /// leaves the chunk empty.
+  [[nodiscard]] std::vector<std::byte> release_backing() noexcept {
+    std::vector<std::byte> out = std::move(backing_);
+    backing_.clear();
+    off_ = 0;
+    len_ = 0;
+    reserved_ = false;
+    return out;
+  }
+
   /// Grows/shrinks the window; compacts an adopted view first so indices
   /// stay zero-based. New bytes are value-initialized.
   void resize(std::size_t n) {
@@ -136,7 +168,7 @@ class DataChunk {
   }
   void assign(std::size_t n, std::byte value) {
     recycle();
-    backing_ = frame_buffers().acquire(n);
+    backing_ = net::frame_buffers().acquire(n);
     std::fill(backing_.begin(), backing_.end(), value);
     off_ = 0;
     len_ = n;
@@ -151,7 +183,7 @@ class DataChunk {
   void assign_span(std::span<const std::byte> src) {
     // Self-assignment-safe only because callers never alias; recycle first
     // would invalidate src, so stage through a pool buffer.
-    std::vector<std::byte> fresh = frame_buffers().acquire(src.size());
+    std::vector<std::byte> fresh = net::frame_buffers().acquire(src.size());
     std::copy(src.begin(), src.end(), fresh.begin());
     recycle();
     backing_ = std::move(fresh);
@@ -159,6 +191,7 @@ class DataChunk {
     len_ = backing_.size();
   }
   void compact() {
+    reserved_ = false;
     if (off_ == 0) {
       backing_.resize(len_);
       return;
@@ -171,16 +204,18 @@ class DataChunk {
   }
   void recycle() {
     if (!backing_.empty() || backing_.capacity() != 0) {
-      frame_buffers().release(std::move(backing_));
+      net::frame_buffers().release(std::move(backing_));
       backing_.clear();
     }
     off_ = 0;
     len_ = 0;
+    reserved_ = false;
   }
 
   std::vector<std::byte> backing_;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
+  bool reserved_ = false;  // [0, off_) and the bytes past the window are room
 };
 
 /// MXoE-like wire protocol. Packets are serialized to real bytes inside
@@ -303,21 +338,46 @@ class WireChecksumError : public WireFormatError {
 inline constexpr std::size_t kChecksumBytes = 4;
 
 /// CRC-32 (IEEE 802.3 polynomial) over `bytes`. Exposed so tests and fault
-/// tooling can craft or verify frames by hand. On x86-64 CPUs with PCLMULQDQ
-/// and SSE4.1, frames of 64 bytes or more are folded by carry-less multiply;
-/// everything else runs the byte-at-a-time table. Both give the same value.
+/// tooling can craft or verify frames by hand. Runs the fastest tier this
+/// CPU supports (see ChecksumTier); every tier gives the same value.
 [[nodiscard]] std::uint32_t frame_checksum(
     std::span<const std::byte> bytes) noexcept;
 
-/// frame_checksum by the table loop alone, whatever the CPU: the fallback
-/// path, reachable so tests can hold the folded path to it.
-[[nodiscard]] std::uint32_t frame_checksum_bytewise(
-    std::span<const std::byte> bytes) noexcept;
+/// The CRC-32 kernels frame_checksum() picks from, once per process.
+enum class ChecksumTier : std::uint8_t {
+  kTable,    // byte-at-a-time table loop; any CPU
+  kFold128,  // x86-64 PCLMULQDQ + SSE4.1: 4 x 128-bit lanes, 64 B per step
+  kFold512,  // x86-64 VPCLMULQDQ + AVX-512F: 4 x 512-bit lanes, 256 B per step
+};
+
+/// Whether this CPU can run `tier` (kTable always).
+[[nodiscard]] bool checksum_tier_supported(ChecksumTier tier) noexcept;
+
+/// frame_checksum by one tier, whatever the CPU would pick, so tests can
+/// hold each tier to the reference. A folding tier still hands inputs too
+/// short for it to the next tier down. Precondition:
+/// checksum_tier_supported(tier); a folding tier the CPU lacks dies on an
+/// illegal instruction.
+[[nodiscard]] std::uint32_t frame_checksum_with(
+    ChecksumTier tier, std::span<const std::byte> bytes) noexcept;
 
 /// Serializes a packet (header + body + payload + trailing CRC-32) into
-/// frame payload bytes. The header's `type` field is taken from the body
-/// alternative.
+/// frame payload bytes drawn from net::frame_buffers(). The header's `type`
+/// field is taken from the body alternative. Bulk data is copied.
 [[nodiscard]] std::vector<std::byte> encode(const Packet& p);
+
+/// Like encode(const Packet&), but an EAGER or PULL_REPLY packet whose data
+/// came from payload_for_overwrite() becomes the frame in place: the header
+/// is written into the chunk's headroom, the CRC into its tailroom, and the
+/// chunk's buffer is returned, so the payload bytes are never copied. Any
+/// other packet takes the copying path. Either way the bytes are the same.
+[[nodiscard]] std::vector<std::byte> encode(Packet&& p);
+
+/// `n` bytes of bulk data for overwrite, with room for a `t` packet's
+/// header in front and its CRC behind (encoded_overhead(t) -
+/// kChecksumBytes and kChecksumBytes), so encode(Packet&&) can frame them
+/// in place.
+[[nodiscard]] DataChunk payload_for_overwrite(PacketType t, std::size_t n);
 
 /// Parses frame payload bytes. Throws WireChecksumError when the trailing
 /// CRC does not match, and WireFormatError on truncated or malformed input.
@@ -327,9 +387,10 @@ inline constexpr std::size_t kChecksumBytes = 4;
 
 /// Like decode(), but zero-copy for bulk data: on success the frame's
 /// payload vector is adopted as the DataChunk backing of an EAGER or
-/// PULL_REPLY body (recycled into frame_buffers() for the other packet
-/// types), leaving `frame.payload` empty. On throw the payload is left
-/// intact so the caller can still attribute the drop from the raw bytes.
+/// PULL_REPLY body, leaving `frame.payload` empty. Other packet types leave
+/// it in place; the Frame recycles it when destroyed. On throw the payload
+/// is left intact so the caller can still attribute the drop from the raw
+/// bytes.
 [[nodiscard]] Packet decode_frame(net::Frame& frame);
 
 /// Serialized size of a packet with `data_bytes` of payload, for MTU math.

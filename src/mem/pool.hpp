@@ -110,13 +110,6 @@ class BufferPool {
     return buf;
   }
 
-  /// Like acquire(0) but with capacity reserved for `reserve` bytes.
-  [[nodiscard]] std::vector<std::byte> acquire_reserved(std::size_t reserve) {
-    std::vector<std::byte> buf = acquire(0);
-    buf.reserve(reserve);
-    return buf;
-  }
-
   void release(std::vector<std::byte>&& buf) {
     if (buf.capacity() == 0) return;  // nothing worth keeping
     if (free_.size() < kMaxRetained) free_.push_back(std::move(buf));

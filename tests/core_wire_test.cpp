@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace pinsim::core {
 namespace {
@@ -101,21 +102,149 @@ TEST(Wire, PullReplyCarriesData) {
 }
 
 TEST(Wire, ForOverwriteChunkDrawsFromTheFrameBufferPool) {
-  frame_buffers().release(std::vector<std::byte>(9000, std::byte{0x5a}));
-  const std::size_t retained = frame_buffers().retained();
-  DataChunk c = DataChunk::for_overwrite(8192);
-  EXPECT_EQ(frame_buffers().retained(), retained - 1);
+  net::frame_buffers().release(std::vector<std::byte>(9000, std::byte{0x5a}));
+  const std::size_t retained = net::frame_buffers().retained();
+  const std::size_t head = encoded_overhead(PacketType::kPullReply) -
+                           kChecksumBytes;
+  DataChunk c = DataChunk::for_overwrite(8192, head, kChecksumBytes);
+  EXPECT_EQ(net::frame_buffers().retained(), retained - 1);
   EXPECT_EQ(c.size(), 8192u);
+  EXPECT_EQ(c.headroom(), head);
+  EXPECT_EQ(c.tailroom(), kChecksumBytes);
   std::fill(c.begin(), c.end(), std::byte{0x3c});
+  const std::byte* data = c.data();
   PullReplyBody b;
   b.data = std::move(c);
   Packet p;
   p.body = std::move(b);
-  const Packet q = round_trip(std::move(p));
+  // The chunk's own buffer becomes the frame: no second buffer, no copy.
+  const std::vector<std::byte> wire = encode(std::move(p));
+  ASSERT_EQ(wire.size(), encoded_overhead(PacketType::kPullReply) + 8192);
+  EXPECT_EQ(wire.data() + head, data);
+  const Packet q = decode(wire);
   const auto& rb = std::get<PullReplyBody>(q.body);
   ASSERT_EQ(rb.data.size(), 8192u);
   EXPECT_EQ(rb.data[0], std::byte{0x3c});
   EXPECT_EQ(rb.data[8191], std::byte{0x3c});
+}
+
+std::vector<std::byte> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> v(n);
+  std::uint64_t s = seed;
+  for (auto& b : v) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::byte>(s >> 56);
+  }
+  return v;
+}
+
+/// An EAGER or PULL_REPLY packet with every header and body field set and
+/// `data` as its bulk data.
+Packet data_packet(PacketType t, DataChunk data) {
+  Packet p;
+  p.header.src_ep = 3;
+  p.header.dst_ep = 9;
+  p.header.src_epoch = 2;
+  p.header.dst_epoch = 5;
+  if (t == PacketType::kEager) {
+    EagerBody b;
+    b.match = 0x0123456789abcdefULL;
+    b.msg_len = 1u << 20;
+    b.frag_offset = 4096;
+    b.seq = 77;
+    b.data = std::move(data);
+    p.body = std::move(b);
+  } else {
+    PullReplyBody b;
+    b.handle = 0xfeed;
+    b.offset = 0x1122334455ULL;
+    b.data = std::move(data);
+    p.body = std::move(b);
+  }
+  return p;
+}
+
+const DataChunk& data_of(const Packet& p) {
+  if (const auto* e = std::get_if<EagerBody>(&p.body)) return e->data;
+  return std::get<PullReplyBody>(p.body).data;
+}
+
+TEST(Wire, InPlaceFramesEqualTheCopyingEncodeByteForByte) {
+  constexpr std::size_t kLengths[] = {0,   1,   15,   16,   63,   64,
+                                      255, 256, 257, 2048, 8191, 8192};
+  for (const PacketType t : {PacketType::kEager, PacketType::kPullReply}) {
+    const std::size_t head = encoded_overhead(t) - kChecksumBytes;
+    for (const std::size_t n : kLengths) {
+      const std::vector<std::byte> bytes = seeded_bytes(n, n + 1);
+      DataChunk chunk = payload_for_overwrite(t, n);
+      ASSERT_EQ(chunk.size(), n);
+      EXPECT_EQ(chunk.headroom(), head);
+      EXPECT_EQ(chunk.tailroom(), kChecksumBytes);
+      std::copy(bytes.begin(), bytes.end(), chunk.begin());
+      const std::byte* data = chunk.data();
+
+      const Packet crafted = data_packet(t, bytes);
+      const std::vector<std::byte> copied = encode(crafted);
+      const std::vector<std::byte> in_place =
+          encode(data_packet(t, std::move(chunk)));
+      EXPECT_EQ(in_place, copied) << packet_type_name(t) << " len " << n;
+      EXPECT_EQ(in_place.data() + head, data)
+          << packet_type_name(t) << " len " << n << ": not built in place";
+      EXPECT_EQ(data_of(decode(in_place)).span().size(), n);
+    }
+  }
+}
+
+/// encode(Packet&&) on `p` gives the same bytes as the copying encode, in a
+/// buffer other than the one holding `p`'s data.
+void expect_copying_branch(Packet p, const char* what) {
+  const std::vector<std::byte> want = encode(std::as_const(p));
+  const std::byte* data = data_of(p).data();
+  const std::size_t head = encoded_overhead(p.type()) - kChecksumBytes;
+  const std::vector<std::byte> got = encode(std::move(p));
+  EXPECT_EQ(got, want) << what;
+  EXPECT_NE(got.data() + head, data) << what;
+}
+
+TEST(Wire, ChunkWithoutReservedRoomTakesTheCopyingBranch) {
+  const std::vector<std::byte> bytes = seeded_bytes(2048, 11);
+  {
+    Packet p = data_packet(PacketType::kEager, bytes);
+    EXPECT_EQ(data_of(p).headroom(), 0u);
+    expect_copying_branch(std::move(p), "vector assigned to data");
+  }
+  {
+    // A received window sits exactly where the header and CRC were, but
+    // nothing reserved that room for a new frame.
+    net::Frame f;
+    f.payload = encode(data_packet(PacketType::kPullReply, bytes));
+    Packet p = decode_frame(f);
+    EXPECT_EQ(data_of(p).headroom(), 0u);
+    EXPECT_EQ(data_of(p).tailroom(), 0u);
+    expect_copying_branch(std::move(p), "decode_frame window");
+  }
+  {
+    DataChunk chunk = payload_for_overwrite(PacketType::kPullReply, 4096);
+    std::copy(bytes.begin(), bytes.end(), chunk.begin());
+    chunk.resize(2048);
+    EXPECT_EQ(chunk.headroom(), 0u);
+    expect_copying_branch(data_packet(PacketType::kPullReply, std::move(chunk)),
+                          "resized chunk");
+  }
+  {
+    DataChunk chunk = payload_for_overwrite(PacketType::kEager, 2048);
+    std::copy(bytes.begin(), bytes.end(), chunk.begin());
+    expect_copying_branch(data_packet(PacketType::kPullReply, std::move(chunk)),
+                          "room reserved for the other packet type");
+  }
+  {
+    const std::size_t head =
+        encoded_overhead(PacketType::kPullReply) - kChecksumBytes;
+    DataChunk chunk = DataChunk::for_overwrite(2048, head, 0);
+    std::copy(bytes.begin(), bytes.end(), chunk.begin());
+    expect_copying_branch(data_packet(PacketType::kPullReply, std::move(chunk)),
+                          "header room but no CRC room");
+  }
 }
 
 TEST(Wire, ControlPacketsRoundTrip) {
@@ -238,31 +367,45 @@ std::uint32_t crc32_bitwise(std::span<const std::byte> bytes) {
   return ~crc;
 }
 
-std::vector<std::byte> seeded_bytes(std::size_t n, std::uint64_t seed) {
-  std::vector<std::byte> v(n);
-  std::uint64_t s = seed;
-  for (auto& b : v) {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    b = static_cast<std::byte>(s >> 56);
+constexpr ChecksumTier kAllTiers[] = {
+    ChecksumTier::kTable, ChecksumTier::kFold128, ChecksumTier::kFold512};
+
+const char* tier_name(ChecksumTier t) {
+  switch (t) {
+    case ChecksumTier::kTable:
+      return "table";
+    case ChecksumTier::kFold128:
+      return "fold128";
+    case ChecksumTier::kFold512:
+      return "fold512";
   }
-  return v;
+  return "?";
 }
 
 TEST(Wire, ChecksumMatchesBitwiseReferenceAtEveryShortLength) {
-  // 0..320 spans the <64-byte table-only cut-over, the 64-byte fold block,
-  // the 16-byte fold tail and the sub-16-byte table tail.
+  // 0..1,100 spans the <64-byte table-only cut-over, the 64-byte 128-bit
+  // fold block and its 16-byte tail, the <256-byte cut-over to the 512-bit
+  // fold, its 256-byte main loop and 64-byte tail, and the sub-16-byte
+  // table tail — on every tier this CPU has, and on frame_checksum's pick.
   // Each input is its own exact-size allocation, so under ASan a read past
   // the span's end is a heap overflow, not a silent read of the next byte.
-  for (std::size_t n = 0; n <= 320; ++n) {
+  for (std::size_t n = 0; n <= 1100; ++n) {
     const auto v = seeded_bytes(n, 1);
     const std::uint32_t want = crc32_bitwise(v);
     EXPECT_EQ(frame_checksum(v), want) << "len " << n;
-    EXPECT_EQ(frame_checksum_bytewise(v), want) << "len " << n;
+    for (const ChecksumTier t : kAllTiers) {
+      if (!checksum_tier_supported(t)) continue;
+      EXPECT_EQ(frame_checksum_with(t, v), want)
+          << tier_name(t) << " len " << n;
+    }
   }
 }
 
-TEST(Wire, ChecksumMatchesBitwiseReferenceAtRandomLengthsAndOffsets) {
-  // Unaligned starts exercise the fold's unaligned loads; the span ends
+/// Holds `crc` to the reference at 200 random lengths up to 9 kB, each
+/// starting at a random offset into its own exact-size allocation.
+template <typename Crc>
+void expect_reference_at_random_lengths_and_offsets(Crc crc) {
+  // Unaligned starts exercise the folds' unaligned loads; the span ends
   // where its allocation does.
   constexpr std::size_t kMaxLen = 9216;
   std::uint64_t s = 3;
@@ -272,11 +415,37 @@ TEST(Wire, ChecksumMatchesBitwiseReferenceAtRandomLengthsAndOffsets) {
     const std::size_t off = (s >> 17) % 16;
     const auto buf = seeded_bytes(off + len, s);
     const auto v = std::span<const std::byte>(buf).subspan(off);
-    const std::uint32_t want = crc32_bitwise(v);
-    EXPECT_EQ(frame_checksum(v), want) << "len " << len << " off " << off;
-    EXPECT_EQ(frame_checksum_bytewise(v), want)
-        << "len " << len << " off " << off;
+    EXPECT_EQ(crc(v), crc32_bitwise(v)) << "len " << len << " off " << off;
   }
+}
+
+TEST(Wire, ChecksumMatchesBitwiseReferenceAtRandomLengthsAndOffsets) {
+  expect_reference_at_random_lengths_and_offsets(
+      [](std::span<const std::byte> v) { return frame_checksum(v); });
+  expect_reference_at_random_lengths_and_offsets(
+      [](std::span<const std::byte> v) {
+        return frame_checksum_with(ChecksumTier::kTable, v);
+      });
+}
+
+TEST(Wire, Fold128ChecksumMatchesReferenceAtRandomLengthsAndOffsets) {
+  if (!checksum_tier_supported(ChecksumTier::kFold128)) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
+  }
+  expect_reference_at_random_lengths_and_offsets(
+      [](std::span<const std::byte> v) {
+        return frame_checksum_with(ChecksumTier::kFold128, v);
+      });
+}
+
+TEST(Wire, Fold512ChecksumMatchesReferenceAtRandomLengthsAndOffsets) {
+  if (!checksum_tier_supported(ChecksumTier::kFold512)) {
+    GTEST_SKIP() << "CPU lacks VPCLMULQDQ or AVX-512F";
+  }
+  expect_reference_at_random_lengths_and_offsets(
+      [](std::span<const std::byte> v) {
+        return frame_checksum_with(ChecksumTier::kFold512, v);
+      });
 }
 
 TEST(Wire, ChecksumIsLittleEndianTrailerOverPrecedingBytes) {

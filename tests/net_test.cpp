@@ -8,6 +8,7 @@
 #include "net/fabric.hpp"
 #include "net/frame.hpp"
 #include "net/nic.hpp"
+#include "net/switch_port.hpp"
 #include "sim/engine.hpp"
 
 namespace pinsim::net {
@@ -248,6 +249,28 @@ TEST(FabricErrors, NonPositiveBandwidthRejected) {
   Fabric::Config cfg;
   cfg.bandwidth_gbps = 0.0;
   EXPECT_THROW(Fabric(eng, cfg), std::invalid_argument);
+}
+
+TEST(FramePool, FramesDroppedOnSwitchOverflowReturnToThePool) {
+  // Empty the pool first, so its retained-buffer cap cannot mask a release.
+  mem::BufferPool& pool = frame_buffers();
+  std::vector<std::vector<std::byte>> held;
+  while (pool.retained() > 0) held.push_back(pool.acquire_for_overwrite(0));
+
+  sim::Engine eng;
+  SwitchPort port(eng, SwitchPort::Config{10.0, 2});
+  constexpr int kOffers = 7;
+  for (int i = 0; i < kOffers; ++i) {
+    (void)port.offer(Frame{0, 1, std::vector<std::byte>(1500)});
+  }
+  const std::uint64_t dropped = port.stats().overflow_drops;
+  EXPECT_EQ(dropped, static_cast<std::uint64_t>(kOffers) - port.capacity());
+  EXPECT_EQ(pool.retained(), dropped);
+
+  // The frames that got through recycle when their consumer lets them go.
+  eng.run();
+  EXPECT_EQ(pool.retained(), static_cast<std::size_t>(kOffers));
+  for (auto& buf : held) pool.release(std::move(buf));
 }
 
 }  // namespace
