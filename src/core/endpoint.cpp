@@ -158,13 +158,14 @@ Region* Endpoint::find_region(RegionId id) {
 std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
                                     mem::VirtAddr buf, std::size_t len,
                                     Completion done) {
-  std::vector<Segment> segs;
-  if (len > 0) segs.push_back(Segment{buf, len});
-  return isend_eager(dest, match, std::move(segs), std::move(done));
+  const Segment seg{buf, len};
+  return isend_eager(dest, match,
+                     std::span<const Segment>(&seg, len > 0 ? 1 : 0),
+                     std::move(done));
 }
 
 std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
-                                    std::vector<Segment> segments,
+                                    std::span<const Segment> segments,
                                     Completion done) {
   const std::uint32_t seq = next_send_seq_++;
   auto node = send_pool_.acquire();
@@ -174,19 +175,23 @@ std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
   req.match = match;
   req.eager = true;
   req.done = std::move(done);
-  // Gather the (possibly vectorial) user data into the kernel staging copy.
+  // Gather the (possibly vectorial) user data into the kernel staging copy,
+  // a byte-pool buffer that goes back to the pool with the request.
+  std::size_t total = 0;
+  for (const Segment& s : segments) total += s.len;
+  req.eager_data = net::frame_buffers().acquire_for_overwrite(total);
   try {
+    std::size_t off = 0;
     for (const Segment& s : segments) {
-      const std::size_t off = req.eager_data.size();
-      req.eager_data.resize(off + s.len);
       as_.read(s.addr, std::span<std::byte>(req.eager_data.data() + off,
                                             s.len));  // copy_from_user
+      off += s.len;
     }
   } catch (const mem::InvalidAddressError&) {
     req.done(Status{false, false, 0});
     return seq;
   }
-  req.len = req.eager_data.size();
+  req.len = total;
   const std::size_t len = req.len;
   ++counters_.eager_sent;
   {
@@ -393,9 +398,9 @@ void Endpoint::fail_all_inflight() {
   for (std::uint32_t handle : handles) fail_pull(handle, /*peer_dead=*/false);
 
   while (!posted_.empty()) {
-    RecvRequest recv = std::move(posted_.front());
-    posted_.pop_front();
-    complete_recv(recv, Status{false, false, 0});
+    auto recv = std::move(posted_.front());
+    posted_.erase(posted_.begin());
+    complete_recv(*recv, Status{false, false, 0});
   }
   inbound_.clear();
 }
@@ -424,14 +429,18 @@ void Endpoint::fail_requests_to(net::NodeId node, int peer_ep) {
 void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
   fail_requests_to(node, peer_ep);
   // Reassembly records from the dead incarnation: unbound ones evaporate,
-  // bound ones fail their receive.
-  for (auto it = inbound_.begin(); it != inbound_.end();) {
-    if (it->peer_node != node || it->peer_ep != peer_ep) {
-      ++it;
-      continue;
-    }
-    if (it->bound) complete_recv(it->recv, Status{false, false, 0, true});
-    it = inbound_.erase(it);
+  // bound ones fail their receive. Each record leaves the list before its
+  // completion runs, and the scan restarts after it: the completion may
+  // post a receive that binds (and erases) some other record.
+  const auto from_old = [node, peer_ep](const InboundPtr& m) {
+    return m->peer_node == node && m->peer_ep == peer_ep;
+  };
+  for (auto it = std::find_if(inbound_.begin(), inbound_.end(), from_old);
+       it != inbound_.end();
+       it = std::find_if(inbound_.begin(), inbound_.end(), from_old)) {
+    InboundPtr msg = std::move(*it);
+    inbound_.erase(it);
+    if (msg->bound) complete_recv(msg->recv, Status{false, false, 0, true});
   }
   // Duplicate-suppression memory keyed by the old incarnation's seq space:
   // the new incarnation reuses seqs from 1, so stale "already completed"
@@ -441,7 +450,10 @@ void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
     return (key >> 41) == node && ((key >> 33) & 0xff) == peer_ep;
   };
   completed_.erase_if(from_peer);
-  std::erase_if(completed_fifo_, from_peer);
+  for (std::size_t n = completed_fifo_.size(); n > 0; --n) {
+    const std::uint64_t key = completed_fifo_.pop_front();  // order kept
+    if (!from_peer(key)) completed_fifo_.push_back(key);
+  }
 }
 
 // --- receive posting -----------------------------------------------------------
@@ -450,16 +462,17 @@ std::uint64_t Endpoint::irecv(std::uint64_t match, std::uint64_t mask,
                               mem::VirtAddr buf, std::size_t len,
                               RegionId region, Completion done,
                               bool blocking_hint) {
-  std::vector<Segment> segs;
+  SegmentList segs;
   if (len > 0) segs.push_back(Segment{buf, len});
   return irecv(match, mask, std::move(segs), region, std::move(done),
                blocking_hint);
 }
 
 std::uint64_t Endpoint::irecv(std::uint64_t match, std::uint64_t mask,
-                              std::vector<Segment> segments, RegionId region,
+                              SegmentList segments, RegionId region,
                               Completion done, bool blocking_hint) {
-  RecvRequest recv;
+  auto node = recv_pool_.acquire();
+  RecvRequest& recv = *node;
   recv.match = match;
   recv.mask = mask;
   recv.segments = std::move(segments);
@@ -477,28 +490,29 @@ std::uint64_t Endpoint::irecv(std::uint64_t match, std::uint64_t mask,
 
   // Match already-arrived messages in arrival order (MPI non-overtaking).
   for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-    if (it->bound || !match_ok(recv, it->match)) continue;
-    if (it->rndv) {
-      InboundMsg msg = std::move(*it);
+    InboundMsg& m = **it;
+    if (m.bound || !match_ok(recv, m.match)) continue;
+    if (m.rndv) {
+      InboundPtr msg = std::move(*it);
       inbound_.erase(it);
-      start_pull(std::move(msg), std::move(recv));
+      start_pull(std::move(*msg), std::move(recv));
     } else {
-      it->bound = true;
-      it->recv = std::move(recv);
-      if (it->bytes_received >= it->msg_len) finish_eager_inbound(*it);
+      m.bound = true;
+      m.recv = std::move(recv);
+      if (m.bytes_received >= m.msg_len) finish_eager_inbound(m);
     }
     return id;
   }
-  posted_.push_back(std::move(recv));
+  posted_.push_back(std::move(node));
   return id;
 }
 
 bool Endpoint::cancel_recv(std::uint64_t recv_id) {
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (it->id != recv_id) continue;
-    RecvRequest recv = std::move(*it);
+    if ((*it)->id != recv_id) continue;
+    auto recv = std::move(*it);
     posted_.erase(it);
-    complete_recv(recv, Status{false, false, 0});
+    complete_recv(*recv, Status{false, false, 0});
     return true;
   }
   return false;  // already matched (or completed): too late
@@ -557,15 +571,17 @@ void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
   // Find (or create) the reassembly record; matching happens on the first
   // fragment so message order is fixed by arrival order.
   InboundMsg* msg = nullptr;
-  for (auto& m : inbound_) {
-    if (!m.rndv && m.peer_node == src && m.peer_ep == src_ep &&
-        m.seq == body.seq) {
-      msg = &m;
+  for (const InboundPtr& m : inbound_) {
+    if (!m->rndv && m->peer_node == src && m->peer_ep == src_ep &&
+        m->seq == body.seq) {
+      msg = m.get();
       break;
     }
   }
   if (msg == nullptr) {
-    InboundMsg m;
+    InboundPtr node = inbound_pool_.acquire();
+    InboundMsg& m = *node;
+    m.id = next_inbound_id_++;
     m.rndv = false;
     m.peer_node = src;
     m.peer_ep = src_ep;
@@ -573,42 +589,38 @@ void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
     m.match = body.match;
     m.msg_len = body.msg_len;
     for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (match_ok(*it, body.match)) {
+      if (match_ok(**it, body.match)) {
         m.bound = true;
-        m.recv = std::move(*it);
+        m.recv = std::move(**it);
         posted_.erase(it);
         break;
       }
     }
-    if (!m.bound) m.kernel_buffer.resize(m.msg_len);
-    inbound_.push_back(std::move(m));
-    msg = &inbound_.back();
+    if (!m.bound) m.kernel_buffer = net::frame_buffers().acquire(m.msg_len);
+    msg = &m;
+    inbound_.push_back(std::move(node));
   }
 
-  if (msg->frags_seen.count(body.frag_offset) != 0) {
+  const auto& seen = msg->frags_seen;
+  if (std::find(seen.begin(), seen.end(), body.frag_offset) != seen.end()) {
     ++counters_.duplicate_frames;
     ++counters_.duplicates_suppressed;
     return;
   }
-  msg->frags_seen.insert(body.frag_offset);
+  msg->frags_seen.push_back(body.frag_offset);
   eager_deliver_frag(*msg, body.frag_offset, std::move(body.data));
 }
 
 void Endpoint::eager_deliver_frag(InboundMsg& msg, std::uint32_t frag_offset,
                                   DataChunk&& data) {
   const std::size_t n = data.size();
-  const std::uint32_t seq = msg.seq;
-  const net::NodeId peer = msg.peer_node;
-  const std::uint8_t peer_ep = msg.peer_ep;
-  charge_rx_copy(n, [this, peer, peer_ep, seq, frag_offset,
-                     data = std::move(data)]() mutable {
+  charge_rx_copy(n, guarded([this, id = msg.id, frag_offset,
+                             data = std::move(data)] {
     // Re-find the record: it may have completed/vanished while the copy
     // cost was accruing (e.g. duplicate path).
-    for (auto& m : inbound_) {
-      if (m.rndv || m.peer_node != peer || m.peer_ep != peer_ep ||
-          m.seq != seq) {
-        continue;
-      }
+    for (const InboundPtr& node : inbound_) {
+      InboundMsg& m = *node;
+      if (m.rndv || m.id != id) continue;
       if (m.bound && m.kernel_buffer.empty()) {
         // Matched before the first fragment arrived: copy directly into the
         // user buffer (bounded by the posted size).
@@ -627,7 +639,7 @@ void Endpoint::eager_deliver_frag(InboundMsg& msg, std::uint32_t frag_offset,
       if (m.bytes_received >= m.msg_len) finish_eager_inbound(m);
       return;
     }
-  });
+  }));
 }
 
 void Endpoint::finish_eager_inbound(InboundMsg& msg) {
@@ -640,29 +652,26 @@ void Endpoint::finish_eager_inbound(InboundMsg& msg) {
   if (msg.bound) {
     const bool trunc = msg.msg_len > msg.recv.total_len;
     const std::size_t delivered = std::min(msg.msg_len, msg.recv.total_len);
-    if (!msg.kernel_buffer.empty()) {
-      // Was unexpected when it started arriving: one more copy from the
-      // kernel staging buffer into the user buffer.
-      const RecvRequest recv = msg.recv;
-      std::vector<std::byte> staged = std::move(msg.kernel_buffer);
-      remember_completed(
-          inbound_key(msg.peer_node, msg.peer_ep, msg.seq, false));
-      erase_inbound(msg);
-      charge_rx_copy(delivered,
-                     [this, recv, staged = std::move(staged), delivered,
-                      trunc]() mutable {
-                       scatter_to_user(recv, 0,
-                                       std::span<const std::byte>(
-                                           staged.data(), delivered));
-                       complete_recv(recv, Status{true, trunc, delivered});
-                     });
-      return;
-    }
-    const RecvRequest recv = msg.recv;
     remember_completed(
         inbound_key(msg.peer_node, msg.peer_ep, msg.seq, false));
-    erase_inbound(msg);
-    complete_recv(recv, Status{true, trunc, delivered});
+    InboundPtr done = take_inbound(msg);
+    if (!done->kernel_buffer.empty()) {
+      // Was unexpected when it started arriving: one more copy from the
+      // kernel staging buffer into the user buffer. The record rides along
+      // with the copy, its lease as a raw pointer: if the endpoint closes
+      // first, the guard drops the closure and the pool frees the node.
+      charge_rx_copy(delivered, guarded([this, raw = done.release(), delivered,
+                                         trunc] {
+        const InboundPtr m(raw, mem::ObjectPool<InboundMsg>::Releaser(
+                                    &inbound_pool_));
+        scatter_to_user(m->recv, 0,
+                        std::span<const std::byte>(m->kernel_buffer.data(),
+                                                   delivered));
+        complete_recv(m->recv, Status{true, trunc, delivered});
+      }));
+      return;
+    }
+    complete_recv(done->recv, Status{true, trunc, delivered});
     return;
   }
   // Unexpected and complete: wait in the inbound list for a matching irecv.
@@ -691,13 +700,15 @@ void Endpoint::scatter_to_user(const RecvRequest& recv, std::size_t offset,
   }
 }
 
-void Endpoint::erase_inbound(InboundMsg& msg) {
+Endpoint::InboundPtr Endpoint::take_inbound(InboundMsg& msg) {
   for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-    if (&*it == &msg) {
+    if (it->get() == &msg) {
+      InboundPtr node = std::move(*it);
       inbound_.erase(it);
-      return;
+      return node;
     }
   }
+  return nullptr;
 }
 
 void Endpoint::complete_recv(const RecvRequest& recv, Status st) {
@@ -744,15 +755,16 @@ void Endpoint::on_rndv(net::NodeId src, std::uint8_t src_ep,
       return;
     }
   }
-  for (const auto& m : inbound_) {
-    if (m.rndv && m.peer_node == src && m.peer_ep == src_ep &&
-        m.seq == body.seq) {
+  for (const InboundPtr& m : inbound_) {
+    if (m->rndv && m->peer_node == src && m->peer_ep == src_ep &&
+        m->seq == body.seq) {
       ++counters_.duplicates_suppressed;  // dup of an unmatched rendezvous
       return;
     }
   }
 
-  InboundMsg msg;
+  InboundPtr node = inbound_pool_.acquire();
+  InboundMsg& msg = *node;
   msg.rndv = true;
   msg.peer_node = src;
   msg.peer_ep = src_ep;
@@ -762,14 +774,14 @@ void Endpoint::on_rndv(net::NodeId src, std::uint8_t src_ep,
   msg.sender_region = body.region;
 
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (match_ok(*it, body.match)) {
-      RecvRequest recv = std::move(*it);
+    if (match_ok(**it, body.match)) {
+      auto recv = std::move(*it);
       posted_.erase(it);
-      start_pull(std::move(msg), std::move(recv));
+      start_pull(std::move(msg), std::move(*recv));
       return;
     }
   }
-  inbound_.push_back(std::move(msg));
+  inbound_.push_back(std::move(node));
 }
 
 void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
@@ -1026,8 +1038,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
   ++blk.frames_received;
   const std::uint32_t handle = ps.handle;
   const std::size_t n = body.data.size();
-  charge_rx_copy(n, [this, handle, block_idx, paged,
-                     body = std::move(body)]() mutable {
+  charge_rx_copy(n, guarded([this, handle, block_idx, paged,
+                             body = std::move(body)]() mutable {
     auto pit = pulls_.find(handle);
     if (pit == pulls_.end()) return;
     PullState& p = *pit->second;
@@ -1078,7 +1090,7 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
       }
       pump_pull_window(p);
     }
-  });
+  }));
   maybe_optimistic_rerequest(ps, block_idx);
 }
 
@@ -1368,8 +1380,9 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
     }
   }
   for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-    if (it->rndv && it->peer_node == src && it->peer_ep == src_ep &&
-        it->seq == body.seq) {
+    const InboundMsg& m = **it;
+    if (m.rndv && m.peer_node == src && m.peer_ep == src_ep &&
+        m.seq == body.seq) {
       inbound_.erase(it);
       return;
     }
@@ -1384,10 +1397,7 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
 
 // --- plumbing ---------------------------------------------------------------------
 
-void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction raw) {
-  // The continuation captures `this` and runs after an arbitrary queueing
-  // delay (CPU run queue or DMA channel) — guard it against endpoint close.
-  sim::UniqueFunction after = guarded(std::move(raw));
+void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction after) {
   cpu::Core& irq = bh_core();
   ioat::DmaEngine* dma = driver_.dma();
   if (driver_.config().protocol.use_ioat && dma != nullptr) {
@@ -1396,7 +1406,7 @@ void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction raw) {
     irq.submit(cpu::Priority::kBottomHalf, 300,
                // pinlint: allow(D7: dma and irq are host hardware owned by
                // the Driver, which outlives every endpoint; the endpoint
-               // state itself rides inside `after`, already guarded above)
+               // state itself rides inside `after`, guarded by the caller)
                [dma, bytes, cpu_cost, after = std::move(after),
                 &irq]() mutable {
                  if (dma->full()) {
@@ -1458,8 +1468,7 @@ void Endpoint::remember_completed(std::uint64_t key) {
   completed_.insert(key);
   completed_fifo_.push_back(key);
   while (completed_fifo_.size() > kCompletedMemory) {
-    completed_.erase(completed_fifo_.front());
-    completed_fifo_.pop_front();
+    completed_.erase(completed_fifo_.pop_front());
   }
 }
 

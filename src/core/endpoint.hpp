@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,6 +22,8 @@
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/hash_map.hpp"
+#include "sim/ring.hpp"
+#include "sim/small_vector.hpp"
 
 namespace pinsim::core {
 
@@ -84,7 +84,8 @@ class Endpoint {
   /// pinning). A zero-length message is an empty segment list. Returns the
   /// send sequence id usable with cancel_send().
   std::uint32_t isend_eager(EndpointAddr dest, std::uint64_t match,
-                            std::vector<Segment> segments, Completion done);
+                            std::span<const Segment> segments,
+                            Completion done);
   std::uint32_t isend_eager(EndpointAddr dest, std::uint64_t match,
                             mem::VirtAddr buf, std::size_t len,
                             Completion done);
@@ -104,7 +105,7 @@ class Endpoint {
   /// (incoming & mask) == (match & mask). Returns a request id usable with
   /// cancel_recv().
   std::uint64_t irecv(std::uint64_t match, std::uint64_t mask,
-                      std::vector<Segment> segments, RegionId region,
+                      SegmentList segments, RegionId region,
                       Completion done, bool blocking_hint = true);
   std::uint64_t irecv(std::uint64_t match, std::uint64_t mask,
                       mem::VirtAddr buf, std::size_t len, RegionId region,
@@ -183,6 +184,12 @@ class Endpoint {
     bool pull_seen = false;  // first PULL acks the RNDV
     int retries = 0;
     sim::Engine::EventId rto{};
+
+    /// The kernel copy goes back to the byte pool (ObjectPool contract).
+    void reset() {
+      net::frame_buffers().release(std::move(eager_data));
+      *this = SendRequest{};
+    }
   };
 
   // ---- receive side ---------------------------------------------------------
@@ -190,17 +197,20 @@ class Endpoint {
   struct RecvRequest {
     std::uint64_t match = 0;
     std::uint64_t mask = 0;
-    std::vector<Segment> segments;  // vectorial user buffer
-    std::size_t total_len = 0;      // sum of segment lengths
+    SegmentList segments;       // vectorial user buffer
+    std::size_t total_len = 0;  // sum of segment lengths
     RegionId region = kInvalidRegion;
     std::uint64_t id = 0;  // for cancellation
     bool blocking_hint = true;
     Completion done;
+
+    void reset() { mem::reset_keeping(*this, &RecvRequest::segments); }
   };
 
   /// Reassembly / matching record for a message whose first packet arrived.
   /// Matching is decided at first-packet arrival to preserve MPI ordering.
   struct InboundMsg {
+    std::uint32_t id = 0;  // unique per endpoint, for deferred re-finds
     bool rndv = false;
     net::NodeId peer_node = net::kInvalidNode;
     std::uint8_t peer_ep = 0;
@@ -209,13 +219,20 @@ class Endpoint {
     std::size_t msg_len = 0;
     // Eager-specific.
     std::size_t bytes_received = 0;
-    sim::FlatSet<std::uint32_t> frags_seen; // offsets, for dup suppression
-    std::vector<std::byte> kernel_buffer;   // only when unexpected
-    bool bound = false;                     // matched to a posted recv
-    bool acked = false;                     // EAGER_ACK already sent
-    RecvRequest recv;                       // valid when bound
+    // Offsets seen, for dup suppression; a few fit inline.
+    sim::SmallVector<std::uint32_t, 4> frags_seen;
+    std::vector<std::byte> kernel_buffer;  // only when unexpected; pooled
+    bool bound = false;                    // matched to a posted recv
+    bool acked = false;                    // EAGER_ACK already sent
+    RecvRequest recv;                      // valid when bound
     // Rendezvous-specific.
     std::uint32_t sender_region = kInvalidRegion;
+
+    /// The staging copy goes back to the byte pool (ObjectPool contract).
+    void reset() {
+      net::frame_buffers().release(std::move(kernel_buffer));
+      mem::reset_keeping(*this, &InboundMsg::frags_seen);
+    }
   };
 
   struct PullBlock {
@@ -258,7 +275,11 @@ class Endpoint {
       for (const PullBlock& b : blocks) n += b.frames_received;
       return n;
     }
+
+    void reset() { mem::reset_keeping(*this, &PullState::blocks); }
   };
+
+  using InboundPtr = mem::ObjectPool<InboundMsg>::Ptr;
 
   friend struct EndpointNotifier;
 
@@ -298,7 +319,8 @@ class Endpoint {
   void eager_deliver_frag(InboundMsg& msg, std::uint32_t frag_offset,
                           DataChunk&& data);
   void finish_eager_inbound(InboundMsg& msg);
-  void erase_inbound(InboundMsg& msg);
+  /// Removes `msg` from the inbound list, handing back its lease.
+  [[nodiscard]] InboundPtr take_inbound(InboundMsg& msg);
   void complete_recv(const RecvRequest& recv, Status st);
 
   // Pull machinery.
@@ -322,7 +344,9 @@ class Endpoint {
   void destroy_pull(std::uint32_t handle);
 
   // Copy-charging helpers: run `after` once the copy cost has been paid
-  // (CPU bottom half or I/OAT channel).
+  // (CPU bottom half or I/OAT channel). `after` runs after an arbitrary
+  // queueing delay, so callers pass it through guarded(); wrapping the
+  // closure before type erasure keeps it inline in the UniqueFunction.
   void charge_rx_copy(std::size_t bytes, sim::UniqueFunction after);
 
   // Frame assembly/transmission. `priority` is BH for packet-driven sends
@@ -383,6 +407,8 @@ class Endpoint {
   // allocating. Pools are declared before the tables that hold their nodes.
   mem::ObjectPool<SendRequest> send_pool_;
   mem::ObjectPool<PullState> pull_pool_;
+  mem::ObjectPool<RecvRequest> recv_pool_;
+  mem::ObjectPool<InboundMsg> inbound_pool_;
 
   sim::FlatMap<RegionId, std::unique_ptr<Region>> regions_;
   RegionId next_region_ = 1;
@@ -390,14 +416,18 @@ class Endpoint {
   sim::FlatMap<std::uint32_t, mem::ObjectPool<SendRequest>::Ptr> sends_;
   std::uint32_t next_send_seq_ = 1;
 
-  std::list<RecvRequest> posted_;
+  // Posted receives and inbound messages, each in arrival order (MPI
+  // matching order) over pooled nodes: erasing a lease keeps the order, and
+  // the vectors keep their capacity, so steady traffic does not allocate.
+  std::vector<mem::ObjectPool<RecvRequest>::Ptr> posted_;
   std::uint64_t next_recv_id_ = 1;
-  std::list<InboundMsg> inbound_;  // unmatched or in-progress inbound msgs
+  std::vector<InboundPtr> inbound_;  // unmatched or in-progress inbound msgs
+  std::uint32_t next_inbound_id_ = 1;
   sim::FlatMap<std::uint32_t, mem::ObjectPool<PullState>::Ptr> pulls_;
   std::uint32_t next_pull_handle_ = 1;
 
   sim::HashSet completed_;
-  std::deque<std::uint64_t> completed_fifo_;
+  sim::Ring<std::uint64_t> completed_fifo_;
   sim::FlatSet<std::uint64_t> pending_pull_retries_;  // sender fast-retry polls
 };
 

@@ -20,25 +20,44 @@ Library::Library(Endpoint& ep)
 
 Library::~Library() = default;
 
-std::size_t Library::total_length(
-    const std::vector<Segment>& segments) noexcept {
+namespace {
+
+/// Process-wide: harnesses keep requests past the Library that issued them.
+mem::ObjectPool<Request>& request_pool() {
+  // pinlint: allow(D3: leaked on purpose, like net::frame_buffers(); requests
+  // held in objects with static storage may be dropped after a function-local
+  // pool would be destroyed)
+  static auto* const pool = new mem::ObjectPool<Request>;
+  return *pool;
+}
+
+}  // namespace
+
+std::size_t Library::total_length(std::span<const Segment> segments) noexcept {
   std::size_t total = 0;
   for (const Segment& s : segments) total += s.len;
   return total;
 }
 
-void Library::submit_send(Request* r, EndpointAddr dest, std::uint64_t match,
-                          std::vector<Segment> segments,
-                          bool blocking_hint) {
+RequestPtr Library::submit_send(EndpointAddr dest, std::uint64_t match,
+                                SegmentList segments, bool blocking_hint) {
+  // The watchdog already declared this node dead: fail fast in the caller's
+  // context instead of spending the whole retry budget against silence.
+  if (ep_.driver().peer_dead(dest.node)) throw PeerDeadError(dest.node);
+  RequestPtr req = request_pool().acquire();
+  Request* r = req.get();
+  r->gate_.reset(&eng_);
+  r->kind_ = Request::Kind::kSend;
+  r->dest_ = dest;
+  r->match_ = match;
+  r->segments_ = std::move(segments);
+  r->blocking_hint_ = blocking_hint;
   const auto& proto = ep_.driver().config().protocol;
   cpu::Core& core = ep_.process_core();
-  const std::size_t total = total_length(segments);
-  r->kind_ = Request::Kind::kSend;
 
-  if (total <= proto.eager_threshold) {
+  if (total_length(r->segments_) <= proto.eager_threshold) {
     core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                [this, alive = std::weak_ptr<void>(alive_), dest, match,
-                 segs = std::move(segments), r]() mutable {
+                [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
                   if (r->cancel_requested_) {
                     r->complete(Status{false, false, 0});
@@ -46,136 +65,131 @@ void Library::submit_send(Request* r, EndpointAddr dest, std::uint64_t match,
                   }
                   r->submitted_ = true;
                   r->send_seq_ = ep_.isend_eager(
-                      dest, match, std::move(segs),
+                      r->dest_, r->match_, r->segments_,
                       [r](Status st) { r->complete(st); });
                 });
-    return;
+    return req;
   }
 
   // User-space region-cache lookup, then the send ioctl.
   core.submit(
       cpu::Priority::kUser, kCacheLookupCost,
-      [this, alive = std::weak_ptr<void>(alive_), dest, match,
-       segs = std::move(segments), total, r, &core, &proto,
-       blocking_hint]() mutable {
+      [this, alive = std::weak_ptr<void>(alive_), r] {
         if (alive.expired()) return;  // library died mid-queue
         if (r->cancel_requested_) {
           r->complete(Status{false, false, 0});
           return;
         }
-        const RegionId rid = cache_.acquire(segs);
-        r->region_ = rid;
-        core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                    [this, alive, dest, match, rid, total, r, blocking_hint] {
-                      if (alive.expired()) return;
-                      if (r->cancel_requested_) {
-                        cache_.release(rid);
-                        r->complete(Status{false, false, 0});
-                        return;
-                      }
-                      r->submitted_ = true;
-                      r->send_seq_ = ep_.isend_rndv(
-                          dest, match, rid, total,
-                          [this, r](Status st) {
-                            cache_.release(r->region_);
-                            r->complete(st);
-                          },
-                          blocking_hint);
-                    });
+        r->region_ = cache_.acquire(r->segments_);
+        ep_.process_core().submit(
+            cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
+            [this, alive, r] {
+              if (alive.expired()) return;
+              if (r->cancel_requested_) {
+                cache_.release(r->region_);
+                r->complete(Status{false, false, 0});
+                return;
+              }
+              r->submitted_ = true;
+              r->send_seq_ = ep_.isend_rndv(
+                  r->dest_, r->match_, r->region_,
+                  total_length(r->segments_),
+                  [this, r](Status st) {
+                    cache_.release(r->region_);
+                    r->complete(st);
+                  },
+                  r->blocking_hint_);
+            });
       });
+  return req;
 }
 
-void Library::submit_recv(Request* r, std::uint64_t match, std::uint64_t mask,
-                          std::vector<Segment> segments,
-                          bool blocking_hint) {
+RequestPtr Library::submit_recv(std::uint64_t match, std::uint64_t mask,
+                                SegmentList segments, bool blocking_hint) {
+  RequestPtr req = request_pool().acquire();
+  Request* r = req.get();
+  r->gate_.reset(&eng_);
+  r->kind_ = Request::Kind::kRecv;
+  r->match_ = match;
+  r->mask_ = mask;
+  r->segments_ = std::move(segments);
+  r->blocking_hint_ = blocking_hint;
   const auto& proto = ep_.driver().config().protocol;
   cpu::Core& core = ep_.process_core();
-  const std::size_t total = total_length(segments);
-  r->kind_ = Request::Kind::kRecv;
 
-  if (total <= proto.eager_threshold) {
+  if (total_length(r->segments_) <= proto.eager_threshold) {
     core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                [this, alive = std::weak_ptr<void>(alive_), match, mask,
-                 segs = std::move(segments), r]() mutable {
+                [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
                   if (r->cancel_requested_) {
                     r->complete(Status{false, false, 0});
                     return;
                   }
                   r->submitted_ = true;
-                  r->recv_id_ =
-                      ep_.irecv(match, mask, std::move(segs), kInvalidRegion,
-                                [r](Status st) { r->complete(st); });
+                  r->recv_id_ = ep_.irecv(
+                      r->match_, r->mask_, std::move(r->segments_),
+                      kInvalidRegion, [r](Status st) { r->complete(st); });
                 });
-    return;
+    return req;
   }
 
   core.submit(
       cpu::Priority::kUser, kCacheLookupCost,
-      [this, alive = std::weak_ptr<void>(alive_), match, mask,
-       segs = std::move(segments), r, &core, &proto,
-       blocking_hint]() mutable {
+      [this, alive = std::weak_ptr<void>(alive_), r] {
         if (alive.expired()) return;  // library died mid-queue
         if (r->cancel_requested_) {
           r->complete(Status{false, false, 0});
           return;
         }
-        const RegionId rid = cache_.acquire(segs);
-        r->region_ = rid;
-        core.submit(cpu::Priority::kKernel, proto.syscall_cost,
-                    [this, alive, match, mask, segs = std::move(segs), rid, r,
-                     blocking_hint]() mutable {
-                      if (alive.expired()) return;
-                      if (r->cancel_requested_) {
-                        cache_.release(rid);
-                        r->complete(Status{false, false, 0});
-                        return;
-                      }
-                      r->submitted_ = true;
-                      r->recv_id_ = ep_.irecv(
-                          match, mask, std::move(segs), rid,
-                          [this, r](Status st) {
-                            cache_.release(r->region_);
-                            r->complete(st);
-                          },
-                          blocking_hint);
-                    });
+        r->region_ = cache_.acquire(r->segments_);
+        ep_.process_core().submit(
+            cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
+            [this, alive, r] {
+              if (alive.expired()) return;
+              if (r->cancel_requested_) {
+                cache_.release(r->region_);
+                r->complete(Status{false, false, 0});
+                return;
+              }
+              r->submitted_ = true;
+              r->recv_id_ = ep_.irecv(
+                  r->match_, r->mask_, std::move(r->segments_), r->region_,
+                  [this, r](Status st) {
+                    cache_.release(r->region_);
+                    r->complete(st);
+                  },
+                  r->blocking_hint_);
+            });
       });
+  return req;
 }
 
 RequestPtr Library::isend(EndpointAddr dest, std::uint64_t match,
                           mem::VirtAddr buf, std::size_t len,
                           bool blocking_hint) {
-  std::vector<Segment> segs;
+  SegmentList segs;
   if (len > 0) segs.push_back(Segment{buf, len});
-  return isendv(dest, match, std::move(segs), blocking_hint);
+  return submit_send(dest, match, std::move(segs), blocking_hint);
 }
 
 RequestPtr Library::isendv(EndpointAddr dest, std::uint64_t match,
                            std::vector<Segment> segments,
                            bool blocking_hint) {
-  // The watchdog already declared this node dead: fail fast in the caller's
-  // context instead of spending the whole retry budget against silence.
-  if (ep_.driver().peer_dead(dest.node)) throw PeerDeadError(dest.node);
-  auto req = std::make_unique<Request>(eng_);
-  submit_send(req.get(), dest, match, std::move(segments), blocking_hint);
-  return req;
+  return submit_send(dest, match, std::move(segments), blocking_hint);
 }
 
 RequestPtr Library::irecv(std::uint64_t match, std::uint64_t mask,
                           mem::VirtAddr buf, std::size_t len,
                           bool blocking_hint) {
-  std::vector<Segment> segs;
+  SegmentList segs;
   if (len > 0) segs.push_back(Segment{buf, len});
-  return irecvv(match, mask, std::move(segs), blocking_hint);
+  return submit_recv(match, mask, std::move(segs), blocking_hint);
 }
 
 RequestPtr Library::irecvv(std::uint64_t match, std::uint64_t mask,
                            std::vector<Segment> segments,
                            bool blocking_hint) {
-  auto req = std::make_unique<Request>(eng_);
-  submit_recv(req.get(), match, mask, std::move(segments), blocking_hint);
-  return req;
+  return submit_recv(match, mask, std::move(segments), blocking_hint);
 }
 
 bool Library::cancel(Request& req) {

@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/endpoint.hpp"
 #include "core/region_cache.hpp"
+#include "mem/pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -28,17 +30,42 @@ class PeerDeadError : public std::runtime_error {
 
 /// A user-visible communication request. The owner keeps it alive until it
 /// completes; coroutines `co_await req->wait()`.
+///
+/// Requests come from one process-wide pool (harnesses keep them past the
+/// Library that issued them), and dropping a RequestPtr recycles the node.
+/// The request also carries its own submission arguments, so the closures
+/// queued behind the syscall cost hold just a pointer to it.
 class Request {
  public:
-  explicit Request(sim::Engine& eng) : gate_(eng) {}
-
   [[nodiscard]] auto wait() { return gate_.wait(); }
   [[nodiscard]] bool completed() const noexcept { return completed_; }
   [[nodiscard]] const Status& status() const noexcept { return status_; }
 
  private:
   friend class Library;
+  friend class mem::ObjectPool<Request>;
   enum class Kind { kSend, kRecv };
+
+  /// Back to the unsubmitted state, keeping the gate's and the segment
+  /// list's capacity (ObjectPool contract).
+  void reset() {
+    gate_.reset(nullptr);
+    SegmentList segs = std::move(segments_);
+    segs.clear();
+    status_ = Status{};
+    completed_ = false;
+    region_ = kInvalidRegion;
+    kind_ = Kind::kSend;
+    submitted_ = false;
+    cancel_requested_ = false;
+    send_seq_ = 0;
+    recv_id_ = 0;
+    dest_ = EndpointAddr{};
+    match_ = 0;
+    mask_ = 0;
+    segments_ = std::move(segs);
+    blocking_hint_ = false;
+  }
 
   void complete(Status st) {
     if (completed_) return;
@@ -56,9 +83,15 @@ class Request {
   bool cancel_requested_ = false;  // cancel arrived pre-submission
   std::uint32_t send_seq_ = 0;
   std::uint64_t recv_id_ = 0;
+  // Submission arguments, consumed when the syscall cost has been paid.
+  EndpointAddr dest_;
+  std::uint64_t match_ = 0;
+  std::uint64_t mask_ = 0;
+  SegmentList segments_;
+  bool blocking_hint_ = false;
 };
 
-using RequestPtr = std::unique_ptr<Request>;
+using RequestPtr = mem::ObjectPool<Request>::Ptr;
 
 /// The user-space Open-MX library (paper Figure 4): manages the region cache
 /// and translates application send/recv calls into endpoint ioctls. It knows
@@ -117,12 +150,14 @@ class Library {
   static constexpr sim::Time kCacheLookupCost = 200;
 
   [[nodiscard]] static std::size_t total_length(
-      const std::vector<Segment>& segments) noexcept;
+      std::span<const Segment> segments) noexcept;
 
-  void submit_send(Request* r, EndpointAddr dest, std::uint64_t match,
-                   std::vector<Segment> segments, bool blocking_hint);
-  void submit_recv(Request* r, std::uint64_t match, std::uint64_t mask,
-                   std::vector<Segment> segments, bool blocking_hint);
+  [[nodiscard]] RequestPtr submit_send(EndpointAddr dest, std::uint64_t match,
+                                       SegmentList segments,
+                                       bool blocking_hint);
+  [[nodiscard]] RequestPtr submit_recv(std::uint64_t match, std::uint64_t mask,
+                                       SegmentList segments,
+                                       bool blocking_hint);
 
   /// Liveness token for submission closures queued on the process core: a
   /// process killed with submissions still queued (crash injection) must not

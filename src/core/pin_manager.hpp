@@ -107,6 +107,10 @@ class PinManager : public mem::PinArbiter::TenantOps {
     bool active = false;
     int retries = 0;        // consecutive zero-progress chunk attempts
     int inval_restarts = 0; // notifier invalidations absorbed by this job
+
+    void reset() {
+      mem::reset_keeping(*this, &PinJob::full_waiters, &PinJob::early_waiters);
+    }
   };
 
   /// Everything the manager knows about one region, keyed by the region's
@@ -125,6 +129,13 @@ class PinManager : public mem::PinArbiter::TenantOps {
                               // LRU shedder and the MMU-notifier path
     bool was_pinned = false;  // pinned at least once (repin counting)
     PinJob job;
+
+    void reset() {
+      PinJob kept = std::move(job);
+      kept.reset();
+      *this = Tracked{};
+      job = std::move(kept);
+    }
   };
 
   /// The tracked entry for `r`, created on first use (a region pinned

@@ -7,6 +7,7 @@
 
 #include "mem/address_space.hpp"
 #include "mem/types.hpp"
+#include "sim/small_vector.hpp"
 
 namespace pinsim::core {
 
@@ -20,6 +21,10 @@ struct Segment {
 
   friend bool operator==(const Segment&, const Segment&) = default;
 };
+
+/// A message's (possibly vectorial) user buffer. Almost every message names
+/// one contiguous buffer, held inline, so posting one allocates nothing.
+using SegmentList = sim::SmallVector<Segment, 1>;
 
 /// Driver-side state of a declared user region (paper §3.1).
 ///

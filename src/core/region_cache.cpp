@@ -25,13 +25,13 @@ RegionCache::RegionCache(CacheConfig cfg, DeclareFn declare,
 
 RegionCache::~RegionCache() { clear(); }
 
-RegionId RegionCache::acquire(const std::vector<Segment>& segments) {
+RegionId RegionCache::acquire(std::span<const Segment> segments) {
   if (segments.empty()) throw std::invalid_argument("empty segment list");
-  Key key{segments};
+  Key key{{segments.begin(), segments.end()}};
 
   if (!cfg_.enabled) {
     ++stats_.misses;
-    return declare_(segments);  // caller's release() undeclares
+    return declare_(key.segments);  // caller's release() undeclares
   }
 
   auto it = entries_.find(key);
@@ -47,7 +47,7 @@ RegionId RegionCache::acquire(const std::vector<Segment>& segments) {
   }
 
   ++stats_.misses;
-  const RegionId id = declare_(segments);
+  const RegionId id = declare_(key.segments);
   Entry e;
   e.id = id;
   e.uses = 1;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,7 +43,7 @@ class RegionCache {
 
   /// Returns the region id for `segments`, declaring on miss. The entry is
   /// marked in use until the matching release().
-  [[nodiscard]] RegionId acquire(const std::vector<Segment>& segments);
+  [[nodiscard]] RegionId acquire(std::span<const Segment> segments);
 
   /// Marks one use of `id` finished. Cache disabled: undeclares immediately.
   void release(RegionId id);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -38,7 +39,7 @@ class DataChunk {
   /// Wraps a whole buffer (offset 0). Implicit so `body.data = vector` at
   /// packet-crafting sites keeps working.
   DataChunk(std::vector<std::byte> bytes)  // NOLINT(google-explicit-constructor)
-      : backing_(std::move(bytes)), len_(backing_.size()) {}
+      : backing_(std::move(bytes)), len_(narrow(backing_.size())) {}
   /// `n` copies of `value` (vector's fill constructor, for packet crafting).
   DataChunk(std::size_t n, std::byte value) { assign(n, value); }
 
@@ -47,8 +48,8 @@ class DataChunk {
                                        std::size_t off, std::size_t len) {
     DataChunk c;
     c.backing_ = std::move(backing);
-    c.off_ = off;
-    c.len_ = len;
+    c.off_ = narrow(off);
+    c.len_ = narrow(len);
     return c;
   }
 
@@ -62,9 +63,9 @@ class DataChunk {
                                                std::size_t tail) {
     DataChunk c;
     c.backing_ = net::frame_buffers().acquire_for_overwrite(head + n + tail);
-    c.off_ = head;
-    c.len_ = n;
-    c.reserved_ = true;
+    c.off_ = narrow(head);
+    c.len_ = narrow(n);
+    c.reserved_ = 1;
     return c;
   }
 
@@ -85,7 +86,7 @@ class DataChunk {
     other.backing_.clear();
     other.off_ = 0;
     other.len_ = 0;
-    other.reserved_ = false;
+    other.reserved_ = 0;
   }
   DataChunk& operator=(DataChunk&& other) noexcept {
     if (this != &other) {
@@ -97,7 +98,7 @@ class DataChunk {
       other.backing_.clear();
       other.off_ = 0;
       other.len_ = 0;
-      other.reserved_ = false;
+      other.reserved_ = 0;
     }
     return *this;
   }
@@ -145,7 +146,7 @@ class DataChunk {
     backing_.clear();
     off_ = 0;
     len_ = 0;
-    reserved_ = false;
+    reserved_ = 0;
     return out;
   }
 
@@ -154,7 +155,7 @@ class DataChunk {
   void resize(std::size_t n) {
     compact();
     backing_.resize(n);
-    len_ = n;
+    len_ = narrow(n);
   }
 
   template <typename It>
@@ -171,7 +172,7 @@ class DataChunk {
     backing_ = net::frame_buffers().acquire(n);
     std::fill(backing_.begin(), backing_.end(), value);
     off_ = 0;
-    len_ = n;
+    len_ = narrow(n);
   }
 
   friend bool operator==(const DataChunk& a, const DataChunk& b) {
@@ -188,10 +189,10 @@ class DataChunk {
     recycle();
     backing_ = std::move(fresh);
     off_ = 0;
-    len_ = backing_.size();
+    len_ = narrow(backing_.size());
   }
   void compact() {
-    reserved_ = false;
+    reserved_ = 0;
     if (off_ == 0) {
       backing_.resize(len_);
       return;
@@ -209,14 +210,24 @@ class DataChunk {
     }
     off_ = 0;
     len_ = 0;
-    reserved_ = false;
+    reserved_ = 0;
+  }
+
+  /// The window fits 31 bits (a chunk is at most one eager message or one
+  /// frame), which keeps the chunk at 32 bytes, so a closure carrying one
+  /// still fits sim::UniqueFunction's inline buffer.
+  [[nodiscard]] static std::uint32_t narrow(std::size_t n) noexcept {
+    assert(n < (std::size_t{1} << 31) && "DataChunk window past 2 GiB");
+    return static_cast<std::uint32_t>(n);
   }
 
   std::vector<std::byte> backing_;
-  std::size_t off_ = 0;
-  std::size_t len_ = 0;
-  bool reserved_ = false;  // [0, off_) and the bytes past the window are room
+  std::uint32_t off_ = 0;
+  std::uint32_t len_ : 31 = 0;
+  // [0, off_) and the bytes past the window are room (for_overwrite only).
+  std::uint32_t reserved_ : 1 = 0;
 };
+static_assert(sizeof(DataChunk) <= 32, "DataChunk outgrew closure budgets");
 
 /// MXoE-like wire protocol. Packets are serialized to real bytes inside
 /// Ethernet frames (little-endian, bounds-checked decode), so protocol tests

@@ -8,13 +8,14 @@ Core::Core(sim::Engine& eng, std::string name)
     : eng_(eng), name_(std::move(name)) {}
 
 void Core::submit(Priority p, sim::Time duration, sim::UniqueFunction done) {
-  queues_[static_cast<std::size_t>(p)].push(Job{duration, std::move(done)});
+  queues_[static_cast<std::size_t>(p)].push_back(
+      Job{duration, std::move(done)});
   if (!running_) dispatch();
 }
 
 std::size_t Core::queued() const noexcept {
   std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size;
+  for (const auto& q : queues_) n += q.size();
   return n;
 }
 
@@ -34,8 +35,8 @@ constexpr const char* kPriorityLabel[] = {"bottom_half", "kernel", "user",
 void Core::dispatch() {
   for (std::size_t p = 0; p < queues_.size(); ++p) {
     auto& q = queues_[p];
-    if (q.size == 0) continue;
-    Job job = q.pop();
+    if (q.empty()) continue;
+    Job job = q.pop_front();
     running_ = true;
     ++stats_.jobs[p];
     stats_.busy[p] += job.duration;

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 #include "sim/unique_function.hpp"
 
@@ -63,7 +63,7 @@ class Core {
   [[nodiscard]] bool busy() const noexcept { return running_; }
   [[nodiscard]] std::size_t queued() const noexcept;
   [[nodiscard]] std::size_t queued_at(Priority p) const noexcept {
-    return queues_[static_cast<std::size_t>(p)].size;
+    return queues_[static_cast<std::size_t>(p)].size();
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -78,40 +78,15 @@ class Core {
     sim::UniqueFunction done;
   };
 
-  /// FIFO ring of jobs. The buffer doubles when full and never shrinks, so
-  /// a core that has seen its peak backlog queues without allocating.
-  struct JobQueue {
-    std::vector<Job> buf;  // power-of-two size, or empty
-    std::size_t head = 0;
-    std::size_t size = 0;
-
-    void push(Job job) {
-      if (size == buf.size()) {
-        std::vector<Job> grown(buf.empty() ? 4 : buf.size() * 2);
-        for (std::size_t i = 0; i < size; ++i) {
-          grown[i] = std::move(buf[(head + i) & (buf.size() - 1)]);
-        }
-        buf = std::move(grown);
-        head = 0;
-      }
-      buf[(head + size) & (buf.size() - 1)] = std::move(job);
-      ++size;
-    }
-    Job pop() {
-      Job job = std::move(buf[head]);
-      head = (head + 1) & (buf.size() - 1);
-      --size;
-      return job;
-    }
-  };
-
   void dispatch();
   /// Completes the running job: the engine event dispatch() scheduled.
   void finish();
 
   sim::Engine& eng_;
   std::string name_;
-  std::array<JobQueue, kPriorityCount> queues_;
+  /// One FIFO ring per priority; a core that has seen its peak backlog
+  /// queues without allocating.
+  std::array<sim::Ring<Job>, kPriorityCount> queues_;
   /// The running job's completion, kept here so the scheduled event is a
   /// bare `this` capture that fits UniqueFunction's inline buffer.
   sim::UniqueFunction current_;

@@ -28,8 +28,7 @@ void Nic::pump_tx() {
     return;
   }
   tx_busy_ = true;
-  Frame frame = std::move(tx_queue_.front());
-  tx_queue_.pop_front();
+  Frame frame = tx_queue_.pop_front();
   const sim::Time wire = fabric_.serialization_time(frame.wire_bytes());
   ++stats_.tx_frames;
   stats_.tx_bytes += frame.payload.size();

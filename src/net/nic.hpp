@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "cpu/core.hpp"
 #include "net/fabric.hpp"
 #include "net/frame.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace pinsim::net {
@@ -92,7 +92,7 @@ class Nic {
   NodeId node_;
   RxHandler rx_handler_;
   RxCoreSelector rx_select_;
-  std::deque<Frame> tx_queue_;
+  sim::Ring<Frame> tx_queue_;
   bool tx_busy_ = false;
   sim::Engine::EventId tx_done_{};  // in-flight egress serialization
   std::size_t rx_inflight_ = 0;  // frames in the rx ring awaiting BH

@@ -36,8 +36,7 @@ bool SwitchPort::offer(Frame frame) {
 
 void SwitchPort::pump() {
   if (busy_ || queue_.empty()) return;
-  Frame frame = std::move(queue_.front());
-  queue_.pop_front();
+  Frame frame = queue_.pop_front();
   busy_ = true;
   const sim::Time wire = serialization_time(frame.wire_bytes());
   stats_.busy += wire;

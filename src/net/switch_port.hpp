@@ -2,11 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/frame.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace pinsim::net {
@@ -72,7 +72,7 @@ class SwitchPort {
   sim::Engine& eng_;
   Config cfg_;
   DrainHandler drain_;
-  std::deque<Frame> queue_;  // waiting frames; the in-service one is popped
+  sim::Ring<Frame> queue_;  // waiting frames; the in-service one is popped
   bool busy_ = false;
   Stats stats_;
 };

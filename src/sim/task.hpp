@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -27,6 +30,72 @@ class Task;
 
 namespace detail {
 
+/// Process-wide recycler for coroutine frames: a harness that awaits each
+/// request in a coroutine creates a frame (plus a spawn() runner) per
+/// message. Freed frames are filed by size in 64-byte classes up to 1 KiB
+/// and handed out again LIFO, each free block's first word linking the
+/// list. Blocks are never returned to the heap, so retention is bounded by
+/// the peak number of live frames per class. Larger frames go straight to
+/// the heap. The lists are not synchronized: the simulator is
+/// single-threaded.
+class FrameRecycler {
+ public:
+  static void* allocate(std::size_t n) {
+    const std::size_t c = class_of(n);
+    if (c >= kClasses) {
+      // pinlint: allow(D3: frame larger than every recycled class)
+      return ::operator new(n);
+    }
+    Block*& head = free_lists()[c];
+    if (head == nullptr) {
+      // pinlint: allow(D3: first use of a frame-recycler block; it is
+      // recycled, never freed)
+      return ::operator new((c + 1) * kGrain);
+    }
+    Block* b = head;
+    head = b->next;
+    return b;
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    const std::size_t c = class_of(n);
+    if (c >= kClasses) {
+      // pinlint: allow(D3: matching delete for a frame past every class)
+      ::operator delete(p);
+      return;
+    }
+    Block*& head = free_lists()[c];
+    // pinlint: allow(D3: placement new threading a freed frame onto its list)
+    head = ::new (p) Block{head};
+  }
+
+ private:
+  struct Block {
+    Block* next;
+  };
+  static constexpr std::size_t kGrain = 64;
+  static constexpr std::size_t kClasses = 16;  // frames up to 1 KiB
+
+  [[nodiscard]] static constexpr std::size_t class_of(std::size_t n) noexcept {
+    return n == 0 ? 0 : (n - 1) / kGrain;
+  }
+  static std::array<Block*, kClasses>& free_lists() noexcept {
+    static std::array<Block*, kClasses> lists{};
+    return lists;
+  }
+};
+
+/// Frame allocation for every promise type below: the frame of a coroutine
+/// whose promise derives from this comes from the FrameRecycler.
+struct RecycledFrame {
+  static void* operator new(std::size_t n) {
+    return FrameRecycler::allocate(n);
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FrameRecycler::deallocate(p, n);
+  }
+};
+
 struct FinalAwaiter {
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   template <typename Promise>
@@ -38,7 +107,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct PromiseBase : RecycledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 
@@ -175,7 +244,7 @@ namespace detail {
 /// Self-destroying root coroutine used by spawn(). Uncaught exceptions from
 /// the spawned task are reported to the engine.
 struct Detached {
-  struct promise_type {
+  struct promise_type : RecycledFrame {
     Detached get_return_object() noexcept {
       return Detached{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -231,9 +300,13 @@ struct DelayAwaiter {
 
 /// One-shot broadcast event: waiters suspend until open() is called; waiting
 /// on an already-open gate does not suspend. Resumptions go through the event
-/// queue at the current time (never synchronously inside open()).
+/// queue at the current time (never synchronously inside open()), in arrival
+/// order. The first waiter is held inline: a request's gate almost always
+/// has exactly one, so waiting on it does not allocate.
 class Gate {
  public:
+  /// An unbound gate; reset() it onto an engine before anyone waits.
+  Gate() = default;
   explicit Gate(Engine& eng) : eng_(&eng) {}
   Gate(const Gate&) = delete;
   Gate& operator=(const Gate&) = delete;
@@ -241,20 +314,32 @@ class Gate {
   void open() {
     if (open_) return;
     open_ = true;
-    for (auto h : waiters_) {
-      eng_->schedule_after(0, [h] { h.resume(); }, {"sim", "gate"});
-    }
-    waiters_.clear();
+    if (first_) resume_later(std::exchange(first_, {}));
+    for (auto h : rest_) resume_later(h);
+    rest_.clear();
   }
 
   [[nodiscard]] bool is_open() const noexcept { return open_; }
+
+  /// Closes the gate again, forgets its waiters and binds it to `eng` (a
+  /// recycled gate keeps the capacity of its overflow list).
+  void reset(Engine* eng) noexcept {
+    eng_ = eng;
+    open_ = false;
+    first_ = {};
+    rest_.clear();
+  }
 
   [[nodiscard]] auto wait() {
     struct Awaiter {
       Gate& g;
       [[nodiscard]] bool await_ready() const noexcept { return g.open_; }
       void await_suspend(std::coroutine_handle<> h) {
-        g.waiters_.push_back(h);
+        if (!g.first_) {
+          g.first_ = h;
+        } else {
+          g.rest_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -262,9 +347,14 @@ class Gate {
   }
 
  private:
-  Engine* eng_;
+  void resume_later(std::coroutine_handle<> h) {
+    eng_->schedule_after(0, [h] { h.resume(); }, {"sim", "gate"});
+  }
+
+  Engine* eng_ = nullptr;
   bool open_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;             // the earliest waiter
+  std::vector<std::coroutine_handle<>> rest_;  // later ones, in order
 };
 
 /// Countdown latch: wait() releases once count_down() has been called

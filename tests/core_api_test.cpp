@@ -361,5 +361,57 @@ TEST(NoPinMode, SurvivesSwapPressureMidStream) {
   EXPECT_GT(daemon_a.total_reclaimed() + daemon_b.total_reclaimed(), 0u);
 }
 
+// Posted receives are matched in posting order and arrived messages in
+// arrival order, whatever mix of exact and wildcard (mask 0) receives.
+TEST(MatchingOrder, MixedWildcardAndExactReceivesKeepPostingOrder) {
+  Rig rig(overlapped_cache_config(), 1024);
+  const mem::VirtAddr src = rig.pa->heap.malloc(64);
+  const auto send = [&](std::uint64_t match, std::uint8_t tag) {
+    rig.pa->as.write(src, std::vector<std::byte>(8, std::byte{tag}));
+    auto req = rig.pa->lib.isend(rig.pb->addr(), match, src, 8);
+    rig.drain();
+    EXPECT_TRUE(req->completed());
+  };
+  const auto tag_of = [&](mem::VirtAddr buf) {
+    std::vector<std::byte> got(8);
+    rig.pb->as.read(buf, got);
+    return static_cast<int>(got[0]);
+  };
+
+  // Expected: exact 0x5, wildcard, exact 0x5, wildcard are posted, then
+  // 0x5, 0x7, 0x5, 0x9 arrive. Each takes the oldest receive that accepts
+  // it: 0x5 -> #0, 0x7 -> #1, 0x5 -> #2, 0x9 -> #3.
+  const std::uint64_t masks[] = {kAll, 0, kAll, 0};
+  std::vector<mem::VirtAddr> dst;
+  std::vector<RequestPtr> recvs;
+  for (std::uint64_t mask : masks) {
+    dst.push_back(rig.pb->heap.malloc(64));
+    recvs.push_back(rig.pb->lib.irecv(0x5, mask, dst.back(), 64));
+  }
+  rig.drain();
+  const std::uint64_t sent[] = {0x5, 0x7, 0x5, 0x9};
+  for (std::uint8_t i = 0; i < 4; ++i) send(sent[i], i + 1);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(recvs[i]->completed());
+    EXPECT_EQ(tag_of(dst[i]), i + 1) << "receive " << i;
+  }
+
+  // Unexpected: 0x7, 0x5, 0x9 arrive first. An exact 0x5 takes its
+  // message; each wildcard then takes the oldest one left.
+  send(0x7, 11);
+  send(0x5, 12);
+  send(0x9, 13);
+  recvs.clear();
+  const std::uint64_t later_masks[] = {kAll, 0, 0};
+  for (int i = 0; i < 3; ++i) {
+    recvs.push_back(rig.pb->lib.irecv(0x5, later_masks[i], dst[i], 64));
+    rig.drain();
+    ASSERT_TRUE(recvs.back()->completed());
+  }
+  EXPECT_EQ(tag_of(dst[0]), 12);
+  EXPECT_EQ(tag_of(dst[1]), 11);
+  EXPECT_EQ(tag_of(dst[2]), 13);
+}
+
 }  // namespace
 }  // namespace pinsim::core

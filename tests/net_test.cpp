@@ -178,6 +178,48 @@ TEST_F(TwoNodeFixture, ConcurrentSendersShareReceiverIngress) {
   EXPECT_LT(goodput, 1.25e9);
 }
 
+// Bursts of growing size, each sent while the previous one is still
+// serializing: the tx ring wraps with its head mid-buffer and grows there.
+TEST_F(TwoNodeFixture, TxRingStaysFifoAcrossWrapAndGrowth) {
+  std::vector<int> got;
+  nic_b.set_rx_handler(
+      [&](Frame&& f) { got.push_back(static_cast<int>(f.payload[0])); });
+  std::vector<int> sent;
+  for (int burst = 1; burst <= 6; ++burst) {
+    for (int i = 0; i < 3 * burst; ++i) {
+      Frame f = make_frame(1, 1000);
+      f.payload[0] = static_cast<std::byte>(sent.size());
+      sent.push_back(static_cast<int>(sent.size()));
+      ASSERT_TRUE(nic_a.send(std::move(f)));
+    }
+    eng.run_until(eng.now() + 2 * sim::kMicrosecond);  // ~2 frames leave
+  }
+  eng.run();
+  EXPECT_EQ(got, sent);
+}
+
+TEST(SwitchPortQueue, StaysFifoAcrossWrapAndGrowth) {
+  sim::Engine eng;
+  SwitchPort port(eng, SwitchPort::Config{10.0, 1000});
+  std::vector<int> got;
+  port.set_drain_handler([&](Frame&& f, sim::Time) {
+    got.push_back(static_cast<int>(f.payload[0]));
+  });
+  std::vector<int> sent;
+  for (int burst = 1; burst <= 6; ++burst) {
+    for (int i = 0; i < 3 * burst; ++i) {
+      Frame f = make_frame(1, 1000);
+      f.payload[0] = static_cast<std::byte>(sent.size());
+      sent.push_back(static_cast<int>(sent.size()));
+      ASSERT_TRUE(port.offer(std::move(f)));
+    }
+    eng.run_until(eng.now() + 2 * sim::kMicrosecond);  // ~2 frames drain
+    EXPECT_LT(got.size(), sent.size());  // a backlog carries over
+  }
+  eng.run();
+  EXPECT_EQ(got, sent);
+}
+
 TEST(FabricLoss, RandomDropsAreApplied) {
   sim::Engine eng;
   Fabric::Config cfg;

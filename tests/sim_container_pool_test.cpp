@@ -1,17 +1,22 @@
-// Standalone contract tests for the simulator's flat containers and the
-// protocol object pools: ordered iteration, duplicate-insert semantics, the
-// documented iterator/reference invalidation contract (and the
-// FlatMap-of-pool-Ptr pattern that survives it), and stable node addresses
-// across release/re-acquire cycles.
+// Standalone contract tests for the simulator's flat containers, rings and
+// small vectors, and the protocol object and buffer pools: ordered
+// iteration, duplicate-insert semantics, the documented iterator/reference
+// invalidation contract (and the FlatMap-of-pool-Ptr pattern that survives
+// it), FIFO order across wrap and growth, stable node addresses and kept
+// capacity across release/re-acquire cycles, and size-class filing.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "mem/pool.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/ring.hpp"
+#include "sim/small_vector.hpp"
 
 namespace pinsim {
 namespace {
@@ -151,6 +156,7 @@ TEST(ObjectPool, ReuseAfterReleaseKeepsStableAddressAndResetsState) {
   struct Req {
     int seq = -1;
     std::vector<int> segs;
+    void reset() { mem::reset_keeping(*this, &Req::segs); }
   };
   mem::ObjectPool<Req> pool;
 
@@ -189,6 +195,110 @@ TEST(ObjectPool, LeasedNodesSurviveFurtherGrowth) {
   EXPECT_EQ(pool.capacity(), 100u);
 }
 
+TEST(ObjectPool, ReleasedNodeKeepsInnerCapacity) {
+  struct Msg {
+    int seq = -1;
+    std::vector<int> frags;
+    void reset() {
+      seq = -1;
+      frags.clear();
+    }
+  };
+  mem::ObjectPool<Msg> pool;
+  auto a = pool.acquire();
+  a->seq = 7;
+  a->frags.assign(64, 1);
+  const int* storage = a->frags.data();
+  a.reset();
+
+  auto b = pool.acquire();
+  EXPECT_EQ(b->seq, -1);
+  EXPECT_TRUE(b->frags.empty());
+  EXPECT_GE(b->frags.capacity(), 64u);  // the lease reuses the storage
+  b->frags.assign(64, 2);
+  EXPECT_EQ(b->frags.data(), storage);
+}
+
+TEST(ObjectPool, ResetKeepingClearsListedMembersAndDefaultsTheRest) {
+  struct Node {
+    int id = 3;
+    std::vector<int> kept;
+    std::vector<int> dropped;
+  };
+  Node n;
+  n.id = 9;
+  n.kept.assign(32, 1);
+  n.dropped.assign(32, 1);
+  mem::reset_keeping(n, &Node::kept);
+  EXPECT_EQ(n.id, 3);
+  EXPECT_TRUE(n.kept.empty());
+  EXPECT_GE(n.kept.capacity(), 32u);
+  EXPECT_TRUE(n.dropped.empty());
+}
+
+// --- Ring --------------------------------------------------------------------
+
+TEST(Ring, FifoAcrossWrapAndGrowthAgainstADeque) {
+  sim::Ring<int> ring;
+  std::deque<int> ref;
+  int next = 0;
+  std::size_t cap = 0;
+  // Push k, pop k/2 for growing k: the head walks around the buffer, and
+  // every growth happens with it mid-buffer.
+  for (int k = 1; k <= 40; ++k) {
+    for (int i = 0; i < k; ++i) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    }
+    for (int i = 0; i < k / 2; ++i) {
+      ASSERT_EQ(ring.pop_front(), ref.front());
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    EXPECT_GE(ring.capacity(), cap);  // never shrinks
+    cap = ring.capacity();
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(ring.pop_front(), ref.front());
+    ref.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+  ring.push_back(1);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+}
+
+// --- SmallVector -------------------------------------------------------------
+
+TEST(SmallVector, SpillsPastInlineCapacityAndKeepsItAcrossClear) {
+  sim::SmallVector<int, 2> v;
+  v.push_back(1);
+  v.push_back(2);
+  EXPECT_EQ(v.size(), 2u);
+  v.push_back(3);  // spills every element to the heap
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), (std::vector<int>{1, 2, 3}));
+  const int* spilled = v.data();
+  v.clear();
+  v.push_back(4);  // back inline
+  EXPECT_NE(v.data(), spilled);
+  v.push_back(5);
+  v.push_back(6);  // spills into the kept buffer
+  EXPECT_EQ(v.data(), spilled);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), (std::vector<int>{4, 5, 6}));
+
+  sim::SmallVector<int, 2> moved = std::move(v);
+  EXPECT_EQ(std::vector<int>(moved.begin(), moved.end()),
+            (std::vector<int>{4, 5, 6}));
+  EXPECT_TRUE(v.empty());  // NOLINT(bugprone-use-after-move)
+
+  const sim::SmallVector<int, 2> adopted(std::vector<int>{7, 8, 9});
+  EXPECT_EQ(std::vector<int>(adopted.begin(), adopted.end()),
+            (std::vector<int>{7, 8, 9}));
+  const sim::SmallVector<int, 2> inline_one(std::vector<int>{7});
+  EXPECT_EQ(inline_one.size(), 1u);
+}
+
 // --- BufferPool --------------------------------------------------------------
 
 TEST(BufferPool, RecyclesCapacityWithoutLeakingStaleBytes) {
@@ -223,6 +333,82 @@ TEST(BufferPool, AcquireForOverwriteReusesCapacityWithoutZeroing) {
 
   auto fresh = pool.acquire_for_overwrite(64);  // empty pool: new buffer
   EXPECT_EQ(fresh.size(), 64u);
+}
+
+TEST(BufferPool, NeverHandsOutABufferSmallerThanRequested) {
+  mem::BufferPool pool;
+  std::map<const std::byte*, std::size_t> retired;  // data -> capacity
+  const auto retire = [&](std::vector<std::byte>&& buf) {
+    retired[buf.data()] = buf.capacity();
+    pool.release(std::move(buf));
+  };
+  // Assorted capacities, several per class and some either side of a
+  // class bound.
+  for (std::size_t cap : {64u, 65u, 100u, 2048u, 2073u, 2304u, 2305u, 8221u,
+                          9000u, 9216u, 30000u, 65536u, 100000u}) {
+    std::vector<std::byte> buf;
+    buf.reserve(cap);
+    retire(std::move(buf));
+  }
+  for (std::size_t n = 0; n <= 70000; n += 97) {
+    const std::size_t before = pool.retained();
+    std::vector<std::byte> buf = pool.acquire_for_overwrite(n);
+    ASSERT_EQ(buf.size(), n);
+    if (pool.retained() < before) {
+      // A recycled buffer: it already held n bytes, so it was not grown.
+      ASSERT_EQ(retired.count(buf.data()), 1u) << n;
+      ASSERT_GE(retired[buf.data()], n);
+      ASSERT_EQ(buf.capacity(), retired[buf.data()]);
+    }
+    retire(std::move(buf));
+  }
+}
+
+TEST(BufferPool, FilesByUsableCapacity) {
+  mem::BufferPool pool;
+  const auto retire = [&pool](std::size_t cap) {
+    std::vector<std::byte> buf;
+    buf.reserve(cap);
+    const std::byte* at = buf.data();
+    pool.release(std::move(buf));
+    return at;
+  };
+  // A control frame, an eager fragment and a full pull reply, retired in
+  // the order that a single LIFO stack would hand out wrongly.
+  const std::byte* control = retire(64);
+  const std::byte* fragment = retire(2304);
+  const std::byte* reply = retire(9216);
+  EXPECT_EQ(pool.acquire_for_overwrite(30).data(), control);
+  EXPECT_EQ(pool.acquire_for_overwrite(2073).data(), fragment);
+  EXPECT_EQ(pool.acquire_for_overwrite(8221).data(), reply);
+  EXPECT_EQ(pool.retained(), 0u);
+
+  // One byte past a buffer's capacity skips it, for the next class up.
+  const std::byte* small = retire(2048);
+  const std::byte* big = retire(2304);
+  EXPECT_EQ(pool.acquire_for_overwrite(2049).data(), big);
+  EXPECT_EQ(pool.acquire_for_overwrite(2048).data(), small);
+
+  // A fresh buffer files back where the same request finds it.
+  for (std::size_t n : {30u, 100u, 2073u, 8221u, 32768u}) {
+    std::vector<std::byte> fresh = pool.acquire_for_overwrite(n);
+    const std::byte* at = fresh.data();
+    const std::size_t cap = fresh.capacity();
+    EXPECT_LE(cap, n + n / 16 + 64);  // at most one class of slack
+    pool.release(std::move(fresh));
+    std::vector<std::byte> again = pool.acquire_for_overwrite(n);
+    EXPECT_EQ(again.data(), at) << n;
+    EXPECT_EQ(again.capacity(), cap) << n;
+  }
+
+  // Even beside a smaller buffer retired into the same class afterwards: a
+  // 2 kB eager staging copy and a 2 kB fragment's frame share an octave.
+  std::vector<std::byte> frame = pool.acquire_for_overwrite(2073);
+  std::vector<std::byte> staging = pool.acquire_for_overwrite(2048);
+  const std::byte* frame_at = frame.data();
+  pool.release(std::move(frame));
+  pool.release(std::move(staging));
+  EXPECT_EQ(pool.acquire_for_overwrite(2073).data(), frame_at);
 }
 
 TEST(BufferPool, EmptyBuffersAreNotRetained) {

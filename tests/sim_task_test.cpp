@@ -147,6 +147,56 @@ TEST(Gate, DoubleOpenIsIdempotent) {
   EXPECT_TRUE(gate.is_open());
 }
 
+class GateOrder : public ::testing::TestWithParam<int> {};
+
+// The first waiter sits inline and later ones in an overflow list; open()
+// must still resume them in the order they arrived, which here differs
+// from their spawn order.
+TEST_P(GateOrder, ResumesWaitersInArrivalOrder) {
+  const int n = GetParam();
+  Engine eng;
+  Gate gate(eng);
+  std::vector<int> arrived, woke;
+  for (int i = 0; i < n; ++i) {
+    const Time arrive = static_cast<Time>((i * 37) % n + 1);
+    spawn(eng, [](Engine& e, Gate& g, Time at, int id, std::vector<int>& in,
+                  std::vector<int>& out) -> Task<void> {
+      co_await delay(e, at);
+      in.push_back(id);
+      co_await g.wait();
+      out.push_back(id);
+    }(eng, gate, arrive, i, arrived, woke));
+  }
+  eng.run_until(1000);
+  ASSERT_EQ(arrived.size(), static_cast<std::size_t>(n));
+  EXPECT_TRUE(woke.empty());
+  gate.open();
+  eng.run();
+  EXPECT_EQ(woke, arrived);
+}
+
+INSTANTIATE_TEST_SUITE_P(Waiters, GateOrder, ::testing::Values(1, 2, 100));
+
+TEST(Gate, ResetClosesTheGateAgain) {
+  Engine eng;
+  Gate gate(eng);
+  gate.open();
+  gate.reset(&eng);
+  EXPECT_FALSE(gate.is_open());
+  std::vector<int> woke;
+  for (int i = 0; i < 2; ++i) {
+    spawn(eng, [](Gate& g, std::vector<int>& log, int id) -> Task<void> {
+      co_await g.wait();
+      log.push_back(id);
+    }(gate, woke, i));
+  }
+  eng.run();
+  EXPECT_TRUE(woke.empty());
+  gate.open();
+  eng.run();
+  EXPECT_EQ(woke, (std::vector<int>{0, 1}));
+}
+
 TEST(Latch, ReleasesAfterCountDowns) {
   Engine eng;
   Latch latch(eng, 3);
