@@ -81,14 +81,14 @@ struct Cluster {
 /// Minimal CLI: --cpu=<model>, --quick and --csv are shared by all benches.
 /// --trace-out=<prefix> turns on the observability rig: Chrome traces land
 /// at <prefix>*.trace.json and the machine-readable run report at
-/// <prefix>.report.json.
+/// <prefix>.report.json. An unknown argument prints the usage and exits 2.
 struct Options {
   const cpu::CpuModel* cpu = &cpu::xeon_e5460();
   bool quick = false;
   bool csv = false;  // machine-readable rows for plotting
   std::string trace_out;  // empty = observability rig off
 
-  static Options parse(int argc, char** argv) {
+  static Options parse(int argc, char** argv, const char* usage = nullptr) {
     Options o;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -100,23 +100,43 @@ struct Options {
         o.csv = true;
       } else if (arg.rfind("--trace-out=", 0) == 0) {
         o.trace_out = arg.substr(12);
-      } else if (arg == "--help" || arg == "-h") {
-        std::printf("options: --cpu=<%s> --quick --csv --trace-out=<prefix>\n",
-                    [] {
-                      std::string s;
-                      for (const auto& m : cpu::all_cpu_models()) {
-                        if (!s.empty()) s += "|";
-                        s += m.name;
-                      }
-                      return s;
-                    }()
-                        .c_str());
-        std::exit(0);
+      } else {
+        const bool help = arg == "--help" || arg == "-h";
+        std::FILE* out = help ? stdout : stderr;
+        if (!help) std::fprintf(out, "unknown argument: %s\n", arg.c_str());
+        if (usage != nullptr) std::fprintf(out, "%s\n", usage);
+        std::fprintf(out,
+                     "options: --cpu=<%s> --quick --csv --trace-out=<prefix>\n",
+                     [] {
+                       std::string s;
+                       for (const auto& m : cpu::all_cpu_models()) {
+                         if (!s.empty()) s += "|";
+                         s += m.name;
+                       }
+                       return s;
+                     }()
+                         .c_str());
+        std::exit(help ? 0 : 2);
       }
     }
     return o;
   }
 };
+
+/// Writes `body` plus a newline to `path`; returns false (with a warning) on
+/// I/O failure — a failed report dump must never fail the run.
+inline bool write_text(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "warning: cannot write run report %s\n",
+                 path.c_str());
+    return false;
+  }
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
+  return true;
+}
 
 /// Observability rig for one Cluster run: invariant checker, latency
 /// recorder, critical-path analyzer, metrics sampler and flight recorder
@@ -131,10 +151,11 @@ struct Options {
 /// destructor aborts with a diagnostic while emitters are still registered
 /// (obs/bus.hpp).
 struct ObsRig {
-  explicit ObsRig(Cluster& c, const std::string& trace_path = std::string())
+  explicit ObsRig(Cluster& c, const std::string& trace_path = std::string(),
+                  const std::string& dumps = "flight")
       : cluster(&c),
         bus(c.eng),
-        flight(flight_config(trace_path)),
+        flight(flight_config(trace_path, dumps)),
         profiler(/*wall_clock=*/!trace_path.empty()) {
     bus.attach(&checker);
     bus.attach(&latency);
@@ -151,7 +172,8 @@ struct ObsRig {
     if (!trace_path.empty()) {
       chrome = std::make_unique<obs::ChromeTraceWriter>(trace_path);
       bus.attach(chrome.get());
-      flame_path = flight_config(trace_path).dump_prefix + ".flame.json";
+      flame_path =
+          flight_config(trace_path, dumps).dump_prefix + ".flame.json";
       // Wall-clock throughput is measured only on instrumented runs: the
       // determinism suite byte-compares json_report() output, and a wall
       // clock in that path would make the report machine-dependent.
@@ -276,20 +298,9 @@ struct ObsRig {
   /// Meaningful after `finish()`; safe to print any time.
   [[nodiscard]] std::string digest() const { return critical_path.digest(); }
 
-  /// Writes `json_report()` to `path`; returns false (with a warning) on
-  /// I/O failure — a failed report dump must never fail the run.
+  /// Writes `json_report()` to `path` (see write_text).
   bool write_report(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write run report %s\n",
-                   path.c_str());
-      return false;
-    }
-    const std::string body = json_report();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
+    return write_text(path, json_report());
   }
 
   Cluster* cluster;
@@ -313,10 +324,11 @@ struct ObsRig {
 
  private:
   /// Flight dumps land next to the Chrome trace: "<tag>.trace.json" yields
-  /// "<tag>-<n>.flight.json"; untraced runs use the cwd "flight" prefix.
+  /// "<tag>-<n>.flight.json"; untraced runs use the `dumps` prefix.
   static obs::FlightRecorder::Config flight_config(
-      const std::string& trace_path) {
+      const std::string& trace_path, const std::string& dumps) {
     obs::FlightRecorder::Config fc;
+    fc.dump_prefix = dumps;
     if (!trace_path.empty()) {
       const std::string suffix = ".trace.json";
       fc.dump_prefix =

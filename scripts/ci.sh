@@ -8,7 +8,7 @@
 # files when those tools exist).
 #
 #   scripts/ci.sh           # default + asan tiers (default includes pinlint)
-#   scripts/ci.sh --soak    # ... plus the full chaos/pressure/crash soaks
+#   scripts/ci.sh --soak    # ... plus the full-length soaks, all four suites
 #   scripts/ci.sh --perf    # ... plus the perf gate (needs python3)
 #   scripts/ci.sh --lint    # ... plus the clang-format/clang-tidy sweep
 set -euo pipefail
@@ -179,7 +179,8 @@ perf_tier() {
   # Cluster soak: one report per stage (uniform / incast / composed), each
   # carrying the tenant_fairness digest the compare gate watches for
   # Jain-index drops.
-  ./build/bench/cluster_soak --quick --trace-out="${out}_cluster" > /dev/null
+  ./build/bench/soak cluster --quick --trace-out="${out}_cluster" \
+    > /dev/null
   python3 scripts/bench_compare.py collect --label ci --out build/BENCH_ci.json \
     fig6="${out}_fig6.report.json" \
     fig7="${out}_fig7.report.json" \
