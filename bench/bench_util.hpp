@@ -142,7 +142,9 @@ inline bool write_text(const std::string& path, const std::string& body) {
 /// recorder, critical-path analyzer, metrics sampler and flight recorder
 /// are always attached, and a dispatch profiler installs on the engine; a
 /// Chrome-trace writer joins (and the profiler starts capturing wall-clock
-/// self time) when `trace_path` is non-empty. Declare it AFTER the Cluster.
+/// self time) when `trace_path` is non-empty. The flight recorder dumps on
+/// aborts whose cause is not in `expected_aborts` (FlightRecorder::Config).
+/// Declare it AFTER the Cluster.
 ///
 /// Teardown order: endpoints emit pin-unpin events from their destructors,
 /// so the bus must outlive the hosts — `finish()` detaches everything first
@@ -152,10 +154,11 @@ inline bool write_text(const std::string& path, const std::string& body) {
 /// (obs/bus.hpp).
 struct ObsRig {
   explicit ObsRig(Cluster& c, const std::string& trace_path = std::string(),
-                  const std::string& dumps = "flight")
+                  const std::string& dumps = "flight",
+                  std::uint32_t expected_aborts = 0)
       : cluster(&c),
         bus(c.eng),
-        flight(flight_config(trace_path, dumps)),
+        flight(flight_config(trace_path, dumps, expected_aborts)),
         profiler(/*wall_clock=*/!trace_path.empty()) {
     bus.attach(&checker);
     bus.attach(&latency);
@@ -173,7 +176,7 @@ struct ObsRig {
       chrome = std::make_unique<obs::ChromeTraceWriter>(trace_path);
       bus.attach(chrome.get());
       flame_path =
-          flight_config(trace_path, dumps).dump_prefix + ".flame.json";
+          flight_config(trace_path, dumps, 0).dump_prefix + ".flame.json";
       // Wall-clock throughput is measured only on instrumented runs: the
       // determinism suite byte-compares json_report() output, and a wall
       // clock in that path would make the report machine-dependent.
@@ -326,9 +329,11 @@ struct ObsRig {
   /// Flight dumps land next to the Chrome trace: "<tag>.trace.json" yields
   /// "<tag>-<n>.flight.json"; untraced runs use the `dumps` prefix.
   static obs::FlightRecorder::Config flight_config(
-      const std::string& trace_path, const std::string& dumps) {
+      const std::string& trace_path, const std::string& dumps,
+      std::uint32_t expected_aborts) {
     obs::FlightRecorder::Config fc;
     fc.dump_prefix = dumps;
+    fc.expected_aborts = expected_aborts;
     if (!trace_path.empty()) {
       const std::string suffix = ".trace.json";
       fc.dump_prefix =

@@ -22,6 +22,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <list>
 #include <memory>
@@ -47,6 +48,27 @@ constexpr std::size_t kEndpoints = 16 * kPerHost;  // rack topology
 constexpr std::size_t kEager = 2048;
 constexpr std::size_t kRendezvous = 64 * 1024;
 constexpr sim::Time kSlice = 20 * sim::kMicrosecond;  // pump time step
+
+using Cause = core::AbortCause;
+
+/// A set of abort causes, one bit per cause code (FlightRecorder::Config).
+constexpr std::uint32_t causes(std::initializer_list<Cause> cs) {
+  std::uint32_t bits = 0;
+  for (const Cause c : cs) bits |= 1u << static_cast<unsigned>(c);
+  return bits;
+}
+
+// What a stage's faults may end a request in; any other cause fails it.
+// A killed process fails its own requests; its peers fail theirs on the
+// watchdog's verdict or the epoch change, and the pumps cancel the rest.
+constexpr std::uint32_t kCrashes = causes({Cause::kCrash, Cause::kPeerDead,
+                                           Cause::kPeerRestarted,
+                                           Cause::kCancelled});
+// 16 tenants per host on a 160-page quota: pulls stall on regions that
+// cannot pin, senders run out of retries, each side aborts the other
+// (ROADMAP item 2 is to make this set empty).
+constexpr std::uint32_t kContendedQuota = causes(
+    {Cause::kRetryBudget, Cause::kPinStarved, Cause::kRemoteAbort});
 
 std::vector<std::byte> pattern(std::size_t n, std::uint32_t salt) {
   std::vector<std::byte> v(n);
@@ -76,6 +98,7 @@ struct Stage {
   std::array<std::size_t, 2> crashes{};    // {quick, full}; 0: no lifecycle
   double flap = 0.0, nic_reset = 0.0;      // per-crash collateral chances
   bool show_report = false;                // print rank 0's report
+  std::uint32_t expect = 0;  // abort causes it may end in; others fail it
 };
 
 /// Sums over the first run of every stage, for the suite predicates.
@@ -149,12 +172,48 @@ core::Counters sum_counters(Run& r) {
     for (std::size_t i = 0; i < h->process_count(); ++i) {
       if (!h->process_alive(i)) continue;
       const core::Counters& c = h->process(i).lib.counters();
-#define PINSIM_SUM(section, member, label, doc) t.member += c.member;
-      PINSIM_COUNTERS(PINSIM_SUM)
-#undef PINSIM_SUM
+      for (const core::CounterRow& row : core::kCounterRows) {
+        t.*row.member += c.*row.member;
+      }
     }
   }
   return t;
+}
+
+/// Fails the run on an abort whose cause the stage does not expect and on
+/// an endpoint whose per-cause counters do not sum to its aborts; prints
+/// the stage's non-zero causes.
+void check_aborts(Run& r) {
+  const auto by_cause = [](const core::Counters& c) {
+    std::uint64_t n = 0;
+    for (const core::AbortCauseRow& row : core::kAbortCauseRows) {
+      if (row.counter != nullptr) n += c.*row.counter;
+    }
+    return n;
+  };
+  for (auto& h : r.c->hosts) {
+    for (std::size_t i = 0; i < h->process_count(); ++i) {
+      if (!h->process_alive(i)) continue;
+      const core::Counters& c = h->process(i).lib.counters();
+      if (by_cause(c) != c.aborts) {
+        fail(r.failures, "endpoint %u: causes sum to %llu, aborts=%llu",
+             static_cast<unsigned>(h->process(i).ep.id()), ull(by_cause(c)),
+             ull(c.aborts));
+      }
+    }
+  }
+  const core::Counters t = sum_counters(r);
+  std::string seen;
+  for (std::size_t k = 1; k < std::size(core::kAbortCauseRows); ++k) {
+    const core::AbortCauseRow& row = core::kAbortCauseRows[k];
+    if (t.*row.counter == 0) continue;
+    seen += std::string(" ") + row.name + "=" +
+            std::to_string(t.*row.counter);
+    if ((r.st.expect >> k & 1u) == 0) {
+      fail(r.failures, "unexpected abort cause %s", row.name);
+    }
+  }
+  say(r, "  aborts:%s\n", seen.empty() ? " none" : seen.c_str());
 }
 
 // --- MPI traffic (chaos, pressure) ------------------------------------------
@@ -321,6 +380,13 @@ void starvation_probe(Run& r) {
   transfer(1);
   const core::Counters& c = comm.process(1).lib.counters();
   if (st[0].ok || st[1].ok) fail(r.failures, "starved transfer succeeded");
+  // The receiver's pin job fails and its pull aborts; the ABORT fails the
+  // send.
+  if (st[0].cause != Cause::kRemoteAbort || st[1].cause != Cause::kPinFailed) {
+    fail(r.failures, "starved transfer ended in send %s / recv %s",
+         core::abort_cause_name(st[0].cause),
+         core::abort_cause_name(st[1].cause));
+  }
   if (c.pins_denied == 0 || c.pin_retry_exhausted == 0) {
     fail(r.failures, "starvation not visible in counters");
   }
@@ -751,7 +817,8 @@ std::vector<Stage> pressure_stages() {
             {.pin_fail = 0.02, .sweep = 0.8, .sweep_pages = 16,
              .migrate = 0.5, .cow = 0.4}),
       {.label = "starvation probe (receiver quota 0)",
-       .drive = starvation_probe, .part = "probe"},
+       .drive = starvation_probe, .part = "probe",
+       .expect = causes({Cause::kPinFailed, Cause::kRemoteAbort})},
   };
 }
 
@@ -763,7 +830,7 @@ std::vector<Stage> crash_stages() {
                  .press_hosts = pressed ? std::vector<std::size_t>{1}
                                         : std::vector<std::size_t>{},
                  .victims = {1}, .crashes = {30, 100}, .flap = flap,
-                 .nic_reset = nic_reset};
+                 .nic_reset = nic_reset, .expect = kCrashes};
   };
   return {stage("crash/restart only", 0.0, false, 0.0, 0.0),
           stage("crashes + 2% frame loss", 0.02, false, 0.0, 0.0),
@@ -775,14 +842,18 @@ std::vector<Stage> crash_stages() {
 std::vector<Stage> cluster_stages() {
   return {
       {.label = "uniform pairwise, intra+cross rack (256 endpoints)",
-       .drive = uniform, .rounds = {50, 1200}, .racks = true},
+       .drive = uniform, .rounds = {50, 1200}, .racks = true,
+       .expect = kContendedQuota},
       // A shallow hub downlink queue, so 240-into-1 must overflow it.
       {.label = "incast: 240 tenants into one hub (256 endpoints)",
        .drive = incast, .rounds = {50, 500}, .racks = true, .queue = 16},
       {.label = "composed: 1% loss + pressure + crash/restart (256 endpoints)",
        .drive = uniform, .rounds = {40, 500}, .racks = true,
        .faults = {.loss = 0.01}, .pressure = {.pin_fail = 0.03},
-       .press_hosts = {1}, .victims = {1, 9}, .crashes = {8, 40}},
+       .press_hosts = {1}, .victims = {1, 9}, .crashes = {8, 40},
+       // Injected pin failures, and pulls from a sender killed mid-transfer.
+       .expect = kContendedQuota | kCrashes |
+                 causes({Cause::kPinFailed, Cause::kPullStall})},
   };
 }
 
@@ -902,7 +973,7 @@ Result run_stage(const Suite& su, const Stage& st, const bench::Options& opt,
     }
   }
   r.obs = std::make_unique<bench::ObsRig>(
-      *r.c, traced ? name + ".trace.json" : "", name);
+      *r.c, traced ? name + ".trace.json" : "", name, st.expect);
   r.c->fabric->faults().set_plan(st.faults);
   for (std::size_t i = 0; i < st.press_hosts.size(); ++i) {
     core::Host& h = *r.c->hosts[st.press_hosts[i]];
@@ -953,6 +1024,7 @@ Result run_stage(const Suite& su, const Stage& st, const bench::Options& opt,
   }
 
   st.drive(r);
+  check_aborts(r);
   if (st.show_report && loud && r.mismatches + r.failed == 0) {
     std::printf("\n--- run report, rank 0 (stage: %s) ---\n%s\n", st.label,
                 core::format_report(r.c->comm->process(0), *r.c->hosts[0])

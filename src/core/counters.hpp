@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#include "obs/event.hpp"
 
 namespace pinsim::core {
 
@@ -83,6 +86,41 @@ namespace pinsim::core {
   X("tenant", tenant_floor_protected, "floor_protected",                     \
     "times the fair-share floor shielded this tenant's pins")
 
+/// The abort-cause table: why a request ended ok=false, one row per cause,
+/// `X(enumerator, name, tells_peer, doc)`:
+///  - enumerator: the `AbortCause` value; its code is the row's position
+///    plus one (0 is kNone, the cause of every ok completion);
+///  - name:       `abort_cause_name`, the label of its report counter
+///    (`abort_<name>` in JSON) and of its kSendAbort/kRecvAbort event;
+///  - tells_peer: the abort starts here while the peer still waits, so a
+///    peer that knows the request gets an ABORT (Endpoint::abort_send and
+///    abort_pull decide from this and the request's state);
+///  - doc:        when it happens.
+/// `AbortCause`, its name, one counter per cause and the two reports'
+/// per-cause rows are generated from this list.
+#define PINSIM_ABORT_CAUSES(X)                                               \
+  X(kRetryBudget, retry_budget, true, "the send retransmit budget ran out")  \
+  X(kPinFailed, pin_failed, true, "the region's pin job failed")             \
+  X(kPullStall, pull_stall, true,                                            \
+    "the pull made no progress for its stall budget")                        \
+  X(kPinStarved, pin_starved, true,                                          \
+    "a pull stall while the receive region is still pinning")                \
+  X(kNoRegion, no_region, true, "the matched receive has no region")         \
+  X(kBadAddress, bad_address, true, "the eager copy_from_user faulted")      \
+  X(kRemoteAbort, remote_abort, false, "the peer sent ABORT")                \
+  X(kPeerDead, peer_dead, false, "the watchdog declared the peer dead")      \
+  X(kPeerRestarted, peer_restarted, false,                                   \
+    "the peer's epoch changed or its slot closed")                           \
+  X(kCrash, crash, false, "this process was killed")                         \
+  X(kCancelled, cancelled, true, "the user cancelled the request")
+
+enum class AbortCause : std::uint8_t {
+  kNone,
+#define PINSIM_ABORT_ENUM(cause, name, tells_peer, doc) cause,
+  PINSIM_ABORT_CAUSES(PINSIM_ABORT_ENUM)
+#undef PINSIM_ABORT_ENUM
+};
+
 /// Per-endpoint instrumentation, one member per `PINSIM_COUNTERS` row. The
 /// §4.3 overlap-miss probability and the retransmission behaviour reported
 /// in the paper are computed from these. Memory-pressure runs pass when
@@ -95,6 +133,11 @@ struct Counters {
   std::uint64_t member = 0;
   PINSIM_COUNTERS(PINSIM_COUNTER_MEMBER)
 #undef PINSIM_COUNTER_MEMBER
+  // One per abort cause; they sum to `aborts`.
+#define PINSIM_ABORT_MEMBER(cause, name, tells_peer, doc) \
+  std::uint64_t abort_##name = 0;
+  PINSIM_ABORT_CAUSES(PINSIM_ABORT_MEMBER)
+#undef PINSIM_ABORT_MEMBER
 
   /// §4.3's headline metric: fraction of packet-driven region accesses that
   /// found their page not pinned yet.
@@ -114,11 +157,45 @@ struct CounterRow {
   std::uint64_t Counters::*member;
 };
 
+/// Every `PINSIM_COUNTERS` row, then one "abort causes" row per cause.
 inline constexpr CounterRow kCounterRows[] = {
 #define PINSIM_COUNTER_ROW(section, member, label, doc) \
   {section, #member, label, &Counters::member},
     PINSIM_COUNTERS(PINSIM_COUNTER_ROW)
 #undef PINSIM_COUNTER_ROW
+#define PINSIM_ABORT_ROW(cause, name, tells_peer, doc) \
+  {"abort causes", "abort_" #name, #name, &Counters::abort_##name},
+    PINSIM_ABORT_CAUSES(PINSIM_ABORT_ROW)
+#undef PINSIM_ABORT_ROW
 };
+
+/// One generated row of the abort-cause table, indexed by cause code.
+struct AbortCauseRow {
+  const char* name;
+  bool tells_peer;
+  std::uint64_t Counters::*counter;  // null for kNone
+};
+
+inline constexpr AbortCauseRow kAbortCauseRows[] = {
+    {"none", false, nullptr},
+#define PINSIM_ABORT_CAUSE_ROW(cause, name, tells_peer, doc) \
+  {#name, tells_peer, &Counters::abort_##name},
+    PINSIM_ABORT_CAUSES(PINSIM_ABORT_CAUSE_ROW)
+#undef PINSIM_ABORT_CAUSE_ROW
+};
+
+[[nodiscard]] constexpr const AbortCauseRow& abort_cause_row(
+    AbortCause c) noexcept {
+  return kAbortCauseRows[static_cast<std::size_t>(c)];
+}
+
+[[nodiscard]] constexpr const char* abort_cause_name(AbortCause c) noexcept {
+  return abort_cause_row(c).name;
+}
+
+/// The obs layer sits below core (pinlint D9) and cannot see this table;
+/// the one code it must know is peer_dead, which a kLifePeerDead counts as.
+static_assert(static_cast<std::uint8_t>(AbortCause::kPeerDead) ==
+              obs::kPeerDeadCause);
 
 }  // namespace pinsim::core

@@ -169,7 +169,7 @@ void Driver::on_peer_status(net::NodeId peer, bool alive) {
   for (auto& slot : endpoints_) {
     if (slot == nullptr) continue;
     ++slot->counters().heartbeat_timeouts;
-    slot->fail_requests_to(peer);
+    slot->fail_requests_to(peer, -1, AbortCause::kPeerDead);
   }
 }
 

@@ -89,7 +89,7 @@ class Driver {
   /// Wires a node-liveness watchdog into the rx path: heartbeat frames are
   /// intercepted before wire decode, the per-slot epoch table rides in the
   /// announcement blob, and a peer that misses the threshold has every
-  /// outstanding request to it failed with Status::peer_dead.
+  /// outstanding request to it failed with cause peer_dead.
   void attach_watchdog(net::Watchdog& wd);
   [[nodiscard]] net::Watchdog* watchdog() noexcept { return watchdog_; }
 

@@ -52,34 +52,22 @@ Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
     // Abort every in-flight request still using this region. The tables
     // iterate in ascending seq order (flat maps), which is the order the
     // abort packets and their event emissions must leave in for replays to
-    // be bit-exact; collect the keys first because fail_send/destroy_pull
-    // erase entries mid-walk.
+    // be bit-exact; collect the keys first because the exits erase entries
+    // mid-walk.
     std::vector<std::uint32_t> dead_sends;
     for (auto& [seq, req] : sends_) {
       if (!req->eager && req->region == r.id()) dead_sends.push_back(seq);
     }
-    for (std::uint32_t seq : dead_sends) fail_send(seq, /*send_abort=*/true);
+    for (std::uint32_t seq : dead_sends) {
+      abort_send(seq, AbortCause::kPinFailed);
+    }
 
     std::vector<std::uint32_t> dead_pulls;
     for (auto& [handle, ps] : pulls_) {
       if (ps->region == &r && !ps->done) dead_pulls.push_back(handle);
     }
     for (std::uint32_t handle : dead_pulls) {
-      auto it = pulls_.find(handle);
-      if (it == pulls_.end()) continue;  // torn down by an earlier abort
-      PullState& ps = *it->second;
-      ++counters_.aborts;
-      send_packet({ps.peer_node, ps.peer_ep}, AbortBody{ps.sender_seq},
-                  cpu::Priority::kKernel);
-      ps.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = handle;
-      e.offset = ps.sender_seq;
-      e.peer = ps.peer_node;
-      e.peer_ep = ps.peer_ep;
-      obs_emit(e);
-      complete_recv(ps.recv, Status{false, false, 0});
-      destroy_pull(handle);
+      abort_pull(handle, AbortCause::kPinFailed);
     }
   });
 }
@@ -175,23 +163,7 @@ std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
   req.match = match;
   req.eager = true;
   req.done = std::move(done);
-  // Gather the (possibly vectorial) user data into the kernel staging copy,
-  // a byte-pool buffer that goes back to the pool with the request.
-  std::size_t total = 0;
-  for (const Segment& s : segments) total += s.len;
-  req.eager_data = net::frame_buffers().acquire_for_overwrite(total);
-  try {
-    std::size_t off = 0;
-    for (const Segment& s : segments) {
-      as_.read(s.addr, std::span<std::byte>(req.eager_data.data() + off,
-                                            s.len));  // copy_from_user
-      off += s.len;
-    }
-  } catch (const mem::InvalidAddressError&) {
-    req.done(Status{false, false, 0});
-    return seq;
-  }
-  req.len = total;
+  for (const Segment& s : segments) req.len += s.len;
   const std::size_t len = req.len;
   ++counters_.eager_sent;
   {
@@ -202,7 +174,22 @@ std::uint32_t Endpoint::isend_eager(EndpointAddr dest, std::uint64_t match,
     e.len = len;
     obs_emit(e);
   }
+  // Posted before the copy, so a fault fails a send the observers know.
   sends_.emplace(seq, std::move(node));
+  // Gather the (possibly vectorial) user data into the kernel staging copy,
+  // a byte-pool buffer that goes back to the pool with the request.
+  req.eager_data = net::frame_buffers().acquire_for_overwrite(len);
+  try {
+    std::size_t off = 0;
+    for (const Segment& s : segments) {
+      as_.read(s.addr, std::span<std::byte>(req.eager_data.data() + off,
+                                            s.len));  // copy_from_user
+      off += s.len;
+    }
+  } catch (const mem::InvalidAddressError&) {
+    abort_send(seq, AbortCause::kBadAddress);
+    return seq;
+  }
   // The kernel-side copy into frames costs CPU on the submitting core.
   process_core_.submit(cpu::Priority::kKernel, driver_.cpu().copy_cost(len),
                        guarded([this, seq] {
@@ -274,10 +261,10 @@ std::uint32_t Endpoint::isend_rndv(EndpointAddr dest, std::uint64_t match,
     auto it = sends_.find(seq);
     if (it == sends_.end()) return;  // already failed/aborted
     if (!ok) {
-      fail_send(seq, /*send_abort=*/it->second->rndv_sent);
-      return;
+      abort_send(seq, AbortCause::kPinFailed);
+    } else if (!it->second->rndv_sent) {
+      send_rndv_frame(*it->second);
     }
-    if (!it->second->rndv_sent) send_rndv_frame(*it->second);
   }));
   return seq;
 }
@@ -324,7 +311,7 @@ void Endpoint::arm_send_rto(SendRequest& req) {
           // Budget exhausted: give up gracefully instead of hammering a
           // peer that is clearly not answering.
           ++counters_.retry_exhausted;
-          fail_send(seq, /*send_abort=*/!r.eager && r.rndv_sent);
+          abort_send(seq, AbortCause::kRetryBudget);
           return;
         }
         if (r.eager) {
@@ -338,7 +325,7 @@ void Endpoint::arm_send_rto(SendRequest& req) {
       {"core", "send_rto"});
 }
 
-void Endpoint::fail_send(std::uint32_t seq, bool send_abort, bool peer_dead) {
+void Endpoint::abort_send(std::uint32_t seq, AbortCause cause) {
   auto it = sends_.find(seq);
   if (it == sends_.end()) return;
   // Move the pooled node out before erasing: the entry must be gone before
@@ -348,64 +335,75 @@ void Endpoint::fail_send(std::uint32_t seq, bool send_abort, bool peer_dead) {
   SendRequest& req = *node;
   driver_.engine().cancel(req.rto);
   ++counters_.aborts;
+  ++(counters_.*abort_cause_row(cause).counter);
   {
     obs::Event e = ev(obs::EventKind::kSendAbort);
     e.seq = seq;
     e.peer = req.dest.node;
     e.peer_ep = req.dest.ep;
+    e.len = static_cast<std::uint64_t>(cause);
+    e.label = abort_cause_name(cause);
     obs_emit(e);
   }
-  if (send_abort) {
+  if (abort_cause_row(cause).tells_peer && req.rndv_sent) {
     send_packet(req.dest, AbortBody{seq}, cpu::Priority::kKernel);
   }
   if (!req.eager) {
     if (Region* r = find_region(req.region); r != nullptr) r->drop_use();
   }
-  req.done(Status{false, false, 0, peer_dead});
+  req.done(Status::aborted(cause));
 }
 
-void Endpoint::fail_pull(std::uint32_t handle, bool peer_dead) {
+void Endpoint::abort_pull(std::uint32_t handle, AbortCause cause) {
   auto it = pulls_.find(handle);
   if (it == pulls_.end()) return;
-  PullState& p = *it->second;
-  if (p.done) {
-    // Data already delivered and completed; only the NOTIFY handshake was
-    // still retransmitting. Just free the handle.
-    destroy_pull(handle);
-    return;
+  PullState& p = *it->second;  // pooled: stable across the completion
+  if (!p.done) {
+    if (abort_cause_row(cause).tells_peer) {
+      send_packet({p.peer_node, p.peer_ep}, AbortBody{p.sender_seq},
+                  cpu::Priority::kKernel);
+    }
+    if (p.region != nullptr) p.region->drop_use();
+    obs::Event e = ev(obs::EventKind::kRecvAbort);
+    e.seq = handle;
+    e.offset = p.sender_seq;
+    e.peer = p.peer_node;
+    e.peer_ep = p.peer_ep;
+    e.len = static_cast<std::uint64_t>(cause);
+    e.label = abort_cause_name(cause);
+    obs_emit(e);
+    abort_recv(p.recv, cause);
   }
-  ++counters_.aborts;
-  if (p.region != nullptr) p.region->drop_use();
-  obs::Event e = ev(obs::EventKind::kRecvAbort);
-  e.seq = handle;
-  e.offset = p.sender_seq;
-  e.peer = p.peer_node;
-  e.peer_ep = p.peer_ep;
-  obs_emit(e);
-  complete_recv(p.recv, Status{false, false, 0, peer_dead});
   destroy_pull(handle);
 }
 
+void Endpoint::abort_recv(const RecvRequest& recv, AbortCause cause) {
+  ++counters_.aborts;
+  ++(counters_.*abort_cause_row(cause).counter);
+  complete_recv(recv, Status::aborted(cause));
+}
+
 void Endpoint::fail_all_inflight() {
-  // Ascending-id walks with the keys collected first: fail_send/fail_pull
-  // erase entries and run user completions that may re-enter the tables.
+  // Ascending-id walks with the keys collected first: the exits erase
+  // entries and run user completions that may re-enter the tables.
   std::vector<std::uint32_t> seqs;
   for (const auto& [seq, req] : sends_) seqs.push_back(seq);
-  for (std::uint32_t seq : seqs) fail_send(seq, /*send_abort=*/false);
+  for (std::uint32_t seq : seqs) abort_send(seq, AbortCause::kCrash);
 
   std::vector<std::uint32_t> handles;
   for (const auto& [handle, ps] : pulls_) handles.push_back(handle);
-  for (std::uint32_t handle : handles) fail_pull(handle, /*peer_dead=*/false);
+  for (std::uint32_t handle : handles) abort_pull(handle, AbortCause::kCrash);
 
   while (!posted_.empty()) {
     auto recv = std::move(posted_.front());
     posted_.erase(posted_.begin());
-    complete_recv(*recv, Status{false, false, 0});
+    abort_recv(*recv, AbortCause::kCrash);
   }
   inbound_.clear();
 }
 
-void Endpoint::fail_requests_to(net::NodeId node, int peer_ep) {
+void Endpoint::fail_requests_to(net::NodeId node, int peer_ep,
+                                AbortCause cause) {
   std::vector<std::uint32_t> seqs;
   for (const auto& [seq, req] : sends_) {
     if (req->dest.node == node &&
@@ -413,9 +411,7 @@ void Endpoint::fail_requests_to(net::NodeId node, int peer_ep) {
       seqs.push_back(seq);
     }
   }
-  for (std::uint32_t seq : seqs) {
-    fail_send(seq, /*send_abort=*/false, /*peer_dead=*/true);
-  }
+  for (std::uint32_t seq : seqs) abort_send(seq, cause);
   std::vector<std::uint32_t> handles;
   for (const auto& [handle, ps] : pulls_) {
     if (ps->peer_node == node &&
@@ -423,11 +419,11 @@ void Endpoint::fail_requests_to(net::NodeId node, int peer_ep) {
       handles.push_back(handle);
     }
   }
-  for (std::uint32_t handle : handles) fail_pull(handle, /*peer_dead=*/true);
+  for (std::uint32_t handle : handles) abort_pull(handle, cause);
 }
 
 void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
-  fail_requests_to(node, peer_ep);
+  fail_requests_to(node, peer_ep, AbortCause::kPeerRestarted);
   // Reassembly records from the dead incarnation: unbound ones evaporate,
   // bound ones fail their receive. Each record leaves the list before its
   // completion runs, and the scan restarts after it: the completion may
@@ -440,7 +436,7 @@ void Endpoint::on_peer_restarted(net::NodeId node, std::uint8_t peer_ep) {
        it = std::find_if(inbound_.begin(), inbound_.end(), from_old)) {
     InboundPtr msg = std::move(*it);
     inbound_.erase(it);
-    if (msg->bound) complete_recv(msg->recv, Status{false, false, 0, true});
+    if (msg->bound) abort_recv(msg->recv, AbortCause::kPeerRestarted);
   }
   // Duplicate-suppression memory keyed by the old incarnation's seq space:
   // the new incarnation reuses seqs from 1, so stale "already completed"
@@ -512,7 +508,7 @@ bool Endpoint::cancel_recv(std::uint64_t recv_id) {
     if ((*it)->id != recv_id) continue;
     auto recv = std::move(*it);
     posted_.erase(it);
-    complete_recv(*recv, Status{false, false, 0});
+    abort_recv(*recv, AbortCause::kCancelled);
     return true;
   }
   return false;  // already matched (or completed): too late
@@ -521,7 +517,7 @@ bool Endpoint::cancel_recv(std::uint64_t recv_id) {
 bool Endpoint::cancel_send(std::uint32_t seq) {
   auto it = sends_.find(seq);
   if (it == sends_.end() || it->second->transmitted) return false;
-  fail_send(seq, /*send_abort=*/false);
+  abort_send(seq, AbortCause::kCancelled);
   return true;
 }
 
@@ -667,10 +663,12 @@ void Endpoint::finish_eager_inbound(InboundMsg& msg) {
         scatter_to_user(m->recv, 0,
                         std::span<const std::byte>(m->kernel_buffer.data(),
                                                    delivered));
+        ++counters_.eager_completed;
         complete_recv(m->recv, Status{true, trunc, delivered});
       }));
       return;
     }
+    ++counters_.eager_completed;
     complete_recv(done->recv, Status{true, trunc, delivered});
     return;
   }
@@ -712,7 +710,6 @@ Endpoint::InboundPtr Endpoint::take_inbound(InboundMsg& msg) {
 }
 
 void Endpoint::complete_recv(const RecvRequest& recv, Status st) {
-  ++counters_.eager_completed;
   if (recv.done) recv.done(st);
 }
 
@@ -788,11 +785,11 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
   const std::size_t wanted = std::min(rndv_msg.msg_len, recv.total_len);
   Region* region = find_region(recv.region);
   if (region == nullptr && wanted > 0) {
-    // No region to land the data in (severe posted-size mismatch): abort.
-    ++counters_.aborts;
+    // No region to land the data in (severe posted-size mismatch): refuse
+    // the RNDV at bottom-half priority; no pull exists to tear down.
     send_packet({rndv_msg.peer_node, rndv_msg.peer_ep},
                 AbortBody{rndv_msg.seq}, cpu::Priority::kBottomHalf);
-    complete_recv(recv, Status{false, true, 0});
+    abort_recv(recv, AbortCause::kNoRegion);
     return;
   }
 
@@ -844,23 +841,11 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
                       guarded([this, handle](bool ok) {
     auto it = pulls_.find(handle);
     if (it == pulls_.end()) return;
-    PullState& p = *it->second;
     if (!ok) {
-      ++counters_.aborts;
-      send_packet({p.peer_node, p.peer_ep}, AbortBody{p.sender_seq},
-                  cpu::Priority::kKernel);
-      p.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = handle;
-      e.offset = p.sender_seq;
-      e.peer = p.peer_node;
-      e.peer_ep = p.peer_ep;
-      obs_emit(e);
-      complete_recv(p.recv, Status{false, false, 0});
-      destroy_pull(handle);
-      return;
+      abort_pull(handle, AbortCause::kPinFailed);
+    } else if (!it->second->started) {
+      begin_pull_requests(*it->second);
     }
-    if (!p.started) begin_pull_requests(p);
   }));
 }
 
@@ -1274,19 +1259,11 @@ void Endpoint::arm_pull_rto(PullState& ps) {
           if (++p.stall_ticks > driver_.config().protocol.pull_stall_budget) {
             // The sender has been silent for the whole budget: stop holding
             // receiver state for it, tell it we gave up, fail the receive.
+            // Still pinning the landing region is the root cause then.
             ++counters_.retry_exhausted;
-            ++counters_.aborts;
-            send_packet({p.peer_node, p.peer_ep}, AbortBody{p.sender_seq},
-                        cpu::Priority::kKernel);
-            if (p.region != nullptr) p.region->drop_use();
-            obs::Event e = ev(obs::EventKind::kRecvAbort);
-            e.seq = handle;
-            e.offset = p.sender_seq;
-            e.peer = p.peer_node;
-            e.peer_ep = p.peer_ep;
-            obs_emit(e);
-            complete_recv(p.recv, Status{false, false, 0});
-            destroy_pull(handle);
+            abort_pull(handle, p.region->state() == Region::PinState::kPinning
+                                   ? AbortCause::kPinStarved
+                                   : AbortCause::kPullStall);
             return;
           }
           ++counters_.retransmit_timeouts;
@@ -1361,21 +1338,7 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
   for (auto& [handle, ps] : pulls_) {
     if (ps->peer_node == src && ps->peer_ep == src_ep &&
         ps->sender_seq == body.seq && !ps->done) {
-      // Copy the key and pin the pooled node: complete_recv runs a user
-      // completion that may insert into pulls_, shifting the flat map the
-      // structured bindings point into.
-      const std::uint32_t h = handle;
-      PullState& p = *ps;
-      ++counters_.aborts;
-      if (p.region != nullptr) p.region->drop_use();
-      obs::Event e = ev(obs::EventKind::kRecvAbort);
-      e.seq = h;
-      e.offset = p.sender_seq;
-      e.peer = src;
-      e.peer_ep = src_ep;
-      obs_emit(e);
-      complete_recv(p.recv, Status{false, false, 0});
-      destroy_pull(h);
+      abort_pull(handle, AbortCause::kRemoteAbort);
       return;
     }
   }
@@ -1391,7 +1354,7 @@ void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
   if (auto it = sends_.find(body.seq);
       it != sends_.end() && it->second->dest.node == src &&
       it->second->dest.ep == src_ep) {
-    fail_send(body.seq, /*send_abort=*/false);
+    abort_send(body.seq, AbortCause::kRemoteAbort);
   }
 }
 

@@ -42,7 +42,13 @@ struct Status {
   bool ok = true;
   bool truncated = false;
   std::size_t len = 0;  // bytes actually transferred
-  bool peer_dead = false;  // failed because the remote endpoint/node died
+  AbortCause cause = AbortCause::kNone;  // why it failed; kNone iff ok
+
+  /// A failed completion. A receive with no region to land a rendezvous in
+  /// failed because the message did not fit it, so it is also truncated.
+  [[nodiscard]] static Status aborted(AbortCause c) noexcept {
+    return Status{false, c == AbortCause::kNoRegion, 0, c};
+  }
 };
 
 using Completion = std::function<void(Status)>;
@@ -135,9 +141,9 @@ class Endpoint {
   void fail_all_inflight();
 
   /// Fails outstanding sends/pulls whose peer is `node` (all its endpoints
-  /// when `peer_ep` is negative) with Status::peer_dead. Driven by the
-  /// watchdog's missed-heartbeat verdict and by epoch-change detection.
-  void fail_requests_to(net::NodeId node, int peer_ep = -1);
+  /// when `peer_ep` is negative) with `cause`: peer_dead on the watchdog's
+  /// missed-heartbeat verdict, peer_restarted on an epoch change.
+  void fail_requests_to(net::NodeId node, int peer_ep, AbortCause cause);
 
   /// A remote endpoint was reincarnated (or closed): fail what is still
   /// outstanding to the old incarnation and flush its duplicate-suppression
@@ -285,15 +291,25 @@ class Endpoint {
 
   // Submission helpers.
   void transmit_eager(std::uint32_t seq);
-  void start_rndv(SendRequest& req);
   void send_rndv_frame(SendRequest& req);
   void arm_send_rto(SendRequest& req);
-  void fail_send(std::uint32_t seq, bool send_abort, bool peer_dead = false);
 
-  /// Aborts one in-progress pull locally: drops the region use, emits
-  /// kRecvAbort, completes the receive with ok=false, destroys the state.
-  /// Never sends an abort packet (callers that want one send it first).
-  void fail_pull(std::uint32_t handle, bool peer_dead);
+  // The abort exits: every ok=false completion of this endpoint leaves
+  // through abort_send or abort_recv, which count the abort under `cause`.
+  // An ABORT packet leaves when the cause tells the peer (counters.hpp) and
+  // the peer knows the request: a send whose RNDV went out, any pull.
+
+  /// Fails send `seq` (a no-op when it is gone): emits kSendAbort, sends
+  /// the ABORT if due, drops the region use, completes the request.
+  void abort_send(std::uint32_t seq, AbortCause cause);
+
+  /// Tears down pull `handle` (a no-op when it is gone): sends the ABORT if
+  /// due, drops the region use, emits kRecvAbort and fails its receive. A
+  /// pull whose data was already delivered only loses its NOTIFY handshake.
+  void abort_pull(std::uint32_t handle, AbortCause cause);
+
+  /// Fails one receive: counts the abort and completes it.
+  void abort_recv(const RecvRequest& recv, AbortCause cause);
 
   /// Exponential backoff: base retransmit timeout doubled per retry already
   /// burned, capped at `retransmit_backoff_max`.

@@ -59,10 +59,7 @@ RequestPtr Library::submit_send(EndpointAddr dest, std::uint64_t match,
     core.submit(cpu::Priority::kKernel, proto.syscall_cost,
                 [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
-                  if (r->cancel_requested_) {
-                    r->complete(Status{false, false, 0});
-                    return;
-                  }
+                  if (r->complete_if_cancelled()) return;
                   r->submitted_ = true;
                   r->send_seq_ = ep_.isend_eager(
                       r->dest_, r->match_, r->segments_,
@@ -76,20 +73,14 @@ RequestPtr Library::submit_send(EndpointAddr dest, std::uint64_t match,
       cpu::Priority::kUser, kCacheLookupCost,
       [this, alive = std::weak_ptr<void>(alive_), r] {
         if (alive.expired()) return;  // library died mid-queue
-        if (r->cancel_requested_) {
-          r->complete(Status{false, false, 0});
-          return;
-        }
+        if (r->complete_if_cancelled()) return;
         r->region_ = cache_.acquire(r->segments_);
         ep_.process_core().submit(
             cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
             [this, alive, r] {
               if (alive.expired()) return;
-              if (r->cancel_requested_) {
-                cache_.release(r->region_);
-                r->complete(Status{false, false, 0});
-                return;
-              }
+              if (r->cancel_requested_) cache_.release(r->region_);
+              if (r->complete_if_cancelled()) return;
               r->submitted_ = true;
               r->send_seq_ = ep_.isend_rndv(
                   r->dest_, r->match_, r->region_,
@@ -121,10 +112,7 @@ RequestPtr Library::submit_recv(std::uint64_t match, std::uint64_t mask,
     core.submit(cpu::Priority::kKernel, proto.syscall_cost,
                 [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
-                  if (r->cancel_requested_) {
-                    r->complete(Status{false, false, 0});
-                    return;
-                  }
+                  if (r->complete_if_cancelled()) return;
                   r->submitted_ = true;
                   r->recv_id_ = ep_.irecv(
                       r->match_, r->mask_, std::move(r->segments_),
@@ -137,20 +125,14 @@ RequestPtr Library::submit_recv(std::uint64_t match, std::uint64_t mask,
       cpu::Priority::kUser, kCacheLookupCost,
       [this, alive = std::weak_ptr<void>(alive_), r] {
         if (alive.expired()) return;  // library died mid-queue
-        if (r->cancel_requested_) {
-          r->complete(Status{false, false, 0});
-          return;
-        }
+        if (r->complete_if_cancelled()) return;
         r->region_ = cache_.acquire(r->segments_);
         ep_.process_core().submit(
             cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
             [this, alive, r] {
               if (alive.expired()) return;
-              if (r->cancel_requested_) {
-                cache_.release(r->region_);
-                r->complete(Status{false, false, 0});
-                return;
-              }
+              if (r->cancel_requested_) cache_.release(r->region_);
+              if (r->complete_if_cancelled()) return;
               r->submitted_ = true;
               r->recv_id_ = ep_.irecv(
                   r->match_, r->mask_, std::move(r->segments_), r->region_,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -68,10 +69,18 @@ class Request {
   }
 
   void complete(Status st) {
+    assert(st.ok == (st.cause == AbortCause::kNone));
     if (completed_) return;
     status_ = st;
     completed_ = true;
     gate_.open();
+  }
+
+  /// Completes a request whose cancel arrived while it was still queued
+  /// behind its syscall; true if it did.
+  bool complete_if_cancelled() {
+    if (cancel_requested_) complete(Status::aborted(AbortCause::kCancelled));
+    return cancel_requested_;
   }
 
   sim::Gate gate_;

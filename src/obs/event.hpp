@@ -17,11 +17,12 @@ enum class EventKind : std::uint8_t {
   kPktChecksumDrop,  // CRC mismatch, frame dropped
   kPktMalformed,     // undecodable frame dropped
 
-  // Send-side protocol lifecycle.
+  // Send-side protocol lifecycle. Both abort kinds carry the cause code
+  // (core::AbortCause) in `len` and its name in `label`.
   kEagerPost,   // eager send posted (seq, len)
   kRndvPost,    // rendezvous send posted (seq, region, len)
   kSendDone,    // send completed ok (eager ack or notify)
-  kSendAbort,   // send failed/aborted
+  kSendAbort,   // send failed/aborted (len = cause code)
   kRetransmit,  // send retransmission timer fired (offset = retry count)
 
   // Receive-side pull lifecycle.
@@ -29,7 +30,7 @@ enum class EventKind : std::uint8_t {
   kPullBlockReq,  // PULL for one block (offset, len)
   kPullRetry,     // stalled pull re-requested (len = stall ticks)
   kRecvDone,      // pull transfer completed ok
-  kRecvAbort,     // pull transfer aborted
+  kRecvAbort,     // pull transfer aborted (len = cause code)
 
   // Overlap misses (paper §3.3) and data movement.
   kOverlapMissSend,  // sender could not serve a pull from unpinned pages
@@ -89,6 +90,10 @@ enum class EventKind : std::uint8_t {
   kNetPortTx,          // frame finished clocking out of a switch port
   kNetCongestionDrop,  // bounded egress queue overflowed; frame lost
 };
+
+/// The code of core::AbortCause::kPeerDead, the cause a kLifePeerDead counts
+/// as (the flight recorder's expected-abort set); core asserts the match.
+inline constexpr std::uint8_t kPeerDeadCause = 8;
 
 /// The kind's snake_case name (Chrome trace, flight recorder, `describe`).
 [[nodiscard]] const char* event_kind_name(EventKind k) noexcept;

@@ -12,7 +12,7 @@ FlightRecorder::FlightRecorder(Config cfg)
     : cap_(cfg.capacity < 16 ? 16 : cfg.capacity),
       max_dumps_(cfg.max_dumps),
       dump_prefix_(std::move(cfg.dump_prefix)),
-      auto_dump_on_abort_(cfg.auto_dump_on_abort) {
+      expected_aborts_(cfg.expected_aborts) {
   ring_.resize(cap_);
 }
 
@@ -41,7 +41,7 @@ FlightRecorder::CompactEvent FlightRecorder::compact_encode(
     case EventKind::kSendAbort:
       ce.a = e.seq;
       ce.b = e.peer;
-      ce.c = e.len;
+      ce.c = e.len;  // cause code for kSendAbort
       break;
     case EventKind::kRetransmit:
       ce.a = e.seq;
@@ -54,7 +54,7 @@ FlightRecorder::CompactEvent FlightRecorder::compact_encode(
     case EventKind::kRecvAbort:
       ce.a = e.seq;     // pull handle
       ce.b = e.offset;  // sender seq
-      ce.c = e.len;
+      ce.c = e.len;     // cause code for kRecvAbort
       break;
     case EventKind::kPullBlockReq:
     case EventKind::kCopyIn:
@@ -164,10 +164,14 @@ void FlightRecorder::compact_arg_names(EventKind k, const char*& a,
     case EventKind::kEagerPost:
     case EventKind::kRndvPost:
     case EventKind::kSendDone:
-    case EventKind::kSendAbort:
       a = "seq";
       b = "peer";
       c = "len";
+      break;
+    case EventKind::kSendAbort:
+      a = "seq";
+      b = "peer";
+      c = "cause";
       break;
     case EventKind::kRetransmit:
       a = "seq";
@@ -177,10 +181,14 @@ void FlightRecorder::compact_arg_names(EventKind k, const char*& a,
     case EventKind::kPullStart:
     case EventKind::kPullRetry:
     case EventKind::kRecvDone:
-    case EventKind::kRecvAbort:
       a = "handle";
       b = "sender_seq";
       c = "len";
+      break;
+    case EventKind::kRecvAbort:
+      a = "handle";
+      b = "sender_seq";
+      c = "cause";
       break;
     case EventKind::kPullBlockReq:
     case EventKind::kCopyIn:
@@ -272,13 +280,14 @@ void FlightRecorder::on_event(const Event& e) {
   if (++head_ == cap_) head_ = 0;
   if (held_ < cap_) ++held_;
   ++recorded_;
-  if (auto_dump_on_abort_ && !dumping_ &&
-      (e.kind == EventKind::kSendAbort || e.kind == EventKind::kRecvAbort ||
-       e.kind == EventKind::kLifePeerDead)) {
-    std::string reason = "auto: ";
-    reason += event_kind_name(e.kind);
-    dump(reason);
-  }
+  const bool abort = e.kind == EventKind::kSendAbort ||
+                     e.kind == EventKind::kRecvAbort;
+  if (dumping_ || (!abort && e.kind != EventKind::kLifePeerDead)) return;
+  const std::uint64_t cause = abort ? e.len : kPeerDeadCause;
+  if (cause < 32 && (expected_aborts_ >> cause & 1u) != 0) return;
+  std::string reason = "auto: ";
+  reason += event_kind_name(e.kind);
+  dump(reason);
 }
 
 void FlightRecorder::for_each_held(

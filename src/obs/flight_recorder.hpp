@@ -13,9 +13,9 @@ namespace pinsim::obs {
 
 /// Always-on post-mortem ring: a fixed-capacity sink that keeps the most
 /// recent events in a compact per-kind encoding and, when something dies —
-/// an invariant violation, a protocol abort, a watchdog death declaration,
-/// an Engine::self_check failure — dumps the window as a Chrome-trace
-/// loadable `.flight.json` plus a human-readable text digest on stderr.
+/// an invariant violation, an abort or a watchdog death declaration the run
+/// did not expect, an Engine::self_check failure — dumps the window as a
+/// Chrome-trace loadable `.flight.json` plus a text digest on stderr.
 ///
 /// Cheap enough to leave attached on every bench run: on_event is a switch
 /// plus a 48-byte ring store, no allocation past the constructor.
@@ -31,7 +31,11 @@ class FlightRecorder final : public Sink {
     std::size_t capacity = 4096;  // ring entries (rounded up to >= 16)
     std::size_t max_dumps = 4;    // files written per recorder lifetime
     std::string dump_prefix = "flight";  // <prefix>-<n>.flight.json
-    bool auto_dump_on_abort = true;      // kSendAbort/kRecvAbort/kLifePeerDead
+    /// The abort causes the run expects, one bit per cause code (bit c =
+    /// code c, the `len` of kSendAbort/kRecvAbort; kLifePeerDead counts as
+    /// kPeerDeadCause). An abort with any other cause dumps, so the empty
+    /// set dumps on every abort.
+    std::uint32_t expected_aborts = 0;
   };
 
   FlightRecorder();
@@ -93,7 +97,7 @@ class FlightRecorder final : public Sink {
   std::size_t cap_;
   std::size_t max_dumps_;
   std::string dump_prefix_;
-  bool auto_dump_on_abort_;
+  std::uint32_t expected_aborts_;
   std::vector<CompactEvent> ring_;
   std::size_t head_ = 0;  // next write position
   std::size_t held_ = 0;  // entries stored (== cap_ once wrapped)

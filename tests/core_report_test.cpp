@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -154,6 +155,30 @@ TEST(Report, JsonEndpointRowHasOneKeyPerTableRow) {
   // Table rows are unique, so the row set is exactly the Counters members.
   EXPECT_EQ(std::set<std::string>(want.begin(), want.end()).size(),
             want.size());
+}
+
+TEST(Report, AbortCauseRowsAppearInBothFormats) {
+  sim::Engine eng;
+  net::Fabric fabric(eng);
+  Host a(eng, fabric, {}, pinning_cache_config());
+  auto& pa = a.spawn_process();
+  const auto buf = pa.heap.malloc(64);
+  ASSERT_TRUE(pa.ep.cancel_recv(pa.ep.irecv(1, ~std::uint64_t{0}, buf, 64,
+                                            kInvalidRegion, [](Status) {})));
+
+  const std::string text = format_report(pa, a);
+  const std::string json = format_json_report(pa, a);
+  EXPECT_NE(text.find("\n  abort causes: retry_budget="), std::string::npos)
+      << text;
+  for (std::size_t k = 1; k < std::size(kAbortCauseRows); ++k) {
+    const AbortCauseRow& row = kAbortCauseRows[k];
+    const std::string n = row.counter == &Counters::abort_cancelled ? "1" : "0";
+    EXPECT_NE(text.find(std::string(" ") + row.name + "=" + n),
+              std::string::npos)
+        << row.name << "\n" << text;
+    EXPECT_EQ(value(json, std::string("abort_") + row.name), n) << json;
+  }
+  EXPECT_EQ(value(json, "aborts"), "1");
 }
 
 TEST(Report, RunReportEmitsHostAndFabricScopeOnce) {

@@ -171,7 +171,7 @@ TEST(CrashRecovery, WatchdogSilenceFailsInflightAndThrowsPeerDead) {
   ASSERT_TRUE(rig.hostA->driver().peer_dead(rig.hostB->nic().node_id()));
   ASSERT_TRUE(s->completed());
   EXPECT_FALSE(s->status().ok);
-  EXPECT_TRUE(s->status().peer_dead);
+  EXPECT_EQ(s->status().cause, core::AbortCause::kPeerDead);
   EXPECT_GT(rig.surv->lib.counters().heartbeat_timeouts, 0u);
 
   // New sends fail fast in the caller's context.

@@ -137,7 +137,7 @@ TEST(FlightRecorder, AutoDumpsOnAbortKinds) {
 
 TEST(FlightRecorder, AutoDumpCanBeDisabled) {
   FlightRecorder::Config cfg = tmp_config("quiet");
-  cfg.auto_dump_on_abort = false;
+  cfg.expected_aborts = ~std::uint32_t{0};  // every cause expected
   FlightRecorder fr(cfg);
   fr.on_event(ev(EventKind::kSendAbort));
   fr.on_event(ev(EventKind::kRecvAbort));
