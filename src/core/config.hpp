@@ -119,7 +119,8 @@ struct ProtocolConfig {
   sim::Time retransmit_backoff_max = 8 * sim::kSecond;
 
   /// Retransmit attempts per send request (eager resend / RNDV resend /
-  /// passive wait) before the request aborts gracefully with ok=false.
+  /// passive wait) before the request aborts gracefully with ok=false. A
+  /// passive wait during which a PULL arrived is not an attempt.
   int retry_budget = 64;
 
   /// NOTIFY retransmissions before the receiver abandons the handshake (the

@@ -134,6 +134,9 @@ void Endpoint::undeclare_region(RegionId id) {
   assert(it->second->use_count() == 0 && "undeclaring a region in use");
   pins_.unregister_region(*it->second);
   regions_.erase(it);
+  for (auto w = pending_reserves_.begin(); w != pending_reserves_.end();) {
+    w = w->second == id ? pending_reserves_.erase(w) : std::next(w);
+  }
 }
 
 Region* Endpoint::find_region(RegionId id) {
@@ -299,6 +302,10 @@ void Endpoint::arm_send_rto(SendRequest& req) {
         SendRequest& r = *it->second;
         ++counters_.retransmit_timeouts;
         ++r.retries;
+        // A pull that keeps arriving is progress, not silence: only ticks
+        // without one spend the budget (the backoff still grows).
+        if (!r.pulled) ++r.idle_ticks;
+        r.pulled = false;
         {
           obs::Event e = ev(obs::EventKind::kRetransmit);
           e.seq = seq;
@@ -307,7 +314,7 @@ void Endpoint::arm_send_rto(SendRequest& req) {
           e.offset = static_cast<std::uint64_t>(r.retries);
           obs_emit(e);
         }
-        if (r.retries > driver_.config().protocol.retry_budget) {
+        if (r.idle_ticks > driver_.config().protocol.retry_budget) {
           // Budget exhausted: give up gracefully instead of hammering a
           // peer that is clearly not answering.
           ++counters_.retry_exhausted;
@@ -892,8 +899,11 @@ void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
 // Sender side: serve a pull request straight from the (pinned) region.
 void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
                        const PullBody& body) {
-  if (auto it = sends_.find(body.seq); it != sends_.end()) {
-    it->second->pull_seen = true;  // the RNDV clearly arrived
+  const auto send = sends_.find(body.seq);
+  const bool live = send != sends_.end();
+  if (live) {
+    send->second->pull_seen = true;  // the RNDV clearly arrived
+    send->second->pulled = true;
   }
   Region* region = find_region(body.region);
   if (region == nullptr) return;  // undeclared (aborted): ignore
@@ -938,7 +948,9 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
         e.peer_ep = src_ep;
         obs_emit(e);
       }
-      arm_sender_fast_retry(src, src_ep, body);
+      // A PULL of a send that already ended is stale: nothing waits for
+      // pins on its behalf.
+      if (live) reserve_when_pinned(src, src_ep, body, *region);
       continue;
     }
     {
@@ -1014,7 +1026,7 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
       e.peer_ep = ps.peer_ep;
       obs_emit(e);
     }
-    arm_receiver_fast_retry(ps, block_idx);
+    repull_when_pinned(ps, block_idx);
     maybe_optimistic_rerequest(ps, block_idx);
     return;
   }
@@ -1033,7 +1045,7 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
     } else if (p.region->copy_in(body.offset, body.data) !=
                Region::AccessResult::kOk) {
       // Invalidated between the check and the copy: count it as a miss and
-      // let the re-request machinery recover (after a repin).
+      // re-pull the block once the region has repinned it.
       ++counters_.overlap_misses;
       ++counters_.frames_dropped_on_miss;
       {
@@ -1051,7 +1063,7 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
                              driver_.config().protocol.frame_payload;
       b.frame_seen[fi] = false;
       --b.frames_received;
-      pins_.ensure_pinned(*p.region, [](bool) {});
+      repull_when_pinned(p, block_idx);
       return;
     }
     {
@@ -1079,92 +1091,39 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
   maybe_optimistic_rerequest(ps, block_idx);
 }
 
-void Endpoint::arm_receiver_fast_retry(PullState& ps, std::size_t block_idx) {
+void Endpoint::repull_when_pinned(PullState& ps, std::size_t block_idx) {
   PullBlock& blk = ps.blocks[block_idx];
-  if (blk.fast_retry) return;
-  blk.fast_retry = true;
-  const auto& proto = driver_.config().protocol;
+  if (blk.awaiting_pins) return;
+  blk.awaiting_pins = true;
   const std::uint32_t handle = ps.handle;
-  const sim::Time deadline =
-      driver_.engine().now() + proto.pull_retry_timeout;
-
-  // Poll the region descriptor until the block's pages are pinned, then
-  // re-pull it; past the deadline the coarse retry timer owns recovery.
-  // The pending engine event owns the closure; the closure only keeps a
-  // weak reference to itself for rescheduling (no ownership cycle).
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, handle, block_idx, deadline,
-           weak = std::weak_ptr<std::function<void()>>(poll)] {
-    auto it = pulls_.find(handle);
-    if (it == pulls_.end()) return;
-    PullState& p = *it->second;
-    PullBlock& b = p.blocks[block_idx];
-    if (p.done || b.complete) {
-      b.fast_retry = false;
-      return;
-    }
-    if (p.region->range_pinned(b.offset, b.len)) {
-      b.fast_retry = false;
-      ++counters_.pull_rerequests;
-      request_block(p, block_idx);
-      return;
-    }
-    if (driver_.engine().now() >= deadline) {
-      b.fast_retry = false;
-      return;
-    }
-    if (auto self = weak.lock()) {
-      driver_.engine().schedule_after(
-          driver_.config().protocol.rerequest_cooldown,
-          guarded([self] { (*self)(); }), {"core", "pull_retry"});
-    }
-  };
-  driver_.engine().schedule_after(proto.rerequest_cooldown,
-                                  guarded([poll] { (*poll)(); }),
-                                  {"core", "pull_retry"});
+  pins_.when_pinned(
+      *ps.region, ps.region->pages_through(blk.offset, blk.len),
+      guarded([this, handle, block_idx](bool ok) {
+        auto it = pulls_.find(handle);
+        if (it == pulls_.end()) return;
+        PullState& p = *it->second;
+        PullBlock& b = p.blocks[block_idx];
+        b.awaiting_pins = false;
+        // A failed pin job aborts the pull through the failure handler.
+        if (!ok || p.done || b.complete) return;
+        ++counters_.pull_rerequests;
+        request_block(p, block_idx);
+      }));
 }
 
-void Endpoint::arm_sender_fast_retry(net::NodeId src, std::uint8_t src_ep,
-                                     const PullBody& body) {
-  // At most one poll per (handle, offset): on_pull retries re-enter here.
+void Endpoint::reserve_when_pinned(net::NodeId src, std::uint8_t src_ep,
+                                   const PullBody& body, Region& region) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(body.handle) << 32) ^
       (body.offset / driver_.config().protocol.pull_block);
-  if (!pending_pull_retries_.insert(key).second) return;
-
-  const auto& proto = driver_.config().protocol;
-  const sim::Time deadline =
-      driver_.engine().now() + proto.pull_retry_timeout;
-
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, src, src_ep, body, key, deadline,
-           weak = std::weak_ptr<std::function<void()>>(poll)] {
-    Region* region = find_region(body.region);
-    if (region == nullptr) {
-      pending_pull_retries_.erase(key);
-      return;
-    }
-    const std::size_t len =
-        std::min<std::size_t>(body.len, region->total_length() - body.offset);
-    if (region->range_pinned(body.offset, len)) {
-      pending_pull_retries_.erase(key);
-      // Re-serve the whole request; the receiver discards duplicates.
-      on_pull(src, src_ep, body);
-      return;
-    }
-    if (driver_.engine().now() >= deadline) {
-      pending_pull_retries_.erase(key);
-      return;
-    }
-    if (auto self = weak.lock()) {
-      driver_.engine().schedule_after(
-          driver_.config().protocol.rerequest_cooldown,
-          guarded([self] { (*self)(); }), {"core", "pull_retry"});
-    }
-  };
-  driver_.engine().schedule_after(proto.rerequest_cooldown,
-                                  guarded([poll] { (*poll)(); }),
-                                  {"core", "pull_retry"});
+  if (!pending_reserves_.emplace(key, region.id()).second) return;
+  pins_.when_pinned(region, region.pages_through(body.offset, body.len),
+                    guarded([this, src, src_ep, body, key](bool ok) {
+                      pending_reserves_.erase(key);
+                      // Re-serve the whole PULL; the receiver discards
+                      // duplicates.
+                      if (ok) on_pull(src, src_ep, body);
+                    }));
 }
 
 void Endpoint::maybe_optimistic_rerequest(PullState& ps,

@@ -188,7 +188,9 @@ class Endpoint {
     RegionId region = kInvalidRegion;
     bool rndv_sent = false;
     bool pull_seen = false;  // first PULL acks the RNDV
-    int retries = 0;
+    bool pulled = false;     // a PULL was served since the last RTO tick
+    int retries = 0;         // RTO ticks so far: the backoff exponent
+    int idle_ticks = 0;      // ticks without a PULL: the retry budget spent
     sim::Engine::EventId rto{};
 
     /// The kernel copy goes back to the byte pool (ObjectPool contract).
@@ -249,7 +251,7 @@ class Endpoint {
     std::size_t frames_done = 0;      // copied into the region
     bool requested = false;
     bool complete = false;
-    bool fast_retry = false;  // local-drop recovery poll armed
+    bool awaiting_pins = false;  // a pin-frontier waiter will re-pull it
     sim::Time last_request = 0;
   };
 
@@ -347,13 +349,16 @@ class Endpoint {
   void maybe_optimistic_rerequest(PullState& ps, std::size_t arrived_block);
 
   /// §3.3 drop-on-miss recovery, fast path: the side that dropped a packet
-  /// because its own page was not pinned yet *knows* it did, so it watches
-  /// its pin frontier and retries as soon as the range is pinned ("it is
-  /// resent almost immediately most of the times", §4.3). The coarse pull
-  /// retry timer stays as the backstop when pinning itself is starved.
-  void arm_receiver_fast_retry(PullState& ps, std::size_t block_idx);
-  void arm_sender_fast_retry(net::NodeId src, std::uint8_t src_ep,
-                             const PullBody& body);
+  /// because its own page was not pinned yet *knows* it did, so it waits on
+  /// its region's pin frontier (PinManager::when_pinned) and retries the
+  /// moment the pages are pinned ("it is resent almost immediately most of
+  /// the times", §4.3). The coarse pull retry timer stays as the backstop
+  /// when pinning itself is starved. At most one waiter per (pull, block)
+  /// on each side: the receiver re-pulls the block, the sender re-serves
+  /// the whole PULL.
+  void repull_when_pinned(PullState& ps, std::size_t block_idx);
+  void reserve_when_pinned(net::NodeId src, std::uint8_t src_ep,
+                           const PullBody& body, Region& region);
   void finish_pull(PullState& ps);
   void send_notify(PullState& ps);
   void arm_pull_rto(PullState& ps);
@@ -444,7 +449,9 @@ class Endpoint {
 
   sim::HashSet completed_;
   sim::Ring<std::uint64_t> completed_fifo_;
-  sim::FlatSet<std::uint64_t> pending_pull_retries_;  // sender fast-retry polls
+  // Sender waiters pending per (pull handle, block), with the region they
+  // wait on: undeclaring it drops them uncalled.
+  sim::FlatMap<std::uint64_t, RegionId> pending_reserves_;
 };
 
 }  // namespace pinsim::core

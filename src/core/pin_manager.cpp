@@ -124,6 +124,11 @@ void PinManager::ensure_pinned(Region& r, Completion done) {
 }
 
 void PinManager::ensure_pinned(Region& r, bool overlapped, Completion done) {
+  when_pinned(r, overlapped ? cfg_.sync_prepin_pages : r.page_count(),
+              std::move(done));
+}
+
+void PinManager::when_pinned(Region& r, std::size_t pages, Completion done) {
   touch(r);
   if (cfg_.mode == PinMode::kNone) {
     done(true);  // QsNet-style: nothing to pin, ever
@@ -144,32 +149,18 @@ void PinManager::ensure_pinned(Region& r, bool overlapped, Completion done) {
       emit(obs::EventKind::kPinReset, r, "failed region retried");
     }
   }
-  start_or_join(r, /*wait_full=*/!overlapped, std::move(done));
-}
-
-void PinManager::start_or_join(Region& r, bool wait_full, Completion done) {
   Tracked& t = track(r);
   PinJob& job = t.job;
-
-  if (!wait_full) {
-    // Overlapped: the communication proceeds once the synchronous pre-pin
-    // threshold is reached (0 pages by default — proceed immediately).
-    const std::size_t threshold =
-        std::min(cfg_.sync_prepin_pages, r.page_count());
-    if (r.pinned_pages() >= threshold && job.active) {
-      // Background pinning already past the threshold.
-      done(true);
-    } else if (r.pinned_pages() >= threshold && !job.active &&
-               threshold == 0) {
-      done(true);
-    } else {
-      job.early_threshold = threshold;
-      job.early_waiters.push_back(std::move(done));
-      done = nullptr;
-    }
+  pages = std::min(pages, r.page_count());
+  if (r.pinned_pages() >= pages) {
+    done(true);  // e.g. overlapped with no pre-pin: proceed immediately
   } else {
-    job.full_waiters.push_back(std::move(done));
-    done = nullptr;
+    auto& ws = job.waiters;
+    ws.insert(std::upper_bound(ws.begin(), ws.end(), pages,
+                               [](std::size_t p, const Waiter& w) {
+                                 return p < w.pages;
+                               }),
+              Waiter{pages, std::move(done)});
   }
 
   if (!job.active) {
@@ -289,7 +280,9 @@ void PinManager::schedule_chunk(Region& r) {
     // counts against it, so sustained-but-survivable pressure cannot
     // starve a big region that pins a few pages per round.
     if (!frames.empty()) t->job.retries = 0;
-    release_early_waiters(r, true);
+    // The advance that completes the region is finish()'s to report, so
+    // whole-region waiters run after the job has ended.
+    wake(r, std::min(r.pinned_pages(), r.page_count() - 1), true);
     if (denied && frames.empty()) {
       retry_or_fail(r);
       return;
@@ -334,15 +327,17 @@ void PinManager::retry_or_fail(Region& r) {
       {"pin", "retry_backoff"});
 }
 
-void PinManager::release_early_waiters(Region& r, bool ok) {
-  PinJob& job = track(r).job;
-  if (job.early_waiters.empty()) return;
-  if (ok && r.pinned_pages() < job.early_threshold && !r.fully_pinned()) {
-    return;
-  }
-  std::vector<Completion> waiters;
-  waiters.swap(job.early_waiters);
-  for (auto& w : waiters) w(ok);
+void PinManager::wake(Region& r, std::size_t frontier, bool ok) {
+  auto& ws = track(r).job.waiters;
+  const auto due =
+      std::find_if(ws.begin(), ws.end(),
+                   [frontier](const Waiter& w) { return w.pages > frontier; });
+  if (due == ws.begin()) return;
+  // Detached first: a waiter may re-enter and queue on this region again.
+  std::vector<Waiter> run(std::make_move_iterator(ws.begin()),
+                          std::make_move_iterator(due));
+  ws.erase(ws.begin(), due);
+  for (Waiter& w : run) w.done(ok);
 }
 
 void PinManager::finish(Region& r, bool ok) {
@@ -364,11 +359,8 @@ void PinManager::finish(Region& r, bool ok) {
     r.set_state(Region::PinState::kFailed);
   }
 
-  release_early_waiters(r, ok);
-  std::vector<Completion> waiters;
-  waiters.swap(job.full_waiters);
-  for (auto& w : waiters) w(ok);
-  // Requests that proceeded on an earlier early-release and are now mid-
+  wake(r, Region::npos, ok);
+  // Requests that proceeded on a partial target and are now mid-
   // communication need an abort path when pinning later fails.
   if (!ok && failure_handler_) failure_handler_(r);
 }

@@ -26,12 +26,17 @@ namespace pinsim::core {
 /// invalidation, memory pressure or undeclare; repins transparently on next
 /// use.
 ///
-/// `ensure_pinned` is the single entry point communications use:
-///  * non-overlapped: the completion fires once the whole region is pinned
-///    (the communication start waits — Figure 2);
-///  * overlapped: the completion fires after only `sync_prepin_pages` are
-///    pinned (default 0, i.e. immediately) and the rest keeps pinning in the
-///    background while the rendezvous round-trip runs (Figure 5).
+/// Every wait for pins is a wait for the region's frontier (`when_pinned`):
+/// a completion names a page count and fires once that many pages, counted
+/// from the region's start, are pinned. `ensure_pinned`, the entry point a
+/// communication starts with, picks the target from the configured mode:
+///  * non-overlapped: the whole region (the communication start waits —
+///    Figure 2);
+///  * overlapped: only `sync_prepin_pages` (default 0, i.e. immediately);
+///    the rest keeps pinning in the background while the rendezvous
+///    round-trip runs (Figure 5).
+/// A frame dropped on an overlap miss waits on the same list for the pages
+/// it touches, so its re-request leaves as soon as they are pinned.
 ///
 /// On multi-tenant hosts the manager doubles as one tenant of the host's
 /// `mem::PinArbiter`: it joins arbitration lazily on first quota contact,
@@ -67,10 +72,17 @@ class PinManager : public mem::PinArbiter::TenantOps {
   /// Stops tracking (undeclare). Any pins are released first.
   void unregister_region(Region& r);
 
-  /// Makes sure `r` is pinned according to the configured mode, then calls
-  /// `done`. Safe to call concurrently for the same region; completions
-  /// queue. Counted as a repin if the region had been pinned before and lost
-  /// its pages (invalidation/pressure).
+  /// Calls `done(true)` once the first `pages` pages of `r` are pinned
+  /// (clamped to the region), joining the region's pin job or starting one.
+  /// A target the frontier already covers fires inline. Waiters wake in
+  /// (target, arrival) order as the frontier advances; a frontier the MMU
+  /// notifier truncates makes them wait for it to pass again; a failed job
+  /// calls each pending waiter once with false; unregister_region drops
+  /// them uncalled. The job starting is counted as a repin if the region
+  /// had been pinned before and lost its pages (invalidation/pressure).
+  void when_pinned(Region& r, std::size_t pages, Completion done);
+
+  /// when_pinned with the configured mode's target (see above).
   void ensure_pinned(Region& r, Completion done);
 
   /// Per-request override of the overlap decision (§6: "only enabling
@@ -98,19 +110,21 @@ class PinManager : public mem::PinArbiter::TenantOps {
   [[nodiscard]] const PinningConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// A completion waiting for the frontier to reach `pages`.
+  struct Waiter {
+    std::size_t pages = 0;
+    Completion done;
+  };
+
   struct PinJob {
     std::uint64_t generation = 0;
-    std::vector<Completion> full_waiters;   // run when fully pinned
-    std::vector<Completion> early_waiters;  // run at the overlap threshold
-    std::size_t early_threshold = 0;        // pages pinned before early release
+    std::vector<Waiter> waiters;  // sorted by (pages, arrival)
     bool charged_base = false;
     bool active = false;
     int retries = 0;        // consecutive zero-progress chunk attempts
     int inval_restarts = 0; // notifier invalidations absorbed by this job
 
-    void reset() {
-      mem::reset_keeping(*this, &PinJob::full_waiters, &PinJob::early_waiters);
-    }
+    void reset() { mem::reset_keeping(*this, &PinJob::waiters); }
   };
 
   /// Everything the manager knows about one region, keyed by the region's
@@ -146,12 +160,13 @@ class PinManager : public mem::PinArbiter::TenantOps {
   /// the timer-callback guard (undeclare + id reuse cannot alias).
   Tracked* find_alive(RegionId rid, const Region* expected);
 
-  void start_or_join(Region& r, bool wait_full, Completion done);
   void schedule_chunk(Region& r);
   void retry_or_fail(Region& r);
   [[nodiscard]] sim::Time retry_backoff(int retries) const;
   void finish(Region& r, bool ok);
-  void release_early_waiters(Region& r, bool ok);
+  /// Calls, in list order, every waiter of `r` whose target is at most
+  /// `frontier`, with `ok`.
+  void wake(Region& r, std::size_t frontier, bool ok);
   void shed_pins_if_needed(mem::PhysicalMemory& pm,
                            std::size_t incoming_pages);
   bool shed_one_victim();

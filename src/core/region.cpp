@@ -122,6 +122,10 @@ bool Region::range_pinned(std::size_t offset, std::size_t len) const {
   return true;
 }
 
+std::size_t Region::pages_through(std::size_t offset, std::size_t len) const {
+  return len == 0 ? 0 : locate(offset + len - 1, 1).slot + 1;
+}
+
 Region::AccessResult Region::copy_out(std::size_t offset,
                                       std::span<std::byte> dst) const {
   if (offset + dst.size() > total_) throw std::out_of_range("copy_out range");

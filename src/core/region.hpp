@@ -114,6 +114,12 @@ class Region {
 
   [[nodiscard]] bool range_pinned(std::size_t offset, std::size_t len) const;
 
+  /// Pages, counted from the region's first, that must be pinned for
+  /// [offset, offset+len) to be accessible: the frontier target that makes
+  /// range_pinned true.
+  [[nodiscard]] std::size_t pages_through(std::size_t offset,
+                                          std::size_t len) const;
+
   /// Page-table-based accessors for PinMode::kNone (the QsNet-style no-pin
   /// bound): translations are resolved through the address space on every
   /// access, faulting pages in; they never miss.

@@ -100,7 +100,7 @@ class FlatMap {
 };
 
 /// Sorted-vector set companion to FlatMap, for small membership tables
-/// (duplicate-suppression keys, pending fast-retry polls).
+/// (duplicate-suppression keys, dead peers).
 template <typename K>
 class FlatSet {
  public:

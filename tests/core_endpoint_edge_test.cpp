@@ -216,6 +216,30 @@ TEST(EndpointEdge, PullForUndeclaredRegionIsIgnored) {
   EXPECT_EQ(rig.pb->lib.counters().pull_replies_sent, replies_before);
 }
 
+TEST(EndpointEdge, StalePullNeverStartsPinningItsRegion) {
+  // A PULL naming a declared but unpinned region, for a send this endpoint
+  // never had (or already ended): it misses, and nothing waits for pins on
+  // its behalf.
+  Rig rig;
+  const std::size_t len = 32768;
+  const auto buf = rig.pb->heap.malloc(len);
+  const RegionId region = rig.pb->ep.declare_region({Segment{buf, len}});
+  PullBody pull;
+  pull.region = region;
+  pull.handle = 1;
+  pull.offset = 0;
+  pull.len = static_cast<std::uint32_t>(len);
+  pull.seq = 99;
+  rig.inject_to_b(make_packet(pull));
+  rig.drain();
+  const auto& c = rig.pb->lib.counters();
+  EXPECT_EQ(c.frames_dropped_on_miss, len / 8192);
+  EXPECT_EQ(c.pull_replies_sent, 0u);
+  EXPECT_EQ(c.pin_ops, 0u);
+  EXPECT_EQ(rig.pb->ep.find_region(region)->pinned_pages(), 0u);
+  rig.pb->ep.undeclare_region(region);
+}
+
 TEST(EndpointEdge, TruncatedRndvIntoTinyPostedRecvAborts) {
   // A rendezvous-sized message matched to an eager-sized posted buffer with
   // no backing region: the receiver must abort cleanly and tell the sender.

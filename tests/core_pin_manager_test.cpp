@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.hpp"
@@ -579,6 +582,150 @@ TEST_F(PinManagerTest, UnpinChargesKernelTimeToTheCore) {
   EXPECT_EQ(core_.stats().total_busy() - busy_before,
             cpu::xeon_e5460().unpin_cost(32));
   mgr.unregister_region(r);
+}
+
+// --- frontier waiters (when_pinned) -----------------------------------------
+
+TEST_F(PinManagerTest, FrontierWaitersWakeInTargetThenArrivalOrder) {
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 4;
+  auto mgr = make(cfg);
+  Region r = make_region(32 * 4096);
+  mgr.register_region(r);
+
+  // (name, frontier when it ran), in call order.
+  std::vector<std::pair<char, std::size_t>> woke;
+  const auto waiter = [&](char name) {
+    return [&, name](bool ok) {
+      EXPECT_TRUE(ok);
+      woke.emplace_back(name, r.pinned_pages());
+    };
+  };
+  mgr.when_pinned(r, 16, waiter('a'));
+  mgr.when_pinned(r, 8, waiter('b'));
+  mgr.when_pinned(r, 16, waiter('c'));
+  mgr.when_pinned(r, 32, waiter('d'));
+  mgr.ensure_pinned(r, /*overlapped=*/false, waiter('e'));  // target 32
+  mgr.when_pinned(r, 8, waiter('f'));
+  EXPECT_TRUE(woke.empty());
+  eng_.run();
+
+  const std::vector<std::pair<char, std::size_t>> want = {
+      {'b', 8}, {'f', 8}, {'a', 16}, {'c', 16}, {'d', 32}, {'e', 32}};
+  EXPECT_EQ(woke, want);
+  EXPECT_EQ(counters_.pin_ops, 1u);  // one job served every target
+  mgr.unregister_region(r);
+}
+
+TEST_F(PinManagerTest, CoveredFrontierTargetFiresInline) {
+  PinningConfig cfg;
+  cfg.overlapped = true;
+  cfg.pin_chunk_pages = 4;
+  auto mgr = make(cfg);
+  Region r = make_region(32 * 4096);
+  mgr.register_region(r);
+  mgr.ensure_pinned(r, [](bool) {});
+  while (r.pinned_pages() < 8 && eng_.step()) {
+  }
+  ASSERT_LT(r.pinned_pages(), 32u);
+
+  int fired = 0;
+  mgr.when_pinned(r, 8, [&](bool ok) { fired += ok ? 1 : 100; });
+  mgr.when_pinned(r, 0, [&](bool ok) { fired += ok ? 1 : 100; });
+  EXPECT_EQ(fired, 2);  // no engine step in between
+  bool whole = false;
+  mgr.when_pinned(r, 1000, [&](bool ok) { whole = ok; });  // clamped to 32
+  EXPECT_FALSE(whole);
+  eng_.run();
+  EXPECT_TRUE(whole);
+  EXPECT_TRUE(r.fully_pinned());
+  mgr.when_pinned(r, 32, [&](bool ok) { fired += ok ? 1 : 100; });
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(counters_.pin_ops, 1u);
+  mgr.unregister_region(r);
+}
+
+TEST_F(PinManagerTest, TruncatedFrontierMakesWaitersWaitAgain) {
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 4;
+  auto mgr = make(cfg);
+  const auto addr = as_.mmap(32 * 4096);
+  Region r(1, as_, {Segment{addr, 32 * 4096}});
+  mgr.register_region(r);
+
+  std::size_t fired_at = 0;
+  mgr.when_pinned(r, 24, [&](bool ok) {
+    EXPECT_TRUE(ok);
+    fired_at = r.pinned_pages();
+  });
+  while (r.pinned_pages() < 16 && eng_.step()) {
+  }
+  ASSERT_EQ(r.pinned_pages(), 16u);
+  // The notifier invalidates page 8: the frontier drops back to it and the
+  // job restarts from there.
+  mgr.invalidate_range(addr + 8 * 4096, addr + 9 * 4096);
+  EXPECT_EQ(r.pinned_pages(), 8u);
+  std::size_t low = r.pinned_pages();
+  while (fired_at == 0 && eng_.step()) low = std::min(low, r.pinned_pages());
+  EXPECT_EQ(low, 8u);
+  EXPECT_EQ(fired_at, 24u);  // woken by the second pass, not the first
+  EXPECT_EQ(counters_.pin_inval_restarts, 1u);
+  eng_.run();
+  EXPECT_TRUE(r.fully_pinned());
+  mgr.unregister_region(r);
+}
+
+TEST_F(PinManagerTest, FailedJobFailsEachPendingWaiterOnce) {
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 1;
+  auto mgr = make(cfg);
+  const auto addr = as_.mmap(4 * 4096);
+  as_.munmap(addr + 2 * 4096, 2 * 4096);  // pages 2 and 3 are invalid
+  Region r(1, as_, {Segment{addr, 4 * 4096}});
+  mgr.register_region(r);
+  int handler_calls = 0;
+  mgr.set_failure_handler([&](Region&) { ++handler_calls; });
+
+  std::vector<int> oks(4, 0), fails(4, 0);
+  const auto waiter = [&](std::size_t i) {
+    return [&, i](bool ok) {
+      ++(ok ? oks : fails)[i];
+      EXPECT_EQ(handler_calls, 0);  // waiters run before the abort path
+    };
+  };
+  mgr.when_pinned(r, 1, waiter(0));  // reached before the failure
+  mgr.when_pinned(r, 3, waiter(1));
+  mgr.when_pinned(r, 4, waiter(2));
+  mgr.ensure_pinned(r, /*overlapped=*/false, waiter(3));
+  eng_.run();
+
+  EXPECT_EQ(oks, (std::vector<int>{1, 0, 0, 0}));
+  EXPECT_EQ(fails, (std::vector<int>{0, 1, 1, 1}));
+  EXPECT_EQ(handler_calls, 1);
+  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  mgr.unregister_region(r);
+}
+
+TEST_F(PinManagerTest, UnregisterDropsPendingWaitersUncalled) {
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 4;
+  auto mgr = make(cfg);
+  Region r = make_region(32 * 4096);
+  mgr.register_region(r);
+
+  bool called = false;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> held = token;
+  mgr.when_pinned(r, 32, [&called, token = std::move(token)](bool) {
+    called = true;
+  });
+  while (r.pinned_pages() < 8 && eng_.step()) {
+  }
+  mgr.unregister_region(r);
+  EXPECT_TRUE(held.expired());  // the waiter is gone with the region
+  eng_.run();
+  EXPECT_FALSE(called);
+  EXPECT_EQ(pm_.pinned_pages(), 0u);
 }
 
 }  // namespace

@@ -502,5 +502,46 @@ TEST_F(ProtocolTest, OverlapMissesAreRareUnderNormalLoad) {
   EXPECT_LT(cr.overlap_miss_rate(), 0.01);
 }
 
+TEST_F(ProtocolTest, CopyInRaceIsRepulledWhenTheRegionRepins) {
+  // Cache config: the receive region is fully pinned before the pull starts.
+  build(pinning_cache_config());
+  const std::size_t len = 64 * 1024;  // two pull blocks of four frames
+  const std::size_t frames = len / 8192;
+  const auto src = pa_->heap.malloc(len);
+  const auto dst = pb_->heap.malloc(len);
+  fill_pattern(*pa_, src, len, 9);
+  auto recv = pb_->lib.irecv(0x9, kMatchAll, dst, len);
+  auto send = pa_->lib.isend(pb_->addr(), 0x9, src, len);
+
+  // Step until B has checked the last frame against its pin frontier: the
+  // copy into the region is queued behind the bottom half, not done yet.
+  while (pb_->lib.counters().region_accesses < frames && eng_.step()) {
+  }
+  ASSERT_EQ(pb_->lib.counters().region_accesses, frames);
+  ASSERT_FALSE(recv->completed());
+  // The MMU notifier invalidates the page under that frame before the copy
+  // runs: the copy misses, the frame is dropped, the frontier must repin.
+  const mem::VirtAddr last = mem::page_floor(dst + len - 1);
+  pb_->ep.pin_manager().invalidate_range(last, last + mem::kPageSize);
+  const sim::Time t0 = eng_.now();
+  while (!recv->completed() && eng_.step()) {
+  }
+  ASSERT_TRUE(recv->completed());
+
+  // Re-pulled as soon as the region repinned, long before the pull retry
+  // timer (10 ms) would have noticed the missing frame.
+  EXPECT_LT(eng_.now() - t0, sim::kMillisecond);
+  const auto& c = pb_->lib.counters();
+  EXPECT_EQ(c.frames_dropped_on_miss, 1u);
+  EXPECT_EQ(c.repins, 1u);
+  EXPECT_EQ(c.pull_rerequests, 1u);
+  EXPECT_EQ(c.retransmit_timeouts, 0u);
+  eng_.run();
+  ASSERT_TRUE(send->completed());
+  EXPECT_TRUE(send->status().ok);
+  EXPECT_TRUE(recv->status().ok);
+  EXPECT_TRUE(check_pattern(*pb_, dst, len, 9));
+}
+
 }  // namespace
 }  // namespace pinsim::core

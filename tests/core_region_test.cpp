@@ -115,6 +115,27 @@ TEST_F(RegionTest, PartialPinFrontierSemantics) {
   unpin_all(r);
 }
 
+TEST_F(RegionTest, PagesThroughIsTheFrontierThatPinsTheRange) {
+  // Vectorial and unaligned: slots are neither VA-contiguous nor aligned
+  // with region offsets.
+  const auto a = as_.mmap(3 * 4096);
+  const auto b = as_.mmap(2 * 4096);
+  Region r(1, as_, {Segment{a + 100, 5000}, Segment{b + 8, 3000}});
+  ASSERT_EQ(r.page_count(), 3u);
+  EXPECT_EQ(r.pages_through(0, 0), 0u);
+  for (std::size_t k = 0; k <= r.page_count(); ++k) {
+    for (std::size_t off = 0; off < r.total_length(); off += 250) {
+      for (const std::size_t len : {1, 700, 3996, 4097}) {
+        if (off + len > r.total_length()) continue;
+        EXPECT_EQ(r.range_pinned(off, len), r.pages_through(off, len) <= k)
+            << "frontier " << k << " range [" << off << ", +" << len << ")";
+      }
+    }
+    if (k < r.page_count()) pin_pages(r, 1);
+  }
+  unpin_all(r);
+}
+
 TEST_F(RegionTest, CopyAcrossSegmentBoundary) {
   const auto a = as_.mmap(4096);
   const auto b = as_.mmap(4096);

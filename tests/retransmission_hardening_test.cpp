@@ -318,5 +318,35 @@ TEST(RetryBudget, RecoverableLossStaysWellUnderTheBudget) {
   EXPECT_EQ(rig.pa->lib.counters().retry_exhausted, 0u);
 }
 
+TEST(RetryBudget, MovingPullOutlivesTheSendBudget) {
+  // A rendezvous sender's timer keeps ticking while the receiver pulls. A
+  // tick with a PULL since the previous one is progress, not silence, so a
+  // long transfer that keeps pulling completes past `retry_budget` ticks.
+  StackConfig stack = tight_budget_stack();
+  stack.protocol.retransmit_backoff_max = stack.protocol.retransmit_timeout;
+  Rig rig(stack);
+
+  const std::size_t size = 4 * 1024 * 1024;  // ~3.4 ms on the wire
+  const auto src = rig.pa->heap.malloc(size);
+  const auto dst = rig.pb->heap.malloc(size);
+  const auto data = pattern(size, 47);
+  rig.pa->as.write(src, data);
+  auto recv = rig.pb->lib.irecv(0x7, kAll, dst, size);
+  auto send = rig.pa->lib.isend(rig.pb->addr(), 0x7, src, size);
+  rig.drain();
+
+  ASSERT_TRUE(send->completed());
+  EXPECT_TRUE(send->status().ok);
+  ASSERT_TRUE(recv->status().ok);
+  std::vector<std::byte> got(size);
+  rig.pb->as.read(dst, got);
+  EXPECT_EQ(got, data);
+  // The transfer outlived the budget: more ticks than it allows fired.
+  EXPECT_GT(rig.pa->lib.counters().retransmit_timeouts,
+            static_cast<std::uint64_t>(stack.protocol.retry_budget) + 1);
+  EXPECT_EQ(rig.pa->lib.counters().retry_exhausted, 0u);
+  EXPECT_EQ(rig.pa->lib.counters().aborts, 0u);
+}
+
 }  // namespace
 }  // namespace pinsim::core
