@@ -77,13 +77,6 @@ struct PinningConfig {
   int pin_retry_budget = 16;
   sim::Time pin_retry_backoff = 50 * sim::kMicrosecond;
   sim::Time pin_retry_backoff_max = 5 * sim::kMillisecond;
-
-  /// Weight of this process in cross-tenant pin arbitration (see
-  /// mem/pin_arbiter.hpp). A tenant's fair-share floor is its weight's
-  /// proportion of the host pin quota; weight 2 is entitled to twice the
-  /// pinned pages of weight 1. Only consulted on hosts that enabled an
-  /// arbiter; must be >= 1.
-  std::uint32_t tenant_weight = 1;
 };
 
 /// User-space region cache behaviour (§3.2).
@@ -123,10 +116,6 @@ struct ProtocolConfig {
   /// passive wait during which a PULL arrived is not an attempt.
   int retry_budget = 64;
 
-  /// NOTIFY retransmissions before the receiver abandons the handshake (the
-  /// data already arrived; only the sender-side release is at stake).
-  int notify_retry_budget = 100;
-
   /// Consecutive progress-free pull-retry ticks before the receiver aborts
   /// the transfer and tells the sender. Bounds how long a dead sender can
   /// hold receiver state: budget x pull_retry_timeout of silence.
@@ -138,15 +127,6 @@ struct ProtocolConfig {
   /// Open-MX pull handler does. This is what bounds the §4.3 degradation to
   /// tens of MB/s instead of one message per second.
   sim::Time pull_retry_timeout = 10 * sim::kMillisecond;
-
-  /// Footnote 4: when frames with higher offsets are received while an
-  /// earlier block is incomplete, the missing data is re-requested
-  /// immediately instead of waiting for the timeout.
-  bool optimistic_rerequest = true;
-
-  /// Minimum gap between optimistic re-requests of the same block, so a
-  /// burst of later frames does not trigger a re-request storm.
-  sim::Time rerequest_cooldown = 30 * sim::kMicrosecond;
 
   /// Cost charged to the process core for entering the kernel (ioctl).
   sim::Time syscall_cost = 150;

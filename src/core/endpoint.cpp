@@ -1128,10 +1128,12 @@ void Endpoint::reserve_when_pinned(net::NodeId src, std::uint8_t src_ep,
 
 void Endpoint::maybe_optimistic_rerequest(PullState& ps,
                                           std::size_t arrived_block) {
-  const auto& proto = driver_.config().protocol;
-  if (!proto.optimistic_rerequest) return;
+  // Minimum gap between re-requests of the same block, so a burst of later
+  // frames does not trigger a re-request storm.
+  constexpr sim::Time kRerequestCooldown = 30 * sim::kMicrosecond;
   // Data for a later block implies earlier requests were (partly) lost:
-  // re-request the oldest incomplete block, rate-limited (footnote 4).
+  // re-request the oldest incomplete block at once instead of waiting for
+  // the timeout, rate-limited (footnote 4).
   // "Lost" means missing on the wire — a block whose frames all arrived and
   // are merely queued behind the copy engine is fine. Blocks only ever turn
   // complete, so the scan starts past the complete prefix.
@@ -1145,8 +1147,7 @@ void Endpoint::maybe_optimistic_rerequest(PullState& ps,
         blk.frames_received == blk.frame_seen.size()) {
       continue;
     }
-    if (driver_.engine().now() - blk.last_request <
-        proto.rerequest_cooldown) {
+    if (driver_.engine().now() - blk.last_request < kRerequestCooldown) {
       return;
     }
     ++counters_.pull_rerequests;
@@ -1182,14 +1183,15 @@ void Endpoint::send_notify(PullState& ps) {
   send_packet({ps.peer_node, ps.peer_ep},
               NotifyBody{ps.sender_seq, ps.handle},
               cpu::Priority::kBottomHalf);
+  // NOTIFY retransmissions before the receiver abandons the handshake.
+  constexpr int kNotifyRetryBudget = 100;
   const std::uint32_t handle = ps.handle;
   ps.rto = driver_.engine().schedule_after(
       backoff_timeout(ps.notify_retries), guarded([this, handle] {
         auto it = pulls_.find(handle);
         if (it == pulls_.end()) return;
         PullState& p = *it->second;
-        if (++p.notify_retries >
-            driver_.config().protocol.notify_retry_budget) {
+        if (++p.notify_retries > kNotifyRetryBudget) {
           // The data is safely delivered; only the sender-side release is
           // lost. Stop retransmitting and free the handle.
           ++counters_.retry_exhausted;

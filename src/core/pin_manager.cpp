@@ -24,7 +24,9 @@ PinManager::~PinManager() {
 void PinManager::maybe_join_arbitration(mem::PhysicalMemory& pm) {
   if (arb_registered_ || pm.arbiter() == nullptr) return;
   arbiter_ = pm.arbiter();
-  arb_id_ = arbiter_->register_tenant(this, cfg_.tenant_weight);
+  // Every process weighs the same: its fair-share floor is an equal part
+  // of the host pin quota.
+  arb_id_ = arbiter_->register_tenant(this, /*weight=*/1);
   arb_registered_ = true;
 }
 

@@ -1,102 +1,158 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "sim/time.hpp"
 
 namespace pinsim::obs {
 
-/// Every event kind the stack emits. One enum across layers so sinks can
-/// switch on it without string matching; `event_kind_name` gives each kind
-/// the one name every exporter prints.
-enum class EventKind : std::uint8_t {
-  // Wire / driver.
-  kPktTx,            // frame handed to the NIC
-  kPktRx,            // frame decoded and dispatched to an endpoint
-  kPktChecksumDrop,  // CRC mismatch, frame dropped
-  kPktMalformed,     // undecodable frame dropped
-
-  // Send-side protocol lifecycle. Both abort kinds carry the cause code
-  // (core::AbortCause) in `len` and its name in `label`.
-  kEagerPost,   // eager send posted (seq, len)
-  kRndvPost,    // rendezvous send posted (seq, region, len)
-  kSendDone,    // send completed ok (eager ack or notify)
-  kSendAbort,   // send failed/aborted (len = cause code)
-  kRetransmit,  // send retransmission timer fired (offset = retry count)
-
-  // Receive-side pull lifecycle.
-  kPullStart,     // pull transfer created (seq = handle, offset = sender seq)
-  kPullBlockReq,  // PULL for one block (offset, len)
-  kPullRetry,     // stalled pull re-requested (len = stall ticks)
-  kRecvDone,      // pull transfer completed ok
-  kRecvAbort,     // pull transfer aborted (len = cause code)
-
-  // Overlap misses (paper §3.3) and data movement.
-  kOverlapMissSend,  // sender could not serve a pull from unpinned pages
-  kOverlapMissRecv,  // receiver dropped a reply landing on unpinned pages
-  kCopyIn,           // bytes landed in a pinned region (region, offset, len)
-  kCopyOut,          // bytes served from a pinned region
-  kDmaCopy,          // I/OAT channel finished a copy (len = bytes)
-
-  // Pin state machine (offset = pinned frontier in pages, len = total pages).
-  kPinReset,       // failed region reset for retry
-  kPinStart,       // pin job started
-  kPinPages,       // chunk committed, frontier advanced
-  kPinShrink,      // chunk shrunk to quota headroom
-  kPinRetry,       // transient denial, backing off
-  kPinRestart,     // invalidated mid-pin, restarting
-  kPinInvalidate,  // MMU notifier truncated the frontier (seq = cut slot)
-  kPinDone,        // fully pinned
-  kPinFail,        // pin job failed
-  kPinShed,        // pins shed under memory pressure
-  kPinUnpin,       // all pins released
-
-  // Memory-pressure injection.
-  kPressureDeny,
-  kPressureSweep,
-  kPressureMigrate,
-  kPressureCow,
-
-  // Network fault injection.
-  kFaultDrop,
-  kFaultCorrupt,
-  kFaultDup,
-  kFaultReorder,
-
-  // Component lifecycle (crash/restart injection, PR 7). For kLifeCrash,
-  // `offset` is the host's pinned-page count after the reclaim sweep,
-  // `len` the expected non-tenant baseline (the invariant checker proves
-  // offset == len), `region` the pages the sweep reclaimed from the dying
-  // tenant, and `seq` the dying incarnation's epoch.
-  kLifeCrash,     // process killed; pins reclaimed via the notifier sweep
-  kLifeRestart,   // process restarted (seq = new epoch)
-  kLifeLinkDown,  // fabric port forced down (node = port)
-  kLifeLinkUp,    // fabric port restored
-  kLifeNicReset,  // NIC rings wiped mid-transfer (len = tx frames dropped)
-  kLifePeerDead,  // watchdog declared a peer dead (peer = node)
-  kLifePeerAlive, // watchdog heard the peer again
-  kLifeFence,     // stale-epoch frame fenced at the driver (seq = frame epoch)
-
-  // Cluster switch fabric (net/topology.hpp). `node` is the switch port id
-  // (downlink ports share the destination node's id, uplink ports live in
-  // a disjoint id range), `pkt` is 1 on uplink ports. For kNetPortQueue,
-  // `offset` is the queue depth after the transition and `len` the port's
-  // capacity (the invariant checker asserts offset <= len). For kNetPortTx,
-  // `offset` is the serialization time in ns and `len` the wire bytes. For
-  // kNetCongestionDrop, `peer` is the frame's destination node and `len`
-  // its wire bytes.
-  kNetPortQueue,       // egress queue depth changed (enqueue or drain)
-  kNetPortTx,          // frame finished clocking out of a switch port
-  kNetCongestionDrop,  // bounded egress queue overflowed; frame lost
+/// The field of an `Event` a kind's table row names (see
+/// PINSIM_EVENT_KINDS); the enumerators are spelled like the fields they
+/// read so a row reads as the kind's payload.
+enum class EventSlot : std::uint8_t {
+  none, peer, pkt, seq, region, offset, len
 };
+
+/// The event-kind table: every kind the stack emits, one row per kind,
+/// `X(enumerator, name, slot_a, a_name, slot_b, b_name, slot_c, c_name)`:
+///  - enumerator: the `EventKind` value;
+///  - name:       `event_kind_name`, the snake_case name every exporter
+///                prints (Chrome trace, flight recorder, `describe`);
+///  - slot_a/b/c: up to three `EventSlot` fields a post-mortem reader needs,
+///                each with the name it goes by ("" for none). They are the
+///                kind's field documentation, the words the flight recorder
+///                keeps per entry and the keys its dump prints.
+/// Every kind also carries time, node and ep, and may point `label` at a
+/// static string. An emitter may fill more fields than its row names (the
+/// chain's `seq` and `peer_ep` on copies and misses, for the sinks that
+/// follow chains); a field no emitter sets is in no row. `EventKind`, its
+/// names and `kEventKindRows` are generated from this list, so a kind is
+/// declared, named and encoded by writing its row once.
+#define PINSIM_EVENT_KINDS(X)                                                \
+  /* Wire / driver: peer is the remote node, pkt the PacketType. */          \
+  X(kPktTx, "pkt_tx", peer, "peer", pkt, "pkt", none, "")                    \
+  X(kPktRx, "pkt_rx", peer, "peer", pkt, "pkt", none, "")                    \
+  X(kPktChecksumDrop, "pkt_checksum_drop", peer, "peer", none, "", none, "") \
+  X(kPktMalformed, "pkt_malformed", peer, "peer", none, "", none, "")        \
+  /* Send side. An abort carries its core::AbortCause code in len and its */ \
+  /* name in label; a retransmit its retry count in offset. */               \
+  X(kEagerPost, "eager_post", seq, "seq", peer, "peer", len, "len")          \
+  X(kRndvPost, "rndv_post", seq, "seq", peer, "peer", len, "len")            \
+  X(kSendDone, "send_done", seq, "seq", peer, "peer", len, "len")            \
+  X(kSendAbort, "send_abort", seq, "seq", peer, "peer", len, "cause")        \
+  X(kRetransmit, "retransmit", seq, "seq", peer, "peer", offset, "retries")  \
+  /* Receive-side pull: seq is the pull handle. */                           \
+  X(kPullStart, "pull_start", seq, "handle", offset, "sender_seq", len,      \
+    "len")                                                                   \
+  X(kPullBlockReq, "pull_block_req", seq, "handle", offset, "offset", len,   \
+    "len")                                                                   \
+  X(kPullRetry, "pull_retry", seq, "handle", offset, "sender_seq", len,      \
+    "stall_ticks")                                                           \
+  X(kRecvDone, "recv_done", seq, "handle", offset, "sender_seq", len, "len") \
+  X(kRecvAbort, "recv_abort", seq, "handle", offset, "sender_seq", len,      \
+    "cause")                                                                 \
+  /* Overlap misses (paper §3.3) and data movement. */                       \
+  X(kOverlapMissSend, "overlap_miss_send", region, "region", offset,         \
+    "offset", len, "len")                                                    \
+  X(kOverlapMissRecv, "overlap_miss_recv", region, "region", offset,         \
+    "offset", len, "len")                                                    \
+  X(kCopyIn, "copy_in", region, "region", offset, "offset", len, "len")      \
+  X(kCopyOut, "copy_out", region, "region", offset, "offset", len, "len")    \
+  X(kDmaCopy, "dma_copy", len, "bytes", none, "", none, "")                  \
+  /* Pin state machine of one region (frontier and total in pages). */       \
+  X(kPinReset, "pin_reset", region, "region", offset, "frontier_pages",      \
+    len, "total_pages")                                                      \
+  X(kPinStart, "pin_start", region, "region", offset, "frontier_pages",      \
+    len, "total_pages")                                                      \
+  X(kPinPages, "pin_pages", region, "region", offset, "frontier_pages",      \
+    len, "total_pages")                                                      \
+  X(kPinShrink, "pin_shrink", region, "region", offset, "frontier_pages",    \
+    len, "total_pages")                                                      \
+  X(kPinRetry, "pin_retry", region, "region", offset, "frontier_pages",      \
+    len, "total_pages")                                                      \
+  X(kPinRestart, "pin_restart", region, "region", offset, "frontier_pages",  \
+    len, "total_pages")                                                      \
+  X(kPinInvalidate, "pin_invalidate", region, "region", seq, "cut_slot",     \
+    len, "total_pages")                                                      \
+  X(kPinDone, "pin_done", region, "region", offset, "frontier_pages",        \
+    len, "total_pages")                                                      \
+  X(kPinFail, "pin_fail", region, "region", offset, "frontier_pages",        \
+    len, "total_pages")                                                      \
+  X(kPinShed, "pin_shed", region, "region", offset, "frontier_pages",        \
+    len, "total_pages")                                                      \
+  X(kPinUnpin, "pin_unpin", region, "region", offset, "frontier_pages",      \
+    len, "total_pages")                                                      \
+  /* Memory-pressure injection: the label says what happened. */             \
+  X(kPressureDeny, "pressure_deny", none, "", none, "", none, "")            \
+  X(kPressureSweep, "pressure_sweep", none, "", none, "", none, "")          \
+  X(kPressureMigrate, "pressure_migrate", none, "", none, "", none, "")      \
+  X(kPressureCow, "pressure_cow", none, "", none, "", none, "")              \
+  /* Network fault injection: node is the frame's source. */                 \
+  X(kFaultDrop, "fault_drop", peer, "peer", none, "", len, "len")            \
+  X(kFaultCorrupt, "fault_corrupt", peer, "peer", none, "", len, "len")      \
+  X(kFaultDup, "fault_dup", peer, "peer", none, "", len, "len")              \
+  X(kFaultReorder, "fault_reorder", peer, "peer", none, "", len, "len")      \
+  /* Component lifecycle. A crash also carries the pages its notifier */     \
+  /* sweep reclaimed in region; the invariant checker proves that the */     \
+  /* pinned pages after the sweep equal the non-tenant baseline. A link */   \
+  /* event's node is the fabric port. */                                     \
+  X(kLifeCrash, "life_crash", offset, "pinned_after_sweep", len, "baseline", \
+    seq, "epoch")                                                            \
+  X(kLifeRestart, "life_restart", seq, "epoch", none, "", none, "")          \
+  X(kLifeLinkDown, "life_link_down", none, "", none, "", none, "")           \
+  X(kLifeLinkUp, "life_link_up", none, "", none, "", none, "")               \
+  X(kLifeNicReset, "life_nic_reset", len, "tx_dropped", none, "", none, "")  \
+  X(kLifePeerDead, "life_peer_dead", peer, "peer", none, "", none, "")       \
+  X(kLifePeerAlive, "life_peer_alive", peer, "peer", none, "", none, "")     \
+  X(kLifeFence, "life_fence", seq, "epoch", none, "", none, "")              \
+  /* Cluster switch fabric (net/topology.hpp): node is the switch port, */   \
+  /* pkt is 1 on uplink ports; the invariant checker asserts depth <= */     \
+  /* capacity. */                                                            \
+  X(kNetPortQueue, "net_port_queue", pkt, "uplink", offset, "depth", len,    \
+    "capacity")                                                              \
+  X(kNetPortTx, "net_port_tx", pkt, "uplink", offset, "serialization_ns",    \
+    len, "wire_bytes")                                                       \
+  X(kNetCongestionDrop, "net_congestion_drop", pkt, "uplink", peer, "dst",   \
+    len, "wire_bytes")
+
+/// Every event kind the stack emits, one per PINSIM_EVENT_KINDS row. One
+/// enum across layers so sinks can switch on it without string matching.
+enum class EventKind : std::uint8_t {
+#define PINSIM_EVENT_ENUM(kind, name, a, an, b, bn, c, cn) kind,
+  PINSIM_EVENT_KINDS(PINSIM_EVENT_ENUM)
+#undef PINSIM_EVENT_ENUM
+};
+
+/// One generated row of the event-kind table, indexed by kind.
+struct EventKindRow {
+  const char* name;
+  EventSlot slot[3];
+  const char* slot_name[3];  // "" where the slot is none
+};
+
+inline constexpr EventKindRow kEventKindRows[] = {
+#define PINSIM_EVENT_ROW(kind, name, a, an, b, bn, c, cn) \
+  {name, {EventSlot::a, EventSlot::b, EventSlot::c}, {an, bn, cn}},
+    PINSIM_EVENT_KINDS(PINSIM_EVENT_ROW)
+#undef PINSIM_EVENT_ROW
+};
+
+[[nodiscard]] constexpr const EventKindRow& event_kind_row(
+    EventKind k) noexcept {
+  return kEventKindRows[static_cast<std::size_t>(k)];
+}
+
+/// The kind's snake_case name (Chrome trace, flight recorder, `describe`).
+[[nodiscard]] constexpr const char* event_kind_name(EventKind k) noexcept {
+  return event_kind_row(k).name;
+}
 
 /// The code of core::AbortCause::kPeerDead, the cause a kLifePeerDead counts
 /// as (the flight recorder's expected-abort set); core asserts the match.
 inline constexpr std::uint8_t kPeerDeadCause = 8;
-
-/// The kind's snake_case name (Chrome trace, flight recorder, `describe`).
-[[nodiscard]] const char* event_kind_name(EventKind k) noexcept;
 
 /// Sender-side identity of one message chain: every hop of a rendezvous or
 /// eager transfer — post, pulls, retransmissions, completion — shares the
@@ -112,9 +168,10 @@ inline constexpr std::uint8_t kPeerDeadCause = 8;
 }
 
 /// One observed event: a small POD stamped with simulated time by the Bus.
-/// Field meaning is per-kind (documented on the enum); unused fields stay 0.
-/// `label` must point at a string with static storage duration (packet type
-/// names, literal reasons) — sinks may keep events past the emitting call.
+/// Field meaning is per-kind (its PINSIM_EVENT_KINDS row); unused fields
+/// stay 0. `label` must point at a string with static storage duration
+/// (packet type names, literal reasons) — sinks may keep events past the
+/// emitting call.
 struct Event {
   sim::Time time = 0;
   EventKind kind = EventKind::kPktTx;
@@ -129,6 +186,21 @@ struct Event {
   std::uint64_t len = 0;      // byte length / total pages
   const char* label = nullptr;
 };
+
+/// The value of the field `s` names (0 for none).
+[[nodiscard]] constexpr std::uint64_t slot_value(const Event& e,
+                                                 EventSlot s) noexcept {
+  switch (s) {
+    case EventSlot::none: return 0;
+    case EventSlot::peer: return e.peer;
+    case EventSlot::pkt: return e.pkt;
+    case EventSlot::seq: return e.seq;
+    case EventSlot::region: return e.region;
+    case EventSlot::offset: return e.offset;
+    case EventSlot::len: return e.len;
+  }
+  return 0;
+}
 
 /// One-line human rendering (invariant violation windows, debug dumps).
 [[nodiscard]] std::string describe(const Event& e);

@@ -16,262 +16,15 @@ FlightRecorder::FlightRecorder(Config cfg)
   ring_.resize(cap_);
 }
 
-// Per-kind compaction: keep the three argument words a post-mortem reader
-// actually needs, per the field documentation on EventKind. Exhaustive so
-// pinlint D5 forces an update when a kind is added.
 FlightRecorder::CompactEvent FlightRecorder::compact_encode(
     const Event& e) noexcept {
-  CompactEvent ce;
-  ce.time = e.time;
-  ce.kind = e.kind;
-  ce.node = e.node;
-  ce.ep = e.ep;
-  switch (e.kind) {
-    case EventKind::kPktTx:
-    case EventKind::kPktRx:
-    case EventKind::kPktChecksumDrop:
-    case EventKind::kPktMalformed:
-      ce.a = e.peer;  // remote node
-      ce.b = e.pkt;   // packet type
-      ce.c = e.len;
-      break;
-    case EventKind::kEagerPost:
-    case EventKind::kRndvPost:
-    case EventKind::kSendDone:
-    case EventKind::kSendAbort:
-      ce.a = e.seq;
-      ce.b = e.peer;
-      ce.c = e.len;  // cause code for kSendAbort
-      break;
-    case EventKind::kRetransmit:
-      ce.a = e.seq;
-      ce.b = e.peer;
-      ce.c = e.offset;  // retry count
-      break;
-    case EventKind::kPullStart:
-    case EventKind::kPullRetry:
-    case EventKind::kRecvDone:
-    case EventKind::kRecvAbort:
-      ce.a = e.seq;     // pull handle
-      ce.b = e.offset;  // sender seq
-      ce.c = e.len;     // cause code for kRecvAbort
-      break;
-    case EventKind::kPullBlockReq:
-    case EventKind::kCopyIn:
-    case EventKind::kCopyOut:
-      ce.a = e.region;
-      ce.b = e.offset;
-      ce.c = e.len;
-      break;
-    case EventKind::kOverlapMissSend:
-    case EventKind::kOverlapMissRecv:
-      ce.a = e.region;
-      ce.b = e.offset;
-      ce.c = e.len;
-      break;
-    case EventKind::kDmaCopy:
-      ce.a = e.len;  // bytes copied
-      break;
-    case EventKind::kPinReset:
-    case EventKind::kPinStart:
-    case EventKind::kPinPages:
-    case EventKind::kPinShrink:
-    case EventKind::kPinRetry:
-    case EventKind::kPinRestart:
-    case EventKind::kPinDone:
-    case EventKind::kPinFail:
-    case EventKind::kPinShed:
-    case EventKind::kPinUnpin:
-      ce.a = e.region;
-      ce.b = e.offset;  // pinned frontier, pages
-      ce.c = e.len;     // total pages
-      break;
-    case EventKind::kPinInvalidate:
-      ce.a = e.region;
-      ce.b = e.seq;  // invalidation cut slot
-      ce.c = e.len;
-      break;
-    case EventKind::kPressureDeny:
-    case EventKind::kPressureSweep:
-    case EventKind::kPressureMigrate:
-    case EventKind::kPressureCow:
-      ce.a = e.region;
-      ce.b = e.offset;
-      ce.c = e.len;
-      break;
-    case EventKind::kFaultDrop:
-    case EventKind::kFaultCorrupt:
-    case EventKind::kFaultDup:
-    case EventKind::kFaultReorder:
-      ce.a = e.peer;
-      ce.b = e.pkt;
-      ce.c = e.len;
-      break;
-    case EventKind::kLifeCrash:
-      ce.a = e.offset;  // pinned pages after sweep
-      ce.b = e.len;     // expected baseline
-      ce.c = e.seq;     // dying epoch
-      break;
-    case EventKind::kLifeRestart:
-    case EventKind::kLifeFence:
-      ce.a = e.seq;  // epoch
-      break;
-    case EventKind::kLifeLinkDown:
-    case EventKind::kLifeLinkUp:
-      break;  // node alone identifies the port
-    case EventKind::kLifeNicReset:
-      ce.a = e.len;  // tx frames dropped
-      break;
-    case EventKind::kLifePeerDead:
-    case EventKind::kLifePeerAlive:
-      ce.a = e.peer;
-      break;
-    case EventKind::kNetPortQueue:
-      ce.a = e.pkt;     // 1 on uplink ports
-      ce.b = e.offset;  // depth
-      ce.c = e.len;     // capacity
-      break;
-    case EventKind::kNetPortTx:
-      ce.a = e.pkt;
-      ce.b = e.offset;  // serialization ns
-      ce.c = e.len;     // wire bytes
-      break;
-    case EventKind::kNetCongestionDrop:
-      ce.a = e.pkt;
-      ce.b = e.peer;  // frame destination
-      ce.c = e.len;   // wire bytes
-      break;
-  }
-  return ce;
-}
-
-// Argument names matching compact_encode's per-kind slot choices, for the
-// rendered JSON. Exhaustive so pinlint D5 keeps it in lock-step with the
-// encoder above.
-void FlightRecorder::compact_arg_names(EventKind k, const char*& a,
-                                       const char*& b,
-                                       const char*& c) noexcept {
-  a = b = c = nullptr;
-  switch (k) {
-    case EventKind::kPktTx:
-    case EventKind::kPktRx:
-    case EventKind::kPktChecksumDrop:
-    case EventKind::kPktMalformed:
-      a = "peer";
-      b = "pkt";
-      c = "len";
-      break;
-    case EventKind::kEagerPost:
-    case EventKind::kRndvPost:
-    case EventKind::kSendDone:
-      a = "seq";
-      b = "peer";
-      c = "len";
-      break;
-    case EventKind::kSendAbort:
-      a = "seq";
-      b = "peer";
-      c = "cause";
-      break;
-    case EventKind::kRetransmit:
-      a = "seq";
-      b = "peer";
-      c = "retries";
-      break;
-    case EventKind::kPullStart:
-    case EventKind::kPullRetry:
-    case EventKind::kRecvDone:
-      a = "handle";
-      b = "sender_seq";
-      c = "len";
-      break;
-    case EventKind::kRecvAbort:
-      a = "handle";
-      b = "sender_seq";
-      c = "cause";
-      break;
-    case EventKind::kPullBlockReq:
-    case EventKind::kCopyIn:
-    case EventKind::kCopyOut:
-    case EventKind::kOverlapMissSend:
-    case EventKind::kOverlapMissRecv:
-      a = "region";
-      b = "offset";
-      c = "len";
-      break;
-    case EventKind::kDmaCopy:
-      a = "bytes";
-      break;
-    case EventKind::kPinReset:
-    case EventKind::kPinStart:
-    case EventKind::kPinPages:
-    case EventKind::kPinShrink:
-    case EventKind::kPinRetry:
-    case EventKind::kPinRestart:
-    case EventKind::kPinDone:
-    case EventKind::kPinFail:
-    case EventKind::kPinShed:
-    case EventKind::kPinUnpin:
-      a = "region";
-      b = "frontier_pages";
-      c = "total_pages";
-      break;
-    case EventKind::kPinInvalidate:
-      a = "region";
-      b = "cut_slot";
-      c = "total_pages";
-      break;
-    case EventKind::kPressureDeny:
-    case EventKind::kPressureSweep:
-    case EventKind::kPressureMigrate:
-    case EventKind::kPressureCow:
-      a = "region";
-      b = "offset";
-      c = "len";
-      break;
-    case EventKind::kFaultDrop:
-    case EventKind::kFaultCorrupt:
-    case EventKind::kFaultDup:
-    case EventKind::kFaultReorder:
-      a = "peer";
-      b = "pkt";
-      c = "len";
-      break;
-    case EventKind::kLifeCrash:
-      a = "pinned_after_sweep";
-      b = "baseline";
-      c = "epoch";
-      break;
-    case EventKind::kLifeRestart:
-    case EventKind::kLifeFence:
-      a = "epoch";
-      break;
-    case EventKind::kLifeLinkDown:
-    case EventKind::kLifeLinkUp:
-      break;
-    case EventKind::kLifeNicReset:
-      a = "tx_dropped";
-      break;
-    case EventKind::kLifePeerDead:
-    case EventKind::kLifePeerAlive:
-      a = "peer";
-      break;
-    case EventKind::kNetPortQueue:
-      a = "uplink";
-      b = "depth";
-      c = "capacity";
-      break;
-    case EventKind::kNetPortTx:
-      a = "uplink";
-      b = "serialization_ns";
-      c = "wire_bytes";
-      break;
-    case EventKind::kNetCongestionDrop:
-      a = "uplink";
-      b = "dst";
-      c = "wire_bytes";
-      break;
-  }
+  const EventKindRow& row = event_kind_row(e.kind);
+  return {e.time,
+          {slot_value(e, row.slot[0]), slot_value(e, row.slot[1]),
+           slot_value(e, row.slot[2])},
+          e.node,
+          e.kind,
+          e.ep};
 }
 
 void FlightRecorder::on_event(const Event& e) {
@@ -300,28 +53,18 @@ void FlightRecorder::for_each_held(
 
 void FlightRecorder::append_entry_json(std::string& out,
                                        const CompactEvent& ce) const {
-  const char* an = nullptr;
-  const char* bn = nullptr;
-  const char* cn = nullptr;
-  compact_arg_names(ce.kind, an, bn, cn);
-  out += "{\"name\":" + json_str(event_kind_name(ce.kind));
+  const EventKindRow& row = event_kind_row(ce.kind);
+  out += "{\"name\":" + json_str(row.name);
   out += ",\"ph\":\"i\",\"s\":\"t\"";
   // Chrome trace ts is in microseconds; keep ns precision as a fraction.
   out += ",\"ts\":" + json_num(static_cast<double>(ce.time) / 1000.0);
   out += ",\"pid\":" + json_num(static_cast<std::uint64_t>(ce.node));
   out += ",\"tid\":" + json_num(static_cast<std::uint64_t>(ce.ep));
   out += ",\"args\":{\"t_ns\":" + json_num(static_cast<std::uint64_t>(ce.time));
-  if (an != nullptr) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (row.slot[i] == EventSlot::none) continue;
     out += ",";
-    out += json_str(an) + ":" + json_num(ce.a);
-  }
-  if (bn != nullptr) {
-    out += ",";
-    out += json_str(bn) + ":" + json_num(ce.b);
-  }
-  if (cn != nullptr) {
-    out += ",";
-    out += json_str(cn) + ":" + json_num(ce.c);
+    out += json_str(row.slot_name[i]) + ":" + json_num(ce.slot[i]);
   }
   out += "}}";
 }
@@ -354,18 +97,16 @@ std::string FlightRecorder::digest(std::string_view reason,
   const std::size_t begin = last.size() > tail ? last.size() - tail : 0;
   for (std::size_t i = begin; i < last.size(); ++i) {
     const CompactEvent& ce = last[i];
-    const char* an = nullptr;
-    const char* bn = nullptr;
-    const char* cn = nullptr;
-    compact_arg_names(ce.kind, an, bn, cn);
+    const EventKindRow& row = event_kind_row(ce.kind);
     out += "  t=" + json_num(static_cast<std::uint64_t>(ce.time));
     out += " n" + json_num(static_cast<std::uint64_t>(ce.node));
     out += "/e" + json_num(static_cast<std::uint64_t>(ce.ep));
     out += " ";
-    out += event_kind_name(ce.kind);
-    if (an != nullptr) out += std::string(" ") + an + "=" + json_num(ce.a);
-    if (bn != nullptr) out += std::string(" ") + bn + "=" + json_num(ce.b);
-    if (cn != nullptr) out += std::string(" ") + cn + "=" + json_num(ce.c);
+    out += row.name;
+    for (std::size_t s = 0; s < 3; ++s) {
+      if (row.slot[s] == EventSlot::none) continue;
+      out += std::string(" ") + row.slot_name[s] + "=" + json_num(ce.slot[s]);
+    }
     out += "\n";
   }
   return out;

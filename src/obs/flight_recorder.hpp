@@ -17,8 +17,8 @@ namespace pinsim::obs {
 /// did not expect, an Engine::self_check failure — dumps the window as a
 /// Chrome-trace loadable `.flight.json` plus a text digest on stderr.
 ///
-/// Cheap enough to leave attached on every bench run: on_event is a switch
-/// plus a 48-byte ring store, no allocation past the constructor.
+/// Cheap enough to leave attached on every bench run: on_event is a table
+/// lookup plus a 40-byte ring store, no allocation past the constructor.
 ///
 /// Determinism contract (DESIGN.md §10): recorded/dropped/dump-attempt
 /// counters and the rendered JSON are pure functions of the event stream.
@@ -70,26 +70,19 @@ class FlightRecorder final : public Sink {
 
  private:
   /// One ring entry: the generic identity fields every kind carries plus
-  /// three per-kind argument words picked by compact_encode(). 48 bytes vs
-  /// the 64-byte Event (drops the label pointer and the unused per-kind
-  /// fields rather than storing every field for every kind).
+  /// the kind's three slot words (its PINSIM_EVENT_KINDS row). 40 bytes vs
+  /// the 56-byte Event: the label pointer and the fields the row does not
+  /// name are dropped.
   struct CompactEvent {
     sim::Time time = 0;
-    std::uint64_t a = 0;  // per-kind args; names via compact_arg_names()
-    std::uint64_t b = 0;
-    std::uint64_t c = 0;
+    std::uint64_t slot[3] = {};  // named by event_kind_row(kind).slot_name
     std::uint32_t node = 0;
     EventKind kind = EventKind::kPktTx;
     std::uint8_t ep = 0;
   };
+  static_assert(sizeof(CompactEvent) == 40);
 
-  /// Per-kind field selection. Exhaustive over EventKind (pinlint D5).
   [[nodiscard]] static CompactEvent compact_encode(const Event& e) noexcept;
-
-  /// Names for CompactEvent::a/b/c per kind; null when the slot is unused.
-  /// Exhaustive over EventKind (pinlint D5).
-  static void compact_arg_names(EventKind k, const char*& a, const char*& b,
-                                const char*& c) noexcept;
 
   void append_entry_json(std::string& out, const CompactEvent& ce) const;
   void for_each_held(const std::function<void(const CompactEvent&)>& fn) const;

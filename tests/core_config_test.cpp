@@ -51,7 +51,6 @@ TEST(Config, ProtocolDefaultsMatchTheMxoeSpecAndPaper) {
   EXPECT_EQ(p.eager_threshold, 32u * 1024);        // MXoE spec (§2.2)
   EXPECT_EQ(p.pull_block, 32u * 1024);             // MXoE pull blocks
   EXPECT_EQ(p.retransmit_timeout, sim::kSecond);   // paper footnote 4
-  EXPECT_TRUE(p.optimistic_rerequest);             // paper footnote 4
   EXPECT_TRUE(p.distribute_interrupts);            // "one process per core"
   EXPECT_GT(p.pull_window, 0u);
   EXPECT_GT(p.frame_payload, 0u);

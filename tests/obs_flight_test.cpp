@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -178,6 +180,83 @@ TEST(FlightRecorder, DigestNamesTheTailEvents) {
   EXPECT_NE(d.find("why it died"), std::string::npos) << d;
   EXPECT_NE(d.find("retransmit"), std::string::npos) << d;
   EXPECT_NE(d.find("retries=3"), std::string::npos) << d;
+}
+
+// The event-kind table round-trips through the recorder: an event with a
+// distinct value in every field shows exactly its row's named slots, each
+// holding the field it names, in both the JSON dump and the digest.
+TEST(FlightRecorder, EveryKindShowsExactlyItsRowSlots) {
+  const auto field = [](EventSlot s) -> std::uint64_t {
+    switch (s) {
+      case EventSlot::none: break;
+      case EventSlot::peer: return 11;
+      case EventSlot::pkt: return 12;
+      case EventSlot::seq: return 13;
+      case EventSlot::region: return 14;
+      case EventSlot::offset: return 15;
+      case EventSlot::len: return 16;
+    }
+    return 0;
+  };
+  FlightRecorder::Config cfg = tmp_config("table");
+  cfg.max_dumps = 0;
+  cfg.expected_aborts = ~std::uint32_t{0};
+  for (std::size_t k = 0; k < std::size(kEventKindRows); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    const EventKindRow& row = event_kind_row(kind);
+    Event e = ev(kind, /*node=*/3);
+    e.time = 7000;
+    e.ep = 4;
+    e.peer_ep = 5;
+    e.label = "label";
+    e.peer = 11;  // the values `field` gives each slot
+    e.pkt = 12;
+    e.seq = 13;
+    e.region = 14;
+    e.offset = 15;
+    e.len = 16;
+    std::string args = "\"args\":{\"t_ns\":7000";
+    std::string line = std::string("  t=7000 n3/e4 ") + row.name;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (row.slot[i] == EventSlot::none) continue;
+      const std::string v = std::to_string(field(row.slot[i]));
+      args += ",\"" + std::string(row.slot_name[i]) + "\":" + v;
+      line += " " + std::string(row.slot_name[i]) + "=" + v;
+    }
+    args += "}}";
+    FlightRecorder fr(cfg);
+    fr.on_event(e);
+    const std::string body = fr.render("table");
+    EXPECT_TRUE(json_valid(body)) << body;
+    EXPECT_NE(body.find("{\"name\":\"" + std::string(row.name) + "\""),
+              std::string::npos)
+        << body;
+    const std::size_t at = body.find("\"args\":");
+    ASSERT_NE(at, std::string::npos) << body;
+    EXPECT_EQ(body.substr(at, body.find("}}", at) + 2 - at), args) << row.name;
+    const std::string d = fr.digest("table");
+    EXPECT_EQ(d.substr(d.find("\n  t=") + 1), line + "\n") << row.name;
+  }
+}
+
+TEST(FlightRecorder, TableNamesAreUniqueAndNonEmpty) {
+  std::set<std::string> kinds;
+  for (const EventKindRow& row : kEventKindRows) {
+    EXPECT_STRNE(row.name, "");
+    EXPECT_TRUE(kinds.insert(row.name).second) << row.name;
+    std::set<std::string> slots;
+    for (std::size_t i = 0; i < 3; ++i) {
+      // A used slot has a name, unique within its row; an unused one none.
+      const std::string slot_name = row.slot_name[i];
+      EXPECT_EQ(row.slot[i] == EventSlot::none, slot_name.empty())
+          << row.name << " slot " << i;
+      if (!slot_name.empty()) {
+        EXPECT_TRUE(slots.insert(slot_name).second)
+            << row.name << " " << slot_name;
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), std::size(kEventKindRows));
 }
 
 TEST(FlightRecorder, ReportJsonIsDeterministicCounters) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -36,8 +37,10 @@ Event ev(EventKind kind) {
 // --- event kinds --------------------------------------------------------------
 
 TEST(EventKind, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kNetCongestionDrop); ++k) {
-    EXPECT_STRNE(event_kind_name(static_cast<EventKind>(k)), "unknown");
+  for (std::size_t k = 0; k < std::size(kEventKindRows); ++k) {
+    const char* name = event_kind_name(static_cast<EventKind>(k));
+    ASSERT_NE(name, nullptr) << k;
+    EXPECT_STRNE(name, "") << k;
   }
 }
 

@@ -163,24 +163,29 @@ TEST(Pinlint, D4FlagsACounterFileWithoutTableRows) {
       << r.output;
 }
 
-TEST(Pinlint, D5FlagsUnrenderedKindsAndNonExhaustiveSwitches) {
+TEST(Pinlint, D5FlagsSwitchesThatMissATableKind) {
   const auto r = run_pinlint("--root=" + fixture("d5") + " src");
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_hits(r.output, ": D5: "), 3) << r.output;
-  EXPECT_NE(r.output.find("EventKind::kC is never named by obs/event.cpp"),
-            std::string::npos);
-  // Two defaultless switches miss kC: the generic user and the
-  // flight-recorder-style compact encoder (per-kind encoders must stay in
-  // lock-step with the enum).
+  // Two defaultless switches miss kC, the table's third row: the generic
+  // user and the flight-recorder-style compact encoder.
+  EXPECT_EQ(count_hits(r.output, ": D5: "), 2) << r.output;
   EXPECT_EQ(
       count_hits(r.output, "no default and does not handle EventKind::kC"),
       2)
       << r.output;
   EXPECT_NE(r.output.find("flight_encoder.cpp"), std::string::npos)
       << r.output;
-  // kA/kB are rendered and handled: no diagnostic may mention them.
+  // kA/kB are handled: no diagnostic may mention them.
   EXPECT_EQ(r.output.find("kA"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("kB"), std::string::npos) << r.output;
+}
+
+TEST(Pinlint, D5FlagsAnEventHeaderWithoutTableRows) {
+  const auto r = run_pinlint("--root=" + fixture("d5_no_table") + " src");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_hits(r.output, ": D5: "), 1) << r.output;
+  EXPECT_NE(r.output.find("D5 would check nothing"), std::string::npos)
+      << r.output;
 }
 
 TEST(Pinlint, D6FlagsHeaderHygiene) {

@@ -2,11 +2,15 @@
 // order the paper's Figures 2/5 draw.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "capture_sink.hpp"
 #include "core/host.hpp"
 #include "obs/bus.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/task.hpp"
 
 namespace pinsim {
@@ -76,6 +80,76 @@ TEST(Tracer, TracedTransferShowsTheFigure5Order) {
   pa.heap.free(src);
   EXPECT_NE(sender_trace.find_first(EventKind::kPinInvalidate),
             CaptureSink::npos);
+}
+
+// The flight recorder's block-request slot is the pull handle its emitter
+// sets, so a dump ties every PULL to the transfer it serves.
+TEST(Tracer, FlightBlockRequestsCarryTheirPullHandle) {
+  sim::Engine eng;
+  net::Fabric fabric(eng);
+  core::Host::Config hc;
+  hc.memory_frames = 16384;
+  obs::FlightRecorder::Config fc;
+  fc.max_dumps = 0;  // an unexpected abort fails the test, not the disk
+  obs::FlightRecorder flight(fc);
+  obs::Bus bus(eng);
+  bus.attach(&flight);
+  core::Host a(eng, fabric, hc, core::overlapped_cache_config());
+  core::Host b(eng, fabric, hc, core::overlapped_cache_config());
+  auto& pa = a.spawn_process();
+  auto& pb = b.spawn_process();
+  b.driver().set_bus(&bus);
+
+  // Two rendezvous one after the other: two pulls, eight blocks each.
+  const std::size_t len = 256 * 1024;
+  const auto src = pa.heap.malloc(len);
+  const auto dst = pb.heap.malloc(len);
+  sim::spawn(eng, [](core::Library& lib, core::EndpointAddr to,
+                     mem::VirtAddr buf, std::size_t n) -> sim::Task<> {
+    for (std::uint64_t m = 1; m <= 2; ++m) {
+      (void)co_await lib.send(to, m, buf, n);
+    }
+  }(pa.lib, pb.addr(), src, len));
+  sim::spawn(eng, [](core::Library& lib, mem::VirtAddr buf,
+                     std::size_t n) -> sim::Task<> {
+    for (std::uint64_t m = 1; m <= 2; ++m) {
+      (void)co_await lib.recv(m, ~std::uint64_t{0}, buf, n);
+    }
+  }(pb.lib, dst, len));
+  eng.run();
+  eng.rethrow_task_failures();
+  EXPECT_EQ(flight.dump_attempts(), 0u);
+  ASSERT_EQ(flight.dropped(), 0u);
+
+  // Walk the rendered entries in order: each block request must name the
+  // handle of the pull_start before it.
+  const std::string body = flight.render("test");
+  const auto is = [&](std::size_t entry, std::string_view name) {
+    return std::string_view(body).substr(entry).starts_with(
+        "{\"name\":\"" + std::string(name) + "\"");
+  };
+  const auto handle_of = [&](std::size_t entry, std::size_t end) {
+    const std::size_t at = body.find("\"handle\":", entry);
+    if (at == std::string::npos || at > end) return std::string("none");
+    return std::to_string(std::strtoull(body.c_str() + at + 9, nullptr, 10));
+  };
+  std::string pull_handle;
+  int pulls = 0;
+  int block_reqs = 0;
+  for (std::size_t at = body.find("{\"name\":"); at != std::string::npos;) {
+    const std::size_t next = body.find("{\"name\":", at + 1);
+    const std::size_t end = next == std::string::npos ? body.size() : next;
+    if (is(at, "pull_start")) {
+      pull_handle = handle_of(at, end);
+      ++pulls;
+    } else if (is(at, "pull_block_req")) {
+      EXPECT_EQ(handle_of(at, end), pull_handle) << body.substr(at, end - at);
+      ++block_reqs;
+    }
+    at = next;
+  }
+  EXPECT_EQ(pulls, 2);
+  EXPECT_GE(block_reqs, 16);
 }
 
 TEST(Tracer, OverlapBlockingOnlyRestrictsOverlapToBlockingRequests) {

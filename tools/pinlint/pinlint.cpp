@@ -33,9 +33,9 @@
 //       core/counters.hpp must be incremented somewhere under src/. Both
 //       reports are generated from the table, so serialization needs no
 //       check.
-//   D5  obs::Event kind exhaustiveness: every EventKind enumerator must be
-//       named by obs/event.cpp (event_kind_name), and every switch over
-//       EventKind anywhere must be exhaustive or carry a default label.
+//   D5  obs::Event kind exhaustiveness: every switch over EventKind anywhere
+//       must handle every row of the PINSIM_EVENT_KINDS table in
+//       obs/event.hpp or carry a default label.
 //   D6  header hygiene: #pragma once, no `using namespace` in headers, and
 //       include-self-sufficiency spot checks for common std:: types.
 //   D7  callback lifetime (src/ only): a lambda handed to the engine
@@ -737,29 +737,45 @@ void Linter::check_d3(const SourceFile& f) {
 
 // --- D4: counter table ------------------------------------------------------
 
-// The rows of the `PINSIM_COUNTERS` table in core/counters.hpp: (member,
-// line) for every `X("section", member, ...` line of the macro body. The
+// The rows of the X-macro table `#define <table>(X)` in `f`: (row text
+// after `X(`, line) for every line of the macro body that opens a row. The
 // tokenizer skips preprocessor lines, so the body is read as text.
-std::vector<std::pair<std::string, int>> counter_table_rows(
-    const SourceFile& f) {
+std::vector<std::pair<std::string, int>> macro_table_rows(
+    const SourceFile& f, const std::string& table) {
   std::ifstream in(f.path, std::ios::binary);
   std::vector<std::pair<std::string, int>> rows;
+  const std::string define = "#define " + table + "(";
   bool in_table = false;
   std::string text;
   for (int line = 1; std::getline(in, text); ++line) {
-    if (text.rfind("#define PINSIM_COUNTERS(", 0) == 0) in_table = true;
+    if (text.rfind(define, 0) == 0) in_table = true;
     if (!in_table) continue;
-    const std::size_t x = text.find("X(\"");
-    const std::size_t q =
-        x == std::string::npos ? x : text.find("\",", x + 3);
-    if (q != std::string::npos) {
-      std::size_t b = q + 2;
-      while (b < text.size() && text[b] == ' ') ++b;
-      std::size_t e = b;
-      while (e < text.size() && ident_char(text[e])) ++e;
-      if (e > b) rows.emplace_back(text.substr(b, e - b), line);
-    }
+    const std::size_t x = text.find("X(");
+    if (x != std::string::npos) rows.emplace_back(text.substr(x + 2), line);
     if (text.empty() || text.back() != '\\') in_table = false;
+  }
+  return rows;
+}
+
+// The leading identifier of `text`, skipping blanks ("" when none).
+std::string leading_ident(const std::string& text, std::size_t from = 0) {
+  while (from < text.size() && text[from] == ' ') ++from;
+  std::size_t e = from;
+  while (e < text.size() && ident_char(text[e])) ++e;
+  return text.substr(from, e - from);
+}
+
+// The counter table's rows in core/counters.hpp: (member, line) for every
+// `X("section", member, ...` row.
+std::vector<std::pair<std::string, int>> counter_table_rows(
+    const SourceFile& f) {
+  std::vector<std::pair<std::string, int>> rows;
+  for (const auto& [text, line] : macro_table_rows(f, "PINSIM_COUNTERS")) {
+    const std::size_t q =
+        text.starts_with('"') ? text.find("\",", 1) : std::string::npos;
+    if (q == std::string::npos) continue;
+    std::string member = leading_ident(text, q + 2);
+    if (!member.empty()) rows.emplace_back(std::move(member), line);
   }
   return rows;
 }
@@ -830,59 +846,24 @@ void Linter::check_d5() {
   SourceFile* event = find_rel("src/obs/event.hpp");
   if (event == nullptr) return;
 
-  // Harvest the EventKind enumerators.
+  // The kinds are the rows of the PINSIM_EVENT_KINDS table, which also
+  // generates the enum, the names and the flight recorder's slots; what it
+  // cannot reach is a hand-written switch.
   std::vector<std::string> kinds;
-  const auto& t = event->tokens;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (t[i].text == "enum" && t[i + 1].text == "class" &&
-        t[i + 2].text == "EventKind") {
-      std::size_t j = i + 3;
-      while (j < t.size() && t[j].text != "{") ++j;
-      int depth = 0;
-      bool expect_name = true;
-      for (; j < t.size(); ++j) {
-        if (t[j].text == "{") {
-          ++depth;
-          expect_name = true;
-          continue;
-        }
-        if (t[j].text == "}") {
-          if (--depth == 0) break;
-          continue;
-        }
-        if (depth == 1 && expect_name && t[j].kind == Tok::kIdent) {
-          kinds.push_back(t[j].text);
-          expect_name = false;
-        }
-        if (t[j].text == ",") expect_name = true;
-      }
-      break;
-    }
+  for (const auto& row : macro_table_rows(*event, "PINSIM_EVENT_KINDS")) {
+    std::string kind = leading_ident(row.first);
+    if (!kind.empty()) kinds.push_back(std::move(kind));
   }
-  if (kinds.empty()) return;
+  if (kinds.empty()) {
+    diags_.push_back({event->rel, 1, "D5",
+                      "no `X(kKind, \"name\", ...` rows found in the "
+                      "PINSIM_EVENT_KINDS table — D5 would check nothing"});
+    return;
+  }
   const std::set<std::string> kind_set(kinds.begin(), kinds.end());
 
-  // (a) event_kind_name, the one name every exporter prints, must name
-  // every kind.
-  if (SourceFile* names = find_rel("src/obs/event.cpp")) {
-    std::set<std::string> seen;
-    for (const auto& tok : names->tokens) {
-      if (tok.kind == Tok::kIdent && kind_set.count(tok.text) != 0) {
-        seen.insert(tok.text);
-      }
-    }
-    for (const auto& k : kinds) {
-      if (seen.count(k) == 0) {
-        diags_.push_back({names->rel, 1, "D5",
-                          "EventKind::" + k +
-                              " is never named by obs/event.cpp — every "
-                              "kind needs an event_kind_name"});
-      }
-    }
-  }
-
-  // (b) Any switch carrying EventKind case labels must be exhaustive or
-  // have a default. Checked across every scanned file.
+  // Any switch carrying EventKind case labels must be exhaustive or have a
+  // default. Checked across every scanned file.
   for (auto& f : files_) {
     const auto& tk = f.tokens;
     for (std::size_t i = 0; i < tk.size(); ++i) {

@@ -1,7 +1,7 @@
 // pinlint fixture: a flight-recorder-style per-kind compact encoder whose
-// defaultless switch misses kC — D5 keeps compaction tables in lock-step
-// with the enum so a new kind cannot silently encode as zeroes. Never
-// compiled.
+// defaultless switch misses kC — D5 keeps hand-written per-kind switches
+// in lock-step with the table so a new kind cannot silently fall through.
+// Never compiled.
 #include "obs/event.hpp"
 
 struct CompactEvent {
