@@ -208,16 +208,21 @@ void BM_RegionCopyInOut(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionCopyInOut);
 
-/// Arg = payload bytes: 2 kB is the eager fragment and 8 kB the PULL_REPLY
-/// block the cluster and PingPong workloads put on the wire.
+/// Arg = payload bytes of a PULL_REPLY: 2 kB is the eager fragment and 8 kB
+/// the PULL_REPLY block the cluster and PingPong workloads put on the wire.
+/// Arg 0 is a PULL instead, the most frequent fixed-field frame.
 void BM_WireEncodeDecode(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   core::Packet p;
-  core::PullReplyBody body;
-  body.handle = 7;
-  body.offset = 123456;
-  body.data.assign(bytes, std::byte{0x42});
-  p.body = std::move(body);
+  if (bytes == 0) {
+    p.body = core::PullBody{3, 7, 123456, 8192, 11};
+  } else {
+    core::PullReplyBody body;
+    body.handle = 7;
+    body.offset = 123456;
+    body.data.assign(bytes, std::byte{0x42});
+    p.body = std::move(body);
+  }
   for (auto _ : state) {
     auto wire = core::encode(p);
     auto q = core::decode(wire);
@@ -225,7 +230,7 @@ void BM_WireEncodeDecode(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_WireEncodeDecode)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_WireEncodeDecode)->Arg(0)->Arg(2048)->Arg(8192);
 
 /// Arg = frame bytes. frame_checksum on the tier this CPU picks: 64 B is the
 /// shortest frame that folds, 2 kB and 8 kB the eager and PULL_REPLY

@@ -531,35 +531,18 @@ bool Endpoint::cancel_send(std::uint32_t seq) {
 // --- packet dispatch -----------------------------------------------------------
 
 void Endpoint::handle_packet(net::NodeId src_node, Packet&& pkt) {
-  const std::uint8_t src_ep = pkt.header.src_ep;
   std::visit(
       [&](auto&& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, EagerBody>) {
-          on_eager(src_node, src_ep, std::move(body));
-        } else if constexpr (std::is_same_v<T, EagerAckBody>) {
-          on_eager_ack(src_node, src_ep, body);
-        } else if constexpr (std::is_same_v<T, RndvBody>) {
-          on_rndv(src_node, src_ep, body);
-        } else if constexpr (std::is_same_v<T, PullBody>) {
-          on_pull(src_node, src_ep, body);
-        } else if constexpr (std::is_same_v<T, PullReplyBody>) {
-          on_pull_reply(src_node, src_ep, std::move(body));
-        } else if constexpr (std::is_same_v<T, NotifyBody>) {
-          on_notify(src_node, src_ep, body);
-        } else if constexpr (std::is_same_v<T, NotifyAckBody>) {
-          on_notify_ack(body);
-        } else if constexpr (std::is_same_v<T, AbortBody>) {
-          on_abort(src_node, src_ep, body);
-        }
+        on_packet(src_node, pkt.header.src_ep,
+                  std::forward<decltype(body)>(body));
       },
       std::move(pkt.body));
 }
 
 // --- eager receive ---------------------------------------------------------------
 
-void Endpoint::on_eager(net::NodeId src, std::uint8_t src_ep,
-                        EagerBody&& body) {
+void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
+                         EagerBody&& body) {
   const std::uint64_t key = inbound_key(src, src_ep, body.seq, false);
   if (is_completed(key)) {
     // Retransmission of a message we already delivered: re-ack (the ack was
@@ -720,8 +703,8 @@ void Endpoint::complete_recv(const RecvRequest& recv, Status st) {
   if (recv.done) recv.done(st);
 }
 
-void Endpoint::on_eager_ack(net::NodeId, std::uint8_t,
-                            const EagerAckBody& body) {
+void Endpoint::on_packet(net::NodeId, std::uint8_t,
+                         const EagerAckBody& body) {
   auto it = sends_.find(body.seq);
   if (it == sends_.end()) {
     ++counters_.duplicates_suppressed;  // duplicate ack
@@ -744,8 +727,8 @@ void Endpoint::on_eager_ack(net::NodeId, std::uint8_t,
 
 // --- rendezvous receive ----------------------------------------------------------
 
-void Endpoint::on_rndv(net::NodeId src, std::uint8_t src_ep,
-                       const RndvBody& body) {
+void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
+                         const RndvBody& body) {
   ++counters_.rndv_received;
   const std::uint64_t key = inbound_key(src, src_ep, body.seq, true);
   if (is_completed(key)) {
@@ -897,8 +880,8 @@ void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
 }
 
 // Sender side: serve a pull request straight from the (pinned) region.
-void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
-                       const PullBody& body) {
+void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
+                         const PullBody& body) {
   const auto send = sends_.find(body.seq);
   const bool live = send != sends_.end();
   if (live) {
@@ -936,40 +919,21 @@ void Endpoint::on_pull(net::NodeId src, std::uint8_t src_ep,
       region->copy_out_paged(off, reply.data);  // NIC-MMU walk, never misses
     } else if (region->copy_out(off, reply.data) !=
                Region::AccessResult::kOk) {
-      ++counters_.overlap_misses;
-      ++counters_.frames_dropped_on_miss;
-      {
-        obs::Event e = ev(obs::EventKind::kOverlapMissSend);
-        e.region = body.region;
-        e.offset = off;
-        e.len = n;
-        e.seq = body.seq;
-        e.peer = src;
-        e.peer_ep = src_ep;
-        obs_emit(e);
-      }
+      overlap_miss(obs::EventKind::kOverlapMissSend, {src, src_ep}, body.seq,
+                   body.region, off, n);
       // A PULL of a send that already ended is stale: nothing waits for
       // pins on its behalf.
       if (live) reserve_when_pinned(src, src_ep, body, *region);
       continue;
     }
-    {
-      obs::Event e = ev(obs::EventKind::kCopyOut);
-      e.region = body.region;
-      e.offset = off;
-      e.len = n;
-      e.seq = body.seq;  // binds the copy to its send chain for attribution
-      e.peer = src;
-      e.peer_ep = src_ep;
-      obs_emit(e);
-    }
+    emit_data(obs::EventKind::kCopyOut, {src, src_ep}, body.seq, body.region,
+              off, n);
     ++counters_.pull_replies_sent;
     send_packet({src, src_ep}, std::move(reply), cpu::Priority::kBottomHalf);
   }
 }
 
-void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
-                             PullReplyBody&& body) {
+void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
   auto it = pulls_.find(body.handle);
   if (it == pulls_.end()) {
     ++counters_.duplicate_frames;  // stale reply for a finished transfer
@@ -1014,18 +978,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
   ++counters_.region_accesses;
   const bool paged = driver_.config().pinning.mode == PinMode::kNone;
   if (!paged && !ps.region->range_pinned(body.offset, body.data.size())) {
-    ++counters_.overlap_misses;
-    ++counters_.frames_dropped_on_miss;
-    {
-      obs::Event e = ev(obs::EventKind::kOverlapMissRecv);
-      e.offset = body.offset;
-      e.len = body.data.size();
-      e.region = ps.region->id();
-      e.seq = ps.handle;
-      e.peer = ps.peer_node;
-      e.peer_ep = ps.peer_ep;
-      obs_emit(e);
-    }
+    overlap_miss(obs::EventKind::kOverlapMissRecv, {ps.peer_node, ps.peer_ep},
+                 ps.handle, ps.region->id(), body.offset, body.data.size());
     repull_when_pinned(ps, block_idx);
     maybe_optimistic_rerequest(ps, block_idx);
     return;
@@ -1046,18 +1000,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
                Region::AccessResult::kOk) {
       // Invalidated between the check and the copy: count it as a miss and
       // re-pull the block once the region has repinned it.
-      ++counters_.overlap_misses;
-      ++counters_.frames_dropped_on_miss;
-      {
-        obs::Event e = ev(obs::EventKind::kOverlapMissRecv);
-        e.offset = body.offset;
-        e.len = body.data.size();
-        e.region = p.region->id();
-        e.seq = p.handle;
-        e.peer = p.peer_node;
-        e.peer_ep = p.peer_ep;
-        obs_emit(e);
-      }
+      overlap_miss(obs::EventKind::kOverlapMissRecv, {p.peer_node, p.peer_ep},
+                   p.handle, p.region->id(), body.offset, body.data.size());
       PullBlock& b = p.blocks[block_idx];
       const std::size_t fi = (body.offset - b.offset) /
                              driver_.config().protocol.frame_payload;
@@ -1066,16 +1010,8 @@ void Endpoint::on_pull_reply(net::NodeId, std::uint8_t,
       repull_when_pinned(p, block_idx);
       return;
     }
-    {
-      obs::Event e = ev(obs::EventKind::kCopyIn);
-      e.region = p.region->id();
-      e.offset = body.offset;
-      e.len = body.data.size();
-      e.seq = p.handle;  // binds the copy to its pull chain for attribution
-      e.peer = p.peer_node;
-      e.peer_ep = p.peer_ep;
-      obs_emit(e);
-    }
+    emit_data(obs::EventKind::kCopyIn, {p.peer_node, p.peer_ep}, p.handle,
+              p.region->id(), body.offset, body.data.size());
     PullBlock& b = p.blocks[block_idx];
     if (++b.frames_done == b.frame_seen.size()) {
       b.complete = true;
@@ -1122,7 +1058,7 @@ void Endpoint::reserve_when_pinned(net::NodeId src, std::uint8_t src_ep,
                       pending_reserves_.erase(key);
                       // Re-serve the whole PULL; the receiver discards
                       // duplicates.
-                      if (ok) on_pull(src, src_ep, body);
+                      if (ok) on_packet(src, src_ep, body);
                     }));
 }
 
@@ -1258,7 +1194,7 @@ void Endpoint::destroy_pull(std::uint32_t handle) {
 }
 
 // Sender: the receiver has everything; release and complete.
-void Endpoint::on_notify(net::NodeId src, std::uint8_t src_ep,
+void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
                          const NotifyBody& body) {
   // Always ack: the notify may be a retransmission after our ack was lost.
   send_packet({src, src_ep}, NotifyAckBody{body.handle},
@@ -1284,7 +1220,8 @@ void Endpoint::on_notify(net::NodeId src, std::uint8_t src_ep,
   req.done(Status{true, false, req.len});
 }
 
-void Endpoint::on_notify_ack(const NotifyAckBody& body) {
+void Endpoint::on_packet(net::NodeId, std::uint8_t,
+                         const NotifyAckBody& body) {
   if (pulls_.find(body.handle) == pulls_.end()) {
     ++counters_.duplicates_suppressed;  // ack for an already-freed handle
     return;
@@ -1292,8 +1229,8 @@ void Endpoint::on_notify_ack(const NotifyAckBody& body) {
   destroy_pull(body.handle);
 }
 
-void Endpoint::on_abort(net::NodeId src, std::uint8_t src_ep,
-                        const AbortBody& body) {
+void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
+                         const AbortBody& body) {
   // Receiver side: the sender gave up on (src, seq). At most one in-progress
   // pull matches (on_rndv suppresses duplicates), so scan order cannot leak.
   for (auto& [handle, ps] : pulls_) {
@@ -1347,6 +1284,27 @@ void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction after) {
              std::move(after));
 }
 
+void Endpoint::emit_data(obs::EventKind kind, EndpointAddr peer,
+                         std::uint32_t seq, RegionId region,
+                         std::uint64_t offset, std::size_t len) {
+  obs::Event e = ev(kind);
+  e.seq = seq;
+  e.region = region;
+  e.offset = offset;
+  e.len = len;
+  e.peer = peer.node;
+  e.peer_ep = peer.ep;
+  obs_emit(e);
+}
+
+void Endpoint::overlap_miss(obs::EventKind kind, EndpointAddr peer,
+                            std::uint32_t seq, RegionId region,
+                            std::uint64_t offset, std::size_t len) {
+  ++counters_.overlap_misses;
+  ++counters_.frames_dropped_on_miss;
+  emit_data(kind, peer, seq, region, offset, len);
+}
+
 void Endpoint::obs_emit(obs::Event e) {
   const obs::Relay& relay = driver_.relay();
   if (!relay.active()) return;
@@ -1357,16 +1315,17 @@ void Endpoint::obs_emit(obs::Event e) {
 
 void Endpoint::send_packet(EndpointAddr dest, PacketBody body,
                            cpu::Priority priority, sim::Time extra_cost) {
+  const PacketType type = packet_type(body);
   {
     obs::Event e = ev(obs::EventKind::kPktTx);
-    e.pkt = static_cast<std::uint8_t>(body.index() + 1);
-    e.label = packet_type_name(static_cast<PacketType>(body.index() + 1));
+    e.pkt = static_cast<std::uint8_t>(type);
+    e.label = packet_type_name(type);
     e.peer = dest.node;
     e.peer_ep = dest.ep;
     obs_emit(e);
   }
   Packet pkt;
-  pkt.header.type = static_cast<PacketType>(body.index() + 1);
+  pkt.header.type = type;
   pkt.header.src_ep = id_;
   pkt.header.dst_ep = dest.ep;
   // Incarnation fencing: our epoch, and the destination's as far as we have

@@ -317,17 +317,19 @@ class Endpoint {
   /// burned, capped at `retransmit_backoff_max`.
   [[nodiscard]] sim::Time backoff_timeout(int retries) const;
 
-  // Packet handlers (BH context).
-  void on_eager(net::NodeId src, std::uint8_t src_ep, EagerBody&& body);
-  void on_eager_ack(net::NodeId src, std::uint8_t src_ep,
-                    const EagerAckBody& body);
-  void on_rndv(net::NodeId src, std::uint8_t src_ep, const RndvBody& body);
-  void on_pull(net::NodeId src, std::uint8_t src_ep, const PullBody& body);
-  void on_pull_reply(net::NodeId src, std::uint8_t src_ep,
-                     PullReplyBody&& body);
-  void on_notify(net::NodeId src, std::uint8_t src_ep, const NotifyBody& body);
-  void on_notify_ack(const NotifyAckBody& body);
-  void on_abort(net::NodeId src, std::uint8_t src_ep, const AbortBody& body);
+  // Packet handlers (BH context), one per PINSIM_PACKET_TYPES row:
+  // handle_packet visits the body onto them, so a row without a handler
+  // does not compile.
+  void on_packet(net::NodeId src, std::uint8_t src_ep, EagerBody&& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep,
+                 const EagerAckBody& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep, const RndvBody& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep, const PullBody& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep, PullReplyBody&& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep, const NotifyBody& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep,
+                 const NotifyAckBody& body);
+  void on_packet(net::NodeId src, std::uint8_t src_ep, const AbortBody& body);
 
   // Eager receive plumbing.
   /// Writes `data` at message offset `offset` into the request's (possibly
@@ -378,6 +380,15 @@ class Endpoint {
   /// Stamps (node, ep) onto `e` and hands it to the driver's observability
   /// relay; a no-op (one pointer compare) with no bus attached.
   void obs_emit(obs::Event e);
+
+  /// Emits a data-movement event (a copy or an overlap miss) of `len` bytes
+  /// at `offset` in `region`, bound to its send or pull chain by `seq`.
+  void emit_data(obs::EventKind kind, EndpointAddr peer, std::uint32_t seq,
+                 RegionId region, std::uint64_t offset, std::size_t len);
+
+  /// An overlap miss (§3.3): counts the dropped frame and emits `kind`.
+  void overlap_miss(obs::EventKind kind, EndpointAddr peer, std::uint32_t seq,
+                    RegionId region, std::uint64_t offset, std::size_t len);
 
   [[nodiscard]] bool match_ok(const RecvRequest& r, std::uint64_t match) const {
     return (r.match & r.mask) == (match & r.mask);

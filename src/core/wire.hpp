@@ -7,6 +7,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -237,18 +239,144 @@ static_assert(sizeof(DataChunk) <= 32, "DataChunk outgrew closure budgets");
 /// send region; the receiver pulls blocks with PULL, the sender answers with
 /// PULL_REPLY frames read straight out of the pinned region; NOTIFY releases
 /// the sender. EAGER carries small (< 32 kB) messages inline.
-enum class PacketType : std::uint8_t {
-  kEager = 1,
-  kEagerAck = 2,
-  kRndv = 3,
-  kPull = 4,
-  kPullReply = 5,
-  kNotify = 6,
-  kNotifyAck = 7,
-  kAbort = 8,
+///
+/// The packet-type table: every type, one row per type in wire-value order,
+/// `X(enumerator, name, Body)`:
+///  - enumerator: the `PacketType`; row i (from 0) has the value i + 1;
+///  - name:       `packet_type_name`, the name traces print;
+///  - Body:       the body struct. Its `kFields` tuple lists its fixed fields
+///                in wire order; a `data` member is the bulk data, the rest
+///                of the frame.
+/// `PacketType`, its names, the `PacketBody` variant (in row order), the
+/// codec and `Endpoint`'s packet dispatch are generated from this list, so a
+/// type is added by writing its row, its body and its handler.
+#define PINSIM_PACKET_TYPES(X)                \
+  X(kEager, "EAGER", EagerBody)               \
+  X(kEagerAck, "EAGER_ACK", EagerAckBody)     \
+  X(kRndv, "RNDV", RndvBody)                  \
+  X(kPull, "PULL", PullBody)                  \
+  X(kPullReply, "PULL_REPLY", PullReplyBody)  \
+  X(kNotify, "NOTIFY", NotifyBody)            \
+  X(kNotifyAck, "NOTIFY_ACK", NotifyAckBody)  \
+  X(kAbort, "ABORT", AbortBody)
+
+/// Small message fragment. `seq` identifies the message per
+/// (node, src_ep, dst_ep) flow for reassembly, acknowledgement and
+/// duplicate suppression.
+struct EagerBody {
+  std::uint64_t match = 0;
+  std::uint32_t msg_len = 0;
+  std::uint32_t frag_offset = 0;
+  std::uint32_t seq = 0;
+  DataChunk data;
+  static constexpr std::tuple kFields{&EagerBody::match, &EagerBody::msg_len,
+                                      &EagerBody::frag_offset,
+                                      &EagerBody::seq};
 };
 
-[[nodiscard]] const char* packet_type_name(PacketType t) noexcept;
+struct EagerAckBody {
+  std::uint32_t seq = 0;
+  static constexpr std::tuple kFields{&EagerAckBody::seq};
+};
+
+/// Rendezvous: "message `seq`, `msg_len` bytes, readable from my region
+/// `region`". The sender's buffer may not be pinned yet (overlapped mode).
+struct RndvBody {
+  std::uint64_t match = 0;
+  std::uint64_t msg_len = 0;
+  std::uint32_t region = 0;
+  std::uint32_t seq = 0;
+  static constexpr std::tuple kFields{&RndvBody::match, &RndvBody::msg_len,
+                                      &RndvBody::region, &RndvBody::seq};
+};
+
+/// Receiver-driven block request against the sender's region.
+struct PullBody {
+  std::uint32_t region = 0;  // sender's region id
+  std::uint32_t handle = 0;  // receiver's pull-state id, echoed in replies
+  std::uint64_t offset = 0;  // absolute message offset
+  std::uint32_t len = 0;     // block length
+  std::uint32_t seq = 0;     // sender's request seq (acks the RNDV)
+  static constexpr std::tuple kFields{&PullBody::region, &PullBody::handle,
+                                      &PullBody::offset, &PullBody::len,
+                                      &PullBody::seq};
+};
+
+struct PullReplyBody {
+  std::uint32_t handle = 0;
+  std::uint64_t offset = 0;  // absolute message offset of this frame
+  DataChunk data;
+  static constexpr std::tuple kFields{&PullReplyBody::handle,
+                                      &PullReplyBody::offset};
+};
+
+/// Transfer complete: sender may release its resources.
+struct NotifyBody {
+  std::uint32_t seq = 0;     // sender's request seq (from the RNDV)
+  std::uint32_t handle = 0;  // receiver's pull handle (for the ack)
+  static constexpr std::tuple kFields{&NotifyBody::seq, &NotifyBody::handle};
+};
+
+struct NotifyAckBody {
+  std::uint32_t handle = 0;
+  static constexpr std::tuple kFields{&NotifyAckBody::handle};
+};
+
+/// Sender aborts a rendezvous (e.g. pinning failed on an invalid segment).
+struct AbortBody {
+  std::uint32_t seq = 0;
+  static constexpr std::tuple kFields{&AbortBody::seq};
+};
+
+namespace packet_row {
+/// Each type's zero-based table row.
+enum : std::uint8_t {
+#define PINSIM_PACKET_ROW(type, name, Body) type,
+  PINSIM_PACKET_TYPES(PINSIM_PACKET_ROW)
+#undef PINSIM_PACKET_ROW
+};
+/// `std::variant<Bodies...>`; the leading placeholder lets every row of the
+/// table expansion start with a comma.
+template <typename Placeholder, typename... Bodies>
+using Variant = std::variant<Bodies...>;
+}  // namespace packet_row
+
+enum class PacketType : std::uint8_t {
+#define PINSIM_PACKET_ENUM(type, name, Body) type = packet_row::type + 1,
+  PINSIM_PACKET_TYPES(PINSIM_PACKET_ENUM)
+#undef PINSIM_PACKET_ENUM
+};
+
+/// One alternative per table row, in row order.
+#define PINSIM_PACKET_BODY(type, name, Body) , Body
+using PacketBody =
+    packet_row::Variant<void PINSIM_PACKET_TYPES(PINSIM_PACKET_BODY)>;
+#undef PINSIM_PACKET_BODY
+
+inline constexpr std::size_t kPacketTypeCount = std::variant_size_v<PacketBody>;
+
+#define PINSIM_PACKET_CHECK(type, name, Body)                             \
+  static_assert(std::is_same_v<                                            \
+                std::variant_alternative_t<packet_row::type, PacketBody>, \
+                Body>);
+PINSIM_PACKET_TYPES(PINSIM_PACKET_CHECK)
+#undef PINSIM_PACKET_CHECK
+
+/// The type a body travels as: its alternative's row, plus one.
+[[nodiscard]] inline PacketType packet_type(const PacketBody& body) noexcept {
+  return static_cast<PacketType>(body.index() + 1);
+}
+
+/// The type's name ("UNKNOWN" for a value outside the table).
+[[nodiscard]] constexpr const char* packet_type_name(PacketType t) noexcept {
+  constexpr const char* kNames[] = {
+#define PINSIM_PACKET_NAME(type, name, Body) name,
+      PINSIM_PACKET_TYPES(PINSIM_PACKET_NAME)
+#undef PINSIM_PACKET_NAME
+  };
+  const std::size_t row = static_cast<std::size_t>(t) - 1;
+  return row < kPacketTypeCount ? kNames[row] : "UNKNOWN";
+}
 
 /// Endpoint demultiplexing within a node (like an MX endpoint id), plus the
 /// incarnation epochs that fence frames across endpoint crash/restart
@@ -265,64 +393,6 @@ struct PacketHeader {
   std::uint8_t src_epoch = 0;
   std::uint8_t dst_epoch = 0;
 };
-
-/// Small message fragment. `seq` identifies the message per
-/// (node, src_ep, dst_ep) flow for reassembly, acknowledgement and
-/// duplicate suppression.
-struct EagerBody {
-  std::uint64_t match = 0;
-  std::uint32_t msg_len = 0;
-  std::uint32_t frag_offset = 0;
-  std::uint32_t seq = 0;
-  DataChunk data;
-};
-
-struct EagerAckBody {
-  std::uint32_t seq = 0;
-};
-
-/// Rendezvous: "message `seq`, `msg_len` bytes, readable from my region
-/// `region`". The sender's buffer may not be pinned yet (overlapped mode).
-struct RndvBody {
-  std::uint64_t match = 0;
-  std::uint64_t msg_len = 0;
-  std::uint32_t region = 0;
-  std::uint32_t seq = 0;
-};
-
-/// Receiver-driven block request against the sender's region.
-struct PullBody {
-  std::uint32_t region = 0;  // sender's region id
-  std::uint32_t handle = 0;  // receiver's pull-state id, echoed in replies
-  std::uint64_t offset = 0;  // absolute message offset
-  std::uint32_t len = 0;     // block length
-  std::uint32_t seq = 0;     // sender's request seq (acks the RNDV)
-};
-
-struct PullReplyBody {
-  std::uint32_t handle = 0;
-  std::uint64_t offset = 0;  // absolute message offset of this frame
-  DataChunk data;
-};
-
-/// Transfer complete: sender may release its resources.
-struct NotifyBody {
-  std::uint32_t seq = 0;     // sender's request seq (from the RNDV)
-  std::uint32_t handle = 0;  // receiver's pull handle (for the ack)
-};
-
-struct NotifyAckBody {
-  std::uint32_t handle = 0;
-};
-
-/// Sender aborts a rendezvous (e.g. pinning failed on an invalid segment).
-struct AbortBody {
-  std::uint32_t seq = 0;
-};
-
-using PacketBody =
-    std::variant<EagerBody, EagerAckBody, RndvBody, PullBody, PullReplyBody,
-                 NotifyBody, NotifyAckBody, AbortBody>;
 
 struct Packet {
   PacketHeader header;

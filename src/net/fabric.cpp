@@ -10,7 +10,7 @@
 namespace pinsim::net {
 
 Fabric::Fabric(sim::Engine& eng, Config cfg)
-    : eng_(eng), cfg_(cfg), rng_(cfg.seed), faults_(cfg.seed ^ 0xfa017u) {
+    : eng_(eng), cfg_(cfg), faults_(cfg.seed ^ 0xfa017u) {
   if (cfg_.bandwidth_gbps <= 0.0) {
     throw std::invalid_argument("fabric bandwidth must be positive");
   }
@@ -28,12 +28,10 @@ void Fabric::set_port_up(NodeId port, bool up) {
   if (port >= port_up_.size()) return;
   if ((port_up_[port] != 0) == up) return;
   port_up_[port] = up ? 1 : 0;
-  if (bus_ != nullptr && bus_->active()) {
-    obs::Event e;
-    e.kind = up ? obs::EventKind::kLifeLinkUp : obs::EventKind::kLifeLinkDown;
-    e.node = port;
-    bus_->emit(e);
-  }
+  obs::Event e;
+  e.kind = up ? obs::EventKind::kLifeLinkUp : obs::EventKind::kLifeLinkDown;
+  e.node = port;
+  emit(e);
 }
 
 sim::Time Fabric::serialization_time(std::size_t wire_bytes) const {
@@ -54,10 +52,6 @@ bool Fabric::admit(Frame& frame, FaultInjector::Verdict& verdict) {
     // retransmission machinery (or the watchdog, if it stays down) recovers.
     ++fault_dropped_;
     ++link_down_drops_;
-    return false;
-  }
-  if (cfg_.drop_probability > 0.0 && rng_.bernoulli(cfg_.drop_probability)) {
-    ++fault_dropped_;
     return false;
   }
   if (faults_.enabled()) verdict = faults_.inspect(frame);

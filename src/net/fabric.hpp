@@ -7,7 +7,6 @@
 #include "net/frame.hpp"
 #include "obs/bus.hpp"
 #include "sim/engine.hpp"
-#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace pinsim::net {
@@ -18,8 +17,7 @@ class Nic;
 /// NIC; a fixed one-way latency models propagation plus the cut-through
 /// switch. The built-in FaultInjector (see net/fault.hpp) exercises the MXoE
 /// retransmission machinery under loss, bursty loss, corruption, duplication
-/// and reordering; the legacy `drop_probability` knob remains as a shorthand
-/// for plain independent loss.
+/// and reordering.
 ///
 /// Delivery into a port is serialized at the port's line rate, so several
 /// senders blasting one receiver share its 10 Gb/s ingress — which is what
@@ -37,8 +35,7 @@ class Fabric {
   struct Config {
     double bandwidth_gbps = 10.0;  // line rate per port, 10G Ethernet
     sim::Time latency = 2 * sim::kMicrosecond;  // NIC->NIC one-way
-    double drop_probability = 0.0;              // random loss injection
-    std::uint64_t seed = 0xfab51c;
+    std::uint64_t seed = 0xfab51c;              // seeds the FaultInjector
   };
 
   Fabric(sim::Engine& eng, Config cfg);
@@ -99,8 +96,9 @@ class Fabric {
     return nics_.size();
   }
 
-  /// Lifecycle-event emission point (kLifeLinkDown/Up); optional. The
-  /// fabric registers with the bus's teardown-order guard.
+  /// Lifecycle-event emission point (kLifeLinkDown/Up, and kLifeNicReset
+  /// for the NICs attached here); optional. The fabric registers with the
+  /// bus's teardown-order guard.
   void set_bus(obs::Bus* bus) noexcept {
     if (bus_ == bus) return;
     if (bus_ != nullptr) bus_->unregister_emitter();
@@ -108,12 +106,17 @@ class Fabric {
     bus_ = bus;
   }
 
+  /// Emits a lifecycle event on the attached bus; a no-op without one.
+  void emit(const obs::Event& e) const {
+    if (bus_ != nullptr && bus_->active()) bus_->emit(e);
+  }
+
  protected:
-  /// The shared admission pipeline: administrative link state, the legacy
-  /// drop_probability coin, and the fault injector (which may corrupt the
-  /// frame in place). Returns false when the frame was consumed (dropped and
-  /// accounted); otherwise fills `verdict` with the duplicate/extra-latency
-  /// decisions the caller must honour.
+  /// The shared admission pipeline: administrative link state, then the
+  /// fault injector (which may corrupt the frame in place). Returns false
+  /// when the frame was consumed (dropped and accounted); otherwise fills
+  /// `verdict` with the duplicate/extra-latency decisions the caller must
+  /// honour.
   bool admit(Frame& frame, FaultInjector::Verdict& verdict);
 
   /// Applies latency/ingress accounting and hands the frame to the NIC.
@@ -129,7 +132,6 @@ class Fabric {
   std::vector<Nic*> nics_;
   std::vector<sim::Time> ingress_free_;  // per-port ingress availability
   std::vector<std::uint8_t> port_up_;    // administrative link state
-  sim::Rng rng_;
   FaultInjector faults_;
   obs::Bus* bus_ = nullptr;
   std::uint64_t delivered_ = 0;

@@ -60,6 +60,11 @@ std::size_t Nic::reset() {
   stats_.rx_ring_drops += rx_inflight_;
   ++reset_gen_;
   ++resets_;
+  obs::Event e;
+  e.kind = obs::EventKind::kLifeNicReset;
+  e.node = node_;
+  e.len = lost;
+  fabric_.emit(e);
   return lost;
 }
 

@@ -72,7 +72,8 @@ class Nic {
   /// ring including the frame currently clocking out, and invalidates every
   /// RX frame still waiting for its bottom half — they were sitting in ring
   /// memory the reset just reinitialized. Returns the number of TX frames
-  /// lost (counted as tx_ring_drops; RX casualties count as rx_ring_drops).
+  /// lost (counted as tx_ring_drops; RX casualties count as rx_ring_drops)
+  /// and emitted as kLifeNicReset's `len` on the fabric's bus.
   std::size_t reset();
 
   [[nodiscard]] std::uint64_t resets() const noexcept { return resets_; }

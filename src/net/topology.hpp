@@ -29,8 +29,8 @@ namespace pinsim::net {
 /// incast past the buffer is *congestion* loss, counted separately from
 /// fault-injected loss (`congestion_dropped()` vs `fault_dropped()`).
 ///
-/// Fault admission (link state, drop_probability, FaultInjector) is shared
-/// with the base class, so fault plans compose with congestion unchanged.
+/// Fault admission (link state, FaultInjector) is shared with the base
+/// class, so fault plans compose with congestion unchanged.
 /// Reorder-jittered frames model a different switch path and bypass the
 /// queues, exactly like the base class's ingress bypass.
 class Topology : public Fabric {

@@ -26,9 +26,9 @@ enum class EventSlot : std::uint8_t {
 ///                kind's field documentation, the words the flight recorder
 ///                keeps per entry and the keys its dump prints.
 /// Every kind also carries time, node and ep, and may point `label` at a
-/// static string. An emitter may fill more fields than its row names (the
-/// chain's `seq` and `peer_ep` on copies and misses, for the sinks that
-/// follow chains); a field no emitter sets is in no row. `EventKind`, its
+/// static string. An emitter may fill more fields than its row names (a
+/// copy's or miss's frame `len`, and `peer_ep`, for the sinks that follow
+/// chains); a field no emitter sets is in no row. `EventKind`, its
 /// names and `kEventKindRows` are generated from this list, so a kind is
 /// declared, named and encoded by writing its row once.
 #define PINSIM_EVENT_KINDS(X)                                                \
@@ -55,12 +55,12 @@ enum class EventSlot : std::uint8_t {
   X(kRecvAbort, "recv_abort", seq, "handle", offset, "sender_seq", len,      \
     "cause")                                                                 \
   /* Overlap misses (paper §3.3) and data movement. */                       \
-  X(kOverlapMissSend, "overlap_miss_send", region, "region", offset,         \
-    "offset", len, "len")                                                    \
-  X(kOverlapMissRecv, "overlap_miss_recv", region, "region", offset,         \
-    "offset", len, "len")                                                    \
-  X(kCopyIn, "copy_in", region, "region", offset, "offset", len, "len")      \
-  X(kCopyOut, "copy_out", region, "region", offset, "offset", len, "len")    \
+  X(kOverlapMissSend, "overlap_miss_send", seq, "seq", region, "region",     \
+    offset, "offset")                                                        \
+  X(kOverlapMissRecv, "overlap_miss_recv", seq, "handle", region, "region",  \
+    offset, "offset")                                                        \
+  X(kCopyIn, "copy_in", seq, "handle", region, "region", offset, "offset")   \
+  X(kCopyOut, "copy_out", seq, "seq", region, "region", offset, "offset")    \
   X(kDmaCopy, "dma_copy", len, "bytes", none, "", none, "")                  \
   /* Pin state machine of one region (frontier and total in pages). */       \
   X(kPinReset, "pin_reset", region, "region", offset, "frontier_pages",      \

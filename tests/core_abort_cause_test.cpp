@@ -56,7 +56,7 @@ struct Rig {
   /// Injects a raw frame into host B's NIC as if A's endpoint 0 sent it.
   void inject_to_b(PacketBody body) {
     Packet p;
-    p.header.type = static_cast<PacketType>(body.index() + 1);
+    p.header.type = packet_type(body);
     p.body = std::move(body);
     net::Frame f;
     f.src = a->nic().node_id();

@@ -313,7 +313,7 @@ TEST(WireRoundTripFuzz, RandomFieldValuesSurviveEncodeDecode) {
         break;
       }
     }
-    p.header.type = static_cast<PacketType>(p.body.index() + 1);
+    p.header.type = packet_type(p.body);
     const auto wire = encode(p);
     const Packet q = decode(wire);
     ASSERT_EQ(p.type(), q.type());

@@ -386,9 +386,9 @@ TEST_F(ProtocolTest, RandomFrameLossIsRecoveredByRetransmission) {
   cfg.protocol.retransmit_timeout = 500 * sim::kMicrosecond;  // speed up test
   cfg.protocol.pull_retry_timeout = 500 * sim::kMicrosecond;
   net::Fabric::Config net_cfg;
-  net_cfg.drop_probability = 0.05;
   net_cfg.seed = 1717;
   build(cfg, net_cfg);
+  fabric_->faults().set_plan({.loss = 0.05});
   auto r = transfer(512 * 1024, 31);
   EXPECT_TRUE(r.send.ok);
   EXPECT_TRUE(r.recv.ok);
@@ -401,9 +401,9 @@ TEST_F(ProtocolTest, HeavyLossStillDeliversCorrectData) {
   cfg.protocol.retransmit_timeout = 200 * sim::kMicrosecond;
   cfg.protocol.pull_retry_timeout = 200 * sim::kMicrosecond;
   net::Fabric::Config net_cfg;
-  net_cfg.drop_probability = 0.25;
   net_cfg.seed = 4242;
   build(cfg, net_cfg);
+  fabric_->faults().set_plan({.loss = 0.25});
   auto r = transfer(128 * 1024, 77);
   EXPECT_TRUE(r.send.ok);
   EXPECT_TRUE(r.recv.ok);

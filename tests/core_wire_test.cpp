@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 namespace pinsim::core {
@@ -491,9 +492,102 @@ TEST(Wire, ChecksumErrorIsDistinctFromFormatError) {
 }
 
 TEST(Wire, PacketTypeNames) {
-  EXPECT_STREQ(packet_type_name(PacketType::kEager), "EAGER");
-  EXPECT_STREQ(packet_type_name(PacketType::kPullReply), "PULL_REPLY");
+  std::size_t rows = 0;
+#define EXPECT_ROW_NAME(type, name, Body)                 \
+  EXPECT_STREQ(packet_type_name(PacketType::type), name); \
+  EXPECT_EQ(static_cast<std::size_t>(PacketType::type), ++rows);
+  PINSIM_PACKET_TYPES(EXPECT_ROW_NAME)
+#undef EXPECT_ROW_NAME
+  EXPECT_EQ(rows, kPacketTypeCount);
+  EXPECT_STREQ(packet_type_name(static_cast<PacketType>(0)), "UNKNOWN");
   EXPECT_STREQ(packet_type_name(static_cast<PacketType>(99)), "UNKNOWN");
+}
+
+TEST(Wire, OverheadIsTheSizeOfADatalessFrame) {
+#define EXPECT_ROW_OVERHEAD(type, name, Body)                      \
+  {                                                                \
+    Packet p;                                                      \
+    p.body = Body{};                                               \
+    EXPECT_EQ(encode(p).size(), encoded_overhead(PacketType::type)) \
+        << name;                                                   \
+  }
+  PINSIM_PACKET_TYPES(EXPECT_ROW_OVERHEAD)
+#undef EXPECT_ROW_OVERHEAD
+}
+
+std::string hex_of(std::span<const std::byte> bytes) {
+  std::string out;
+  for (const std::byte b : bytes) {
+    constexpr const char* kDigits = "0123456789abcdef";
+    out += kDigits[std::to_integer<int>(b) >> 4];
+    out += kDigits[std::to_integer<int>(b) & 0xf];
+  }
+  return out;
+}
+
+// One packet per table row, every header byte and field distinct, against
+// the bytes the hand-written codec produced before the table generated it:
+// the layout is the 5-byte header, the fixed fields little-endian in wire
+// order, the bulk data, then the CRC-32.
+TEST(Wire, EveryTypeEncodesToItsFrozenBytes) {
+  const auto packet = [](int row, PacketBody body) {
+    Packet p;
+    p.header.src_ep = static_cast<std::uint8_t>(row);
+    p.header.dst_ep = static_cast<std::uint8_t>(row + 10);
+    p.header.src_epoch = static_cast<std::uint8_t>(row + 20);
+    p.header.dst_epoch = static_cast<std::uint8_t>(row + 30);
+    p.body = std::move(body);
+    return p;
+  };
+  const std::pair<Packet, const char*> golden[] = {
+      {packet(1, EagerBody{0x1122334455667788ULL, 0x100, 0x20, 0x0a0b0c0d,
+                           bytes_of("eager!")}),
+       "01010b151f887766554433221100010000200000000d0c0b0a656167657221169ef7"
+       "af"},
+      {packet(2, EagerAckBody{0x01020304}), "02020c162004030201b9e42191"},
+      {packet(3, RndvBody{0x8877665544332211ULL, 0x100000005ULL, 0x11, 0x22}),
+       "03030d1721112233445566778805000000010000001100000022000000ac9f24ce"},
+      {packet(4, PullBody{0xa1, 0xb2, 0x0102030405060708ULL, 0x8000, 0xc3}),
+       "04040e1822a1000000b2000000080706050403020100800000c3000000d83f31fa"},
+      {packet(5, PullReplyBody{0xd4, 0x10000, bytes_of("reply")}),
+       "05050f1923d400000000000100000000007265706c79328c4a11"},
+      {packet(6, NotifyBody{0xe5, 0xf6}), "0606101a24e5000000f60000008458f669"},
+      {packet(7, NotifyAckBody{0x1234}), "0707111b2534120000c0addf49"},
+      {packet(8, AbortBody{0x5678}), "0808121c2678560000d1e25a82"},
+  };
+  ASSERT_EQ(std::size(golden), kPacketTypeCount);
+  for (std::size_t row = 0; row < kPacketTypeCount; ++row) {
+    const auto& [p, hex] = golden[row];
+    ASSERT_EQ(p.body.index(), row);
+    const std::vector<std::byte> wire = encode(p);
+    EXPECT_EQ(hex_of(wire), hex) << packet_type_name(packet_type(p.body));
+    // And back: the decoded packet encodes to the same bytes.
+    EXPECT_EQ(encode(decode(wire)), wire);
+  }
+}
+
+// The decoder's type check is the table's range: 0 and one past the last
+// row are rejected even behind a valid checksum.
+TEST(Wire, TypeOutsideTheTableThrowsBehindAValidChecksum) {
+  for (const std::size_t raw : {std::size_t{0}, kPacketTypeCount + 1}) {
+    Packet p;
+    p.body = AbortBody{1};
+    std::vector<std::byte> wire = encode(p);
+    wire[0] = static_cast<std::byte>(raw);
+    const std::size_t n = wire.size() - kChecksumBytes;
+    const std::uint32_t crc =
+        frame_checksum(std::span<const std::byte>(wire).first(n));
+    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
+      wire[n + i] = static_cast<std::byte>(crc >> (8 * i));
+    }
+    try {
+      (void)decode(wire);
+      ADD_FAILURE() << "type " << raw << " decoded";
+    } catch (const WireChecksumError&) {
+      ADD_FAILURE() << "type " << raw << " failed the checksum";
+    } catch (const WireFormatError&) {
+    }
+  }
 }
 
 }  // namespace

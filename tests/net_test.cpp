@@ -4,11 +4,14 @@
 #include <string>
 #include <vector>
 
+#include "capture_sink.hpp"
 #include "cpu/core.hpp"
 #include "net/fabric.hpp"
 #include "net/frame.hpp"
 #include "net/nic.hpp"
 #include "net/switch_port.hpp"
+#include "obs/bus.hpp"
+#include "obs/lifecycle.hpp"
 #include "sim/engine.hpp"
 
 namespace pinsim::net {
@@ -223,9 +226,9 @@ TEST(SwitchPortQueue, StaysFifoAcrossWrapAndGrowth) {
 TEST(FabricLoss, RandomDropsAreApplied) {
   sim::Engine eng;
   Fabric::Config cfg;
-  cfg.drop_probability = 0.5;
   cfg.seed = 7;
   Fabric fabric(eng, cfg);
+  fabric.faults().set_plan({.loss = 0.5});
   cpu::Core core_a(eng, "a"), core_b(eng, "b");
   Nic nic_a(eng, fabric, core_a), nic_b(eng, fabric, core_b);
   int received = 0;
@@ -239,6 +242,32 @@ TEST(FabricLoss, RandomDropsAreApplied) {
   EXPECT_LT(received, 2 * kFrames / 3);
   EXPECT_EQ(fabric.frames_dropped() + fabric.frames_delivered(),
             static_cast<std::uint64_t>(kFrames));
+}
+
+// A NIC reset is a lifecycle event: the recorder counts it, and its `len`
+// is the number of TX frames the reset dropped.
+TEST(NicReset, EmitsOneLifecycleEventWithTheDroppedTxFrames) {
+  sim::Engine eng;
+  obs::LifecycleRecorder life;
+  test::CaptureSink capture;
+  obs::Bus bus(eng);  // outlives the fabric, which unregisters from it
+  bus.attach(&life);
+  bus.attach(&capture);
+  Fabric fabric(eng);
+  fabric.set_bus(&bus);
+  cpu::Core core_a(eng, "a"), core_b(eng, "b");
+  Nic nic_a(eng, fabric, core_a), nic_b(eng, fabric, core_b);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(nic_a.send(make_frame(nic_b.node_id(), std::size_t{1024})));
+  }
+  const std::size_t lost = nic_a.reset();
+  EXPECT_EQ(lost, 3u);  // two queued, one mid-serialization
+  EXPECT_EQ(life.totals().nic_resets, 1u);
+  const std::size_t at = capture.find_first(obs::EventKind::kLifeNicReset);
+  ASSERT_NE(at, test::CaptureSink::npos);
+  EXPECT_EQ(capture.events[at].node, nic_a.node_id());
+  EXPECT_EQ(capture.events[at].len, lost);
+  eng.run();
 }
 
 TEST(IngressSharing, SimultaneousSendersSerializeAtPortLineRate) {

@@ -150,12 +150,12 @@ class LossSweep : public ::testing::TestWithParam<int> {};
 TEST_P(LossSweep, CorrectUnderLoss) {
   const double p = GetParam() / 100.0;
   net::Fabric::Config net_cfg;
-  net_cfg.drop_probability = p;
   net_cfg.seed = 1000 + static_cast<std::uint64_t>(GetParam());
   StackConfig stack = overlapped_cache_config();
   stack.protocol.retransmit_timeout = 300 * sim::kMicrosecond;
   stack.protocol.pull_retry_timeout = 300 * sim::kMicrosecond;
   Rig rig(stack, net_cfg);
+  rig.fabric->faults().set_plan({.loss = p});
 
   const std::size_t size = 256 * 1024;
   const auto src = rig.pa->heap.malloc(size);

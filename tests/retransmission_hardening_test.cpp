@@ -58,7 +58,7 @@ struct Rig {
 
 Packet make_packet(PacketBody body, std::uint8_t src_ep = 0) {
   Packet p;
-  p.header.type = static_cast<PacketType>(body.index() + 1);
+  p.header.type = packet_type(body);
   p.header.src_ep = src_ep;
   p.header.dst_ep = 0;
   p.body = std::move(body);

@@ -179,9 +179,9 @@ TEST(Topology, RunsAreDeterministic) {
     cfg.nodes_per_rack = 4;
     cfg.uplinks_per_rack = 2;
     cfg.downlink_queue_frames = 8;
-    cfg.link.drop_probability = 0.1;
     cfg.link.seed = 0x5eed;
     Rig rig(cfg, 8);
+    rig.topo.faults().set_plan({.loss = 0.1});
     std::vector<Arrival> arrivals;
     for (std::size_t n = 0; n < 8; ++n) {
       rig.nics[n]->set_rx_handler([&arrivals, n, &rig](Frame&& f) {

@@ -82,8 +82,9 @@ TEST(Tracer, TracedTransferShowsTheFigure5Order) {
             CaptureSink::npos);
 }
 
-// The flight recorder's block-request slot is the pull handle its emitter
-// sets, so a dump ties every PULL to the transfer it serves.
+// The flight recorder's block-request and copy-in slots are the pull handle
+// their emitters set, so a dump ties every PULL and every copy into the
+// landing region to the transfer it serves.
 TEST(Tracer, FlightBlockRequestsCarryTheirPullHandle) {
   sim::Engine eng;
   net::Fabric fabric(eng);
@@ -121,8 +122,9 @@ TEST(Tracer, FlightBlockRequestsCarryTheirPullHandle) {
   EXPECT_EQ(flight.dump_attempts(), 0u);
   ASSERT_EQ(flight.dropped(), 0u);
 
-  // Walk the rendered entries in order: each block request must name the
-  // handle of the pull_start before it.
+  // Walk the rendered entries in order: each block request and each copy
+  // into the landing region must name the handle of the pull_start before
+  // it.
   const std::string body = flight.render("test");
   const auto is = [&](std::size_t entry, std::string_view name) {
     return std::string_view(body).substr(entry).starts_with(
@@ -136,6 +138,7 @@ TEST(Tracer, FlightBlockRequestsCarryTheirPullHandle) {
   std::string pull_handle;
   int pulls = 0;
   int block_reqs = 0;
+  int copies_in = 0;
   for (std::size_t at = body.find("{\"name\":"); at != std::string::npos;) {
     const std::size_t next = body.find("{\"name\":", at + 1);
     const std::size_t end = next == std::string::npos ? body.size() : next;
@@ -145,11 +148,15 @@ TEST(Tracer, FlightBlockRequestsCarryTheirPullHandle) {
     } else if (is(at, "pull_block_req")) {
       EXPECT_EQ(handle_of(at, end), pull_handle) << body.substr(at, end - at);
       ++block_reqs;
+    } else if (is(at, "copy_in")) {
+      EXPECT_EQ(handle_of(at, end), pull_handle) << body.substr(at, end - at);
+      ++copies_in;
     }
     at = next;
   }
   EXPECT_EQ(pulls, 2);
   EXPECT_GE(block_reqs, 16);
+  EXPECT_GE(copies_in, 2 * 256 / 8);  // every 8 kB frame of both messages
 }
 
 TEST(Tracer, OverlapBlockingOnlyRestrictsOverlapToBlockingRequests) {
