@@ -8,6 +8,7 @@
 //                  kill/restart cycles with loss, pressure, flaps, NIC resets
 //   soak cluster   all three on 256 tenants in two racks, with switch
 //                  congestion and cross-tenant pin arbitration
+//   soak quota     the fault-free cluster stage at rising pin quotas
 //
 // Every stage runs twice under one seed with the invariant checker and the
 // engine self-check attached, and the two JSON run reports must be
@@ -64,11 +65,9 @@ constexpr std::uint32_t causes(std::initializer_list<Cause> cs) {
 constexpr std::uint32_t kCrashes = causes({Cause::kCrash, Cause::kPeerDead,
                                            Cause::kPeerRestarted,
                                            Cause::kCancelled});
-// 16 tenants per host on a 160-page quota: pulls stall on regions that
-// cannot pin, senders run out of retries, each side aborts the other
-// (ROADMAP item 2 is to make this set empty).
-constexpr std::uint32_t kContendedQuota = causes(
-    {Cause::kRetryBudget, Cause::kPinStarved, Cause::kRemoteAbort});
+// Rack hosts' pin quota: 16 tenants share 160 pages, far below their
+// cached rendezvous working set, so the arbiter's shedding does real work.
+constexpr std::size_t kRackQuota = 160;
 
 std::vector<std::byte> pattern(std::size_t n, std::uint32_t salt) {
   std::vector<std::byte> v(n);
@@ -93,7 +92,7 @@ struct Stage {
   net::FaultPlan faults{};
   mem::PressurePlan pressure{};
   std::vector<std::size_t> press_hosts{};  // one injector per host listed
-  std::size_t quota = kNoQuota;            // pin quota on those hosts
+  std::size_t quota = kNoQuota;  // pin quota on those hosts, or every rack
   std::vector<std::size_t> victims{};      // hosts whose slot 0 crashes
   std::array<std::size_t, 2> crashes{};    // {quick, full}; 0: no lifecycle
   double flap = 0.0, nic_reset = 0.0;      // per-crash collateral chances
@@ -749,11 +748,10 @@ void round_pump(Run& r, bool incast) {
       "\"tenant_fairness\":{\"tenants\":%zu,\"jain_ok_pairs\":%.6f,"
       "\"jain_pin_denials\":%.6f,\"p99_spread_ratio\":%.6f,"
       "\"arb_requests\":%llu,\"arb_grants\":%llu,\"arb_sheds\":%llu,"
-      "\"floor_protected\":%llu,\"fault_dropped\":%llu,"
-      "\"congestion_dropped\":%llu},",
+      "\"fault_dropped\":%llu,\"congestion_dropped\":%llu},",
       kEndpoints, jain_ok, jain_index(denied), spread, ull(r.tally.arb),
-      ull(t.tenant_arb_grants), ull(t.tenant_sheds_suffered),
-      ull(t.tenant_floor_protected), ull(fault), ull(congestion));
+      ull(t.tenant_arb_grants), ull(t.tenant_sheds_suffered), ull(fault),
+      ull(congestion));
   r.digest = digest;
   say(r,
       "  traffic: posted=%llu ok=%llu failed=%llu canceled=%llu "
@@ -800,6 +798,7 @@ struct Suite {
   std::vector<Stage> stages;
   std::vector<Floor> floors{};
   const char* passed = "";  // may print the first floor's count
+  bool monotone = false;  // no stage may fail more exchanges than an earlier
 };
 
 std::vector<Stage> chaos_stages() {
@@ -870,25 +869,46 @@ std::vector<Stage> crash_stages() {
 
 std::vector<Stage> cluster_stages() {
   return {
-      // Wire ceilings sit just above the measured 77.9 quick / 95.6 full
-      // (uniform) and 58.1 / 76.5 (composed): the wasted re-pulls of
-      // ROADMAP item 2, bounded until they are gone. Incast is recorded
-      // only.
+      // Wire ceilings sit just above the measured amplification (quick and
+      // full): a return of wasted re-pulls or of lockstep retransmissions
+      // fails the stage.
       {.label = "uniform pairwise, intra+cross rack (256 endpoints)",
        .drive = uniform, .rounds = {50, 1200}, .racks = true,
-       .expect = kContendedQuota, .max_amplification = 100.0},
+       .quota = kRackQuota, .max_amplification = 1.5},
       // A shallow hub downlink queue, so 240-into-1 must overflow it.
       {.label = "incast: 240 tenants into one hub (256 endpoints)",
-       .drive = incast, .rounds = {50, 500}, .racks = true, .queue = 16},
+       .drive = incast, .rounds = {50, 500}, .racks = true, .queue = 16,
+       .quota = kRackQuota, .max_amplification = 2.0},
       {.label = "composed: 1% loss + pressure + crash/restart (256 endpoints)",
        .drive = uniform, .rounds = {40, 500}, .racks = true,
        .faults = {.loss = 0.01}, .pressure = {.pin_fail = 0.03},
-       .press_hosts = {1}, .victims = {1, 9}, .crashes = {8, 40},
-       // Injected pin failures, and pulls from a sender killed mid-transfer.
-       .expect = kContendedQuota | kCrashes |
-                 causes({Cause::kPinFailed, Cause::kPullStall}),
-       .max_amplification = 85.0},
+       .press_hosts = {1}, .quota = kRackQuota, .victims = {1, 9},
+       .crashes = {8, 40},
+       // Lost frames (and the peer's ABORT for them), injected pin
+       // failures, and pulls from a sender killed mid-transfer.
+       .expect = kCrashes | causes({Cause::kRetryBudget, Cause::kRemoteAbort,
+                                    Cause::kPinFailed, Cause::kPullStall}),
+       .max_amplification = 1.5},
   };
+}
+
+/// The uniform stage at rising quotas, from the rack default past 256, where
+/// each tenant's fair-share floor (quota / 16) first covers one 16-page
+/// rendezvous region: each must complete every exchange, and a larger quota
+/// may never fail more.
+std::vector<Stage> quota_stages() {
+  const std::array<std::pair<std::size_t, const char*>, 4> sweep{{
+      {kRackQuota, "uniform at quota 160 (256 endpoints)"},
+      {256, "uniform at quota 256 (256 endpoints)"},
+      {264, "uniform at quota 264 (256 endpoints)"},
+      {280, "uniform at quota 280 (256 endpoints)"},
+  }};
+  std::vector<Stage> out;
+  for (const auto& [quota, label] : sweep) {
+    out.push_back({.label = label, .drive = uniform, .rounds = {50, 1200},
+                   .racks = true, .quota = quota, .max_amplification = 1.5});
+  }
+  return out;
 }
 
 std::vector<Suite> suites() {
@@ -955,6 +975,16 @@ std::vector<Suite> suites() {
        .passed = "\n%llu messages across 256 endpoints: reports "
                  "byte-identical, congestion and fault loss attributed "
                  "separately, pin quota arbitrated fairly\n"},
+      {.name = "quota",
+       .title = "Quota sweep: the fault-free cluster stage at rising pin "
+                "quotas",
+       .reproduces = "paper §3.1 idle pins are revocable: any waiting pin "
+                     "job reclaims idle regions, so no quota starves a "
+                     "tenant",
+       .stack = racks, .seed = 0xc1a5'7e25, .stages = quota_stages(),
+       .floors = {{"messages posted", &Tally::posted, {30'000, 500'000}}},
+       .passed = "\n%llu messages: every quota completes every exchange\n",
+       .monotone = true},
   };
 }
 
@@ -962,6 +992,7 @@ std::vector<Suite> suites() {
 
 struct Result {
   int failures = 0;
+  std::uint64_t failed = 0;  // exchanges that ended ok=false
   std::string report;  // byte-compared across the determinism pair
   Tally tally;
 };
@@ -982,11 +1013,9 @@ Result run_stage(const Suite& su, const Stage& st, const bench::Options& opt,
                                            kEndpoints / kPerHost,
                                            /*cores=*/kPerHost + 1,
                                            /*memory_frames=*/4096);
-    // 16 tenants share a 160-page quota, far below their cached rendezvous
-    // working set, so the arbiter's fair-share shedding does real work.
     for (auto& h : r.c->hosts) {
       h->enable_pin_arbitration();
-      h->memory().set_pin_quota(160);
+      h->memory().set_pin_quota(st.quota);
       for (std::size_t p = 0; p < kPerHost; ++p) h->spawn_process();
     }
   } else {
@@ -1079,7 +1108,7 @@ Result run_stage(const Suite& su, const Stage& st, const bench::Options& opt,
   if (const int v = r.obs->finish(); v != 0) {
     fail(r.failures, "%d invariant violation(s)", v);
   }
-  Result res{r.failures, r.obs->json_report(), r.tally};
+  Result res{r.failures, r.failed, r.obs->json_report(), r.tally};
   res.report.insert(1, r.digest);
   if (traced) bench::write_text(name + ".report.json", res.report);
   for (auto& h : r.c->hosts) h->memory().set_pressure(nullptr);
@@ -1090,7 +1119,7 @@ Result run_stage(const Suite& su, const Stage& st, const bench::Options& opt,
 
 int main(int argc, char** argv) {
   constexpr const char* kUsage =
-      "usage: soak <chaos|pressure|crash|cluster> [options]";
+      "usage: soak <chaos|pressure|crash|cluster|quota> [options]";
   const std::string name = argc > 1 ? argv[1] : "";
   const std::vector<Suite> all = suites();
   const auto su = std::find_if(all.begin(), all.end(), [&](const Suite& s) {
@@ -1108,6 +1137,7 @@ int main(int argc, char** argv) {
   int failures = 0;
   Tally total;
   int sidx = -1;
+  std::uint64_t fewest_failed = std::numeric_limits<std::uint64_t>::max();
   for (const Stage& st : su->stages) {
     if (!st.joins) {
       std::printf("stage: %s\n", st.label);
@@ -1123,6 +1153,11 @@ int main(int argc, char** argv) {
     const Result a = run_stage(*su, st, opt, seed, out + "-a", false, true);
     const Result b = run_stage(*su, st, opt, seed, out + "-b", false, false);
     if (a.report != b.report) fail(failures, "determinism mismatch");
+    if (su->monotone && a.failed > fewest_failed) {
+      fail(failures, "%llu failed exchanges, more than an earlier stage's %llu",
+           ull(a.failed), ull(fewest_failed));
+    }
+    fewest_failed = std::min(fewest_failed, a.failed);
     failures += a.failures + b.failures;
     total.crashes += a.tally.crashes;
     total.reclaimed += a.tally.reclaimed;

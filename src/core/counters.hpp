@@ -82,9 +82,7 @@ namespace pinsim::core {
   X("tenant", tenant_arb_grants, "arb_grants",                               \
     "requests satisfied by shedding")                                        \
   X("tenant", tenant_sheds_suffered, "sheds_suffered",                       \
-    "regions shed for another tenant")                                       \
-  X("tenant", tenant_floor_protected, "floor_protected",                     \
-    "times the fair-share floor shielded this tenant's pins")
+    "regions shed for another tenant")
 
 /// The abort-cause table: why a request ended ok=false, one row per cause,
 /// `X(enumerator, name, tells_peer, doc)`:

@@ -238,10 +238,7 @@ void Driver::on_frame(net::Frame&& frame) {
   // bit-identical to the pre-lifecycle stack.
   if (watchdog_ != nullptr) {
     const PacketHeader& h = pkt.header;
-    // A frame addressed to an incarnation this slot no longer is: the sender
-    // learned our epoch before a close/restart. Drop it — the data, seq and
-    // handle spaces all restarted with the new incarnation.
-    if (h.dst_epoch != 0 && h.dst_epoch != slots_[h.dst_ep].epoch) {
+    const auto fence = [&](std::uint8_t epoch) {
       ++ep->counters().fenced_stale_frames;
       if (relay_.active()) {
         obs::Event e;
@@ -250,37 +247,35 @@ void Driver::on_frame(net::Frame&& frame) {
         e.ep = h.dst_ep;
         e.peer = frame.src;
         e.peer_ep = h.src_ep;
-        e.seq = h.dst_epoch;
+        e.seq = epoch;
         relay_.emit(e);
       }
-      return;
-    }
-    // Learn the sender's incarnation; fence frames from one we know died.
+    };
+    // Learn the sender's incarnation first, even from a frame fenced below:
+    // when both ends restarted, each side's frames carry the other's old
+    // epoch, and only this lets either learn the new one. Fence frames from
+    // an incarnation we know died.
     if (h.src_epoch != 0) {
       const std::uint64_t key = peer_key(frame.src, h.src_ep);
       auto it = peer_epochs_.find(key);
       if (it == peer_epochs_.end()) {
         peer_epochs_.emplace(key, h.src_epoch);
       } else if (h.src_epoch != it->second) {
-        if (epoch_newer(h.src_epoch, it->second)) {
-          it->second = h.src_epoch;
-          closed_peer_slots_.erase(key);
-          on_peer_epoch_change(frame.src, h.src_ep);
-        } else {
-          ++ep->counters().fenced_stale_frames;
-          if (relay_.active()) {
-            obs::Event e;
-            e.kind = obs::EventKind::kLifeFence;
-            e.node = node();
-            e.ep = h.dst_ep;
-            e.peer = frame.src;
-            e.peer_ep = h.src_ep;
-            e.seq = h.src_epoch;
-            relay_.emit(e);
-          }
+        if (!epoch_newer(h.src_epoch, it->second)) {
+          fence(h.src_epoch);
           return;
         }
+        it->second = h.src_epoch;
+        closed_peer_slots_.erase(key);
+        on_peer_epoch_change(frame.src, h.src_ep);
       }
+    }
+    // A frame addressed to an incarnation this slot no longer is: the sender
+    // learned our epoch before a close/restart. Drop it — the data, seq and
+    // handle spaces all restarted with the new incarnation.
+    if (h.dst_epoch != 0 && h.dst_epoch != slots_[h.dst_ep].epoch) {
+      fence(h.dst_epoch);
+      return;
     }
   }
   ep->handle_packet(frame.src, std::move(pkt));

@@ -26,6 +26,11 @@ struct EndpointNotifier final : mem::MmuNotifier {
 
 constexpr std::size_t kCompletedMemory = 8192;
 
+/// A retransmit timer of nominal timeout t waits t + [0, t / 2): half a
+/// timeout of spread decorrelates retries that one collision synchronized,
+/// without stretching recovery past 1.5 t.
+constexpr sim::Time kTimerSpreadDivisor = 2;
+
 /// Shorthand for building a typed event at an emission site.
 obs::Event ev(obs::EventKind kind) {
   obs::Event e;
@@ -93,6 +98,12 @@ Endpoint::~Endpoint() {
   // notifier's release() — touching it again would be use-after-free.
   auto* notifier = static_cast<EndpointNotifier*>(notifier_.get());
   if (notifier->address_space_alive) as_.unregister_notifier(notifier);
+}
+
+void Endpoint::set_epoch(std::uint8_t e) noexcept {
+  epoch_ = e;
+  timer_rng_.reseed(std::uint64_t{driver_.node()} << 16 |
+                    std::uint64_t{id_} << 8 | e);
 }
 
 EndpointAddr Endpoint::addr() const noexcept {
@@ -293,10 +304,15 @@ sim::Time Endpoint::backoff_timeout(int retries) const {
   return std::min(t, proto.retransmit_backoff_max);
 }
 
+sim::Time Endpoint::spread(sim::Time t) {
+  const sim::Time width = t / kTimerSpreadDivisor;
+  return width == 0 ? t : t + timer_rng_.next_below(width);
+}
+
 void Endpoint::arm_send_rto(SendRequest& req) {
   const auto seq = req.seq;
   req.rto = driver_.engine().schedule_after(
-      backoff_timeout(req.retries), guarded([this, seq] {
+      spread(backoff_timeout(req.retries)), guarded([this, seq] {
         auto it = sends_.find(seq);
         if (it == sends_.end()) return;
         SendRequest& r = *it->second;
@@ -1123,7 +1139,7 @@ void Endpoint::send_notify(PullState& ps) {
   constexpr int kNotifyRetryBudget = 100;
   const std::uint32_t handle = ps.handle;
   ps.rto = driver_.engine().schedule_after(
-      backoff_timeout(ps.notify_retries), guarded([this, handle] {
+      spread(backoff_timeout(ps.notify_retries)), guarded([this, handle] {
         auto it = pulls_.find(handle);
         if (it == pulls_.end()) return;
         PullState& p = *it->second;
@@ -1143,7 +1159,8 @@ void Endpoint::send_notify(PullState& ps) {
 void Endpoint::arm_pull_rto(PullState& ps) {
   const std::uint32_t handle = ps.handle;
   ps.rto = driver_.engine().schedule_after(
-      driver_.config().protocol.pull_retry_timeout, guarded([this, handle] {
+      spread(driver_.config().protocol.pull_retry_timeout),
+      guarded([this, handle] {
         auto it = pulls_.find(handle);
         if (it == pulls_.end()) return;
         PullState& p = *it->second;

@@ -22,6 +22,7 @@
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/hash_map.hpp"
+#include "sim/random.hpp"
 #include "sim/ring.hpp"
 #include "sim/small_vector.hpp"
 
@@ -152,8 +153,9 @@ class Endpoint {
   void on_peer_restarted(net::NodeId node, std::uint8_t peer_ep);
 
   /// Incarnation number stamped into every outgoing frame (src_epoch);
-  /// assigned by the driver when the slot opens.
-  void set_epoch(std::uint8_t e) noexcept { epoch_ = e; }
+  /// assigned by the driver when the slot opens. Reseeds the retransmit
+  /// timer spread, so each incarnation draws its own instants.
+  void set_epoch(std::uint8_t e) noexcept;
   [[nodiscard]] std::uint8_t epoch() const noexcept { return epoch_; }
 
   [[nodiscard]] std::uint8_t id() const noexcept { return id_; }
@@ -317,6 +319,12 @@ class Endpoint {
   /// burned, capped at `retransmit_backoff_max`.
   [[nodiscard]] sim::Time backoff_timeout(int retries) const;
 
+  /// The instant a retransmit timer of nominal timeout `t` waits: t + u,
+  /// u uniform in [0, t / kTimerSpreadDivisor) from this incarnation's
+  /// seeded stream. Never earlier than `t`, so endpoints that lost frames
+  /// in one collision spread their retries instead of colliding again.
+  [[nodiscard]] sim::Time spread(sim::Time t);
+
   // Packet handlers (BH context), one per PINSIM_PACKET_TYPES row:
   // handle_packet visits the body onto them, so a row without a handler
   // does not compile.
@@ -426,6 +434,7 @@ class Endpoint {
   Driver& driver_;
   std::uint8_t id_;
   std::uint8_t epoch_ = 1;  // stamped by the driver at open
+  sim::Rng timer_rng_;      // seeded by (node, id, epoch) in set_epoch
   mem::AddressSpace& as_;
   cpu::Core& process_core_;
   Counters counters_;

@@ -53,10 +53,6 @@ bool PinManager::arb_shed_idle() {
   return true;
 }
 
-void PinManager::arb_note_floor_protected() {
-  ++counters_.tenant_floor_protected;
-}
-
 void PinManager::emit(obs::EventKind kind, Region& r, const char* what) {
   if (relay_ == nullptr || !relay_->active()) return;
   obs::Event e;

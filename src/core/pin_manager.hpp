@@ -174,7 +174,6 @@ class PinManager : public mem::PinArbiter::TenantOps {
   // Cross-tenant arbitration (mem::PinArbiter::TenantOps).
   [[nodiscard]] std::size_t arb_pinned_pages() const override;
   bool arb_shed_idle() override;
-  void arb_note_floor_protected() override;
   /// Registers with the host arbiter on first quota contact (idempotent).
   void maybe_join_arbitration(mem::PhysicalMemory& pm);
   /// Asks the arbiter to shed another tenant below us. True when headroom

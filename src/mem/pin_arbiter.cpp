@@ -66,16 +66,12 @@ bool PinArbiter::request_headroom(TenantOps* requester) {
     return true;
   }
 
-  // Fair-share floor: a tenant already holding its entitlement cannot
-  // demand pages from anyone else — its own LRU shedding is its problem.
-  if (requester->arb_pinned_pages() >= floor_for(*req)) {
-    ++req->stats.floor_denied;
-    return false;
-  }
-
   // Rank shed candidates by weighted overage (pinned - floor) / weight,
   // largest first; compare by cross-multiplication to stay in exact integer
-  // arithmetic. Ascending registration id breaks ties.
+  // arithmetic. A tenant at or under its floor ranks with overage 0, after
+  // every over-floor tenant: the floor orders the victims but shields no
+  // one, because `arb_shed_idle` only ever takes an idle region. Ascending
+  // registration id breaks ties.
   struct Candidate {
     std::uint32_t id;
     std::size_t overage;
@@ -87,14 +83,7 @@ bool PinArbiter::request_headroom(TenantOps* requester) {
     if (s.ops == nullptr || s.ops == requester) continue;
     const std::size_t pinned = s.ops->arb_pinned_pages();
     const std::size_t floor = floor_for(s);
-    if (pinned <= floor) {
-      // Holding its fair share (or less): protected from shedding.
-      if (pinned > 0) {
-        s.ops->arb_note_floor_protected();
-      }
-      continue;
-    }
-    candidates.push_back({id, pinned - floor, s.weight});
+    candidates.push_back({id, pinned > floor ? pinned - floor : 0, s.weight});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {

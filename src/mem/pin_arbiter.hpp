@@ -12,19 +12,20 @@ namespace pinsim::mem {
 ///
 /// Several processes (tenants) on a multi-tenant host compete for one
 /// `PhysicalMemory` pin quota. Without arbitration, whoever pins first wins
-/// and a greedy tenant can starve the rest — the classic problem with
-/// RLIMIT_MEMLOCK-style per-host accounting. The arbiter adds two policies
-/// on top of the raw quota:
+/// and a tenant whose idle cached regions fill the quota starves the rest —
+/// the classic problem with RLIMIT_MEMLOCK-style per-host accounting. The
+/// contract is: **busy pins are protected, idle pins are reclaimable** by
+/// any tenant's waiting pin job (paper §3.1: a declared, idle region is
+/// revocable — the next use repins it).
 ///
 ///  * **fair-share floor**: each tenant is entitled to
-///    `weight_i / total_weight` of the quota. A tenant pinned at or above
-///    its floor cannot demand headroom from others; a tenant below its
-///    floor may.
-///  * **weighted LRU shedding**: when an under-floor tenant is denied by
-///    the quota, the arbiter asks over-floor tenants — most-over-floor
-///    first, normalized by weight — to shed one idle (LRU, unreferenced)
-///    region each until a page of headroom appears. Tenants at or below
-///    their floor are never shed against their will (floor protection).
+///    `weight_i / total_weight` of the quota. The floor orders victims; it
+///    refuses no requester and shields no victim.
+///  * **weighted LRU shedding**: when a tenant is denied by the quota, the
+///    arbiter asks the other tenants — most-over-floor first, normalized by
+///    weight, then those at or under their floor — to shed one idle (LRU,
+///    unreferenced) region each until a page of headroom appears. A tenant
+///    whose regions are all in use yields nothing.
 ///
 /// Everything is deterministic: tenants are ranked by exact integer
 /// arithmetic with ascending-registration-id tie-breaks, and shedding
@@ -41,16 +42,12 @@ class PinArbiter {
     /// Sheds one idle region's pins (LRU first). Returns false when every
     /// region is busy — the tenant cannot yield anything right now.
     virtual bool arb_shed_idle() = 0;
-    /// The arbiter skipped this tenant as a shed victim because it sits at
-    /// or below its fair-share floor (accounting hook only).
-    virtual void arb_note_floor_protected() = 0;
   };
 
   struct TenantStats {
-    std::uint64_t requests = 0;         // headroom requests made
-    std::uint64_t grants = 0;           // requests satisfied by shedding
-    std::uint64_t floor_denied = 0;     // refused: requester at/over floor
-    std::uint64_t sheds_suffered = 0;   // times picked as the shed victim
+    std::uint64_t requests = 0;        // headroom requests made
+    std::uint64_t grants = 0;          // requests satisfied by shedding
+    std::uint64_t sheds_suffered = 0;  // times picked as the shed victim
   };
 
   explicit PinArbiter(PhysicalMemory& pm) : pm_(pm) {}
@@ -65,11 +62,10 @@ class PinArbiter {
   /// Detaches a dying tenant; its stats slot survives for reporting.
   void unregister_tenant(std::uint32_t id);
 
-  /// An under-quota denial landed on `requester`: try to free headroom by
-  /// shedding from over-floor tenants. Returns true when at least one page
-  /// of headroom exists on return (the caller's retry will succeed).
-  /// Refuses — without shedding anyone — when the requester already holds
-  /// its fair share.
+  /// A quota denial landed on `requester`: try to free headroom by shedding
+  /// other tenants' idle regions in floor-overage order. Returns true when
+  /// at least one page of headroom exists on return (the caller's retry
+  /// will succeed).
   bool request_headroom(TenantOps* requester);
 
   /// The requester's fair-share floor in pages (weight-proportional slice

@@ -219,6 +219,55 @@ TEST(CrashRecovery, StaleEpochFramesAreFencedThenNewEpochReestablishes) {
   rig.warm_victim(0x23);
 }
 
+TEST(CrashRecovery, BothEndsRestartedLearnEachOthersEpochFromFencedFrames) {
+  Rig rig;
+  // Attached but not started: each side learns the other's epoch from data
+  // frames only, as between hosts that exchange no heartbeats.
+  rig.enable_watchdogs(/*start=*/false);
+  rig.warm_victim(0x30);
+
+  rig.hostA->kill_process(0);
+  rig.hostB->kill_process(0);
+  core::Host::Process& a = rig.hostA->restart_process(0);
+  core::Host::Process& b = rig.hostB->restart_process(0);
+  const auto send = [](core::Host::Process& from, core::Host::Process& to,
+                       std::uint64_t match) {
+    const std::size_t n = 2048;
+    const mem::VirtAddr src = from.heap.malloc(n);
+    from.as.write(src, pattern(n, static_cast<std::uint32_t>(match)));
+    return from.lib.isend(to.addr(), match, src, n);
+  };
+
+  // Both new incarnations address each other's dead one, so every frame
+  // either sends is fenced. The fenced frame still names its sender's new
+  // epoch: each side learns it and fails its own send to the old
+  // incarnation (peer_restarted), instead of both burning their retry
+  // budgets against a fence neither can see past.
+  auto to_b = send(a, b, 0x31);
+  auto to_a = send(b, a, 0x32);
+  rig.run_for(20 * sim::kMillisecond);
+  ASSERT_TRUE(to_b->completed() && to_a->completed());
+  EXPECT_EQ(to_b->status().cause, core::AbortCause::kPeerRestarted);
+  EXPECT_EQ(to_a->status().cause, core::AbortCause::kPeerRestarted);
+  EXPECT_GT(a.lib.counters().fenced_stale_frames, 0u);
+  EXPECT_GT(b.lib.counters().fenced_stale_frames, 0u);
+  EXPECT_EQ(a.lib.counters().retry_exhausted, 0u);
+  EXPECT_EQ(b.lib.counters().retry_exhausted, 0u);
+
+  // Each side now knows the other's incarnation: traffic lands both ways.
+  const mem::VirtAddr at_b = b.heap.malloc(2048);
+  const mem::VirtAddr at_a = a.heap.malloc(2048);
+  auto rb = b.lib.irecv(0x33, ~0ull, at_b, 2048);
+  auto ra = a.lib.irecv(0x34, ~0ull, at_a, 2048);
+  auto sb = send(a, b, 0x33);
+  auto sa = send(b, a, 0x34);
+  rig.run_for(20 * sim::kMillisecond);
+  for (const auto* r : {&rb, &ra, &sb, &sa}) {
+    ASSERT_TRUE((*r)->completed());
+    EXPECT_TRUE((*r)->status().ok);
+  }
+}
+
 TEST(CrashRecovery, SeededCrashScheduleIsDeterministic) {
   struct Outcome {
     std::uint64_t crashes = 0, restarts = 0, reclaimed = 0;

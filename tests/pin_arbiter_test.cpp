@@ -36,14 +36,12 @@ struct MockTenant final : PinArbiter::TenantOps {
     ++sheds;
     return true;
   }
-  void arb_note_floor_protected() override { ++floor_notes; }
 
   PhysicalMemory* pm_;
   std::size_t pinned_ = 0;
   std::size_t shed_amount = 10;
   bool can_shed = true;
   int sheds = 0;
-  int floor_notes = 0;
 };
 
 TEST(PinArbiter, FairFloorIsWeightProportional) {
@@ -64,20 +62,24 @@ TEST(PinArbiter, FairFloorIsWeightProportional) {
   EXPECT_EQ(arb.tenant_count(), 2u);
 }
 
-TEST(PinArbiter, RequesterAtOrAboveFloorIsRefusedWithoutShedding) {
+// Idle pins are a cache, not an entitlement: a requester already over its
+// fair share still reclaims another tenant's idle region, even one under
+// its own floor.
+TEST(PinArbiter, RequesterAtOrAboveFloorReclaimsIdlePins) {
   PhysicalMemory pm(64);
   pm.set_pin_quota(100);
   PinArbiter arb(pm);
   MockTenant greedy(pm), other(pm);
   const auto ig = arb.register_tenant(&greedy, 1);
-  arb.register_tenant(&other, 1);
+  const auto io = arb.register_tenant(&other, 1);
   greedy.pin(60);  // over its 50-page floor
-  other.pin(40);
+  other.pin(40);   // under its floor, but idle
   ASSERT_EQ(pm.pin_headroom(), 0u);
-  EXPECT_FALSE(arb.request_headroom(&greedy));
-  EXPECT_EQ(other.sheds, 0);
-  EXPECT_EQ(arb.stats(ig).floor_denied, 1u);
-  EXPECT_EQ(arb.total_grants(), 0u);
+  EXPECT_TRUE(arb.request_headroom(&greedy));
+  EXPECT_EQ(other.sheds, 1);
+  EXPECT_EQ(arb.stats(io).sheds_suffered, 1u);
+  EXPECT_EQ(arb.stats(ig).grants, 1u);
+  EXPECT_GT(pm.pin_headroom(), 0u);
 }
 
 TEST(PinArbiter, ShedsTheMostOverFloorTenantFirst) {
@@ -117,7 +119,10 @@ TEST(PinArbiter, WeightNormalizesTheOverageRanking) {
   EXPECT_EQ(light.sheds, 0);
 }
 
-TEST(PinArbiter, FloorProtectedTenantsAreNeverShed) {
+// The floor orders the victims and protects nothing by itself: over-floor
+// tenants are shed first, a tenant under its floor yields its idle pins
+// next, and only busy pins are never shed.
+TEST(PinArbiter, FloorOrdersVictimsButOnlyBusyPinsAreProtected) {
   PhysicalMemory pm(128);
   pm.set_pin_quota(100);
   PinArbiter arb(pm);
@@ -125,12 +130,28 @@ TEST(PinArbiter, FloorProtectedTenantsAreNeverShed) {
   arb.register_tenant(&starved, 1);  // floor 33
   arb.register_tenant(&modest, 1);   // floor 33
   arb.register_tenant(&hog, 1);      // floor 33
-  modest.pin(30);  // below floor: protected
+  modest.pin(30);  // below floor: ranked after the hog
   hog.pin(70);
   ASSERT_EQ(pm.pin_headroom(), 0u);
   EXPECT_TRUE(arb.request_headroom(&starved));
   EXPECT_EQ(modest.sheds, 0);
-  EXPECT_EQ(modest.floor_notes, 1);
+  EXPECT_EQ(hog.sheds, 1);
+
+  // Refill the quota with the hog's regions all in use: the under-floor
+  // tenant's idle region is reclaimed instead.
+  hog.pin(pm.pin_headroom());
+  hog.can_shed = false;
+  ASSERT_EQ(pm.pin_headroom(), 0u);
+  EXPECT_TRUE(arb.request_headroom(&starved));
+  EXPECT_EQ(modest.sheds, 1);
+  EXPECT_EQ(hog.sheds, 1);
+
+  // Everything busy: nothing is shed and the request fails.
+  modest.pin(pm.pin_headroom());
+  modest.can_shed = false;
+  ASSERT_EQ(pm.pin_headroom(), 0u);
+  EXPECT_FALSE(arb.request_headroom(&starved));
+  EXPECT_EQ(modest.sheds, 1);
   EXPECT_EQ(hog.sheds, 1);
 }
 
