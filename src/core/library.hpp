@@ -41,6 +41,10 @@ class Request {
   [[nodiscard]] auto wait() { return gate_.wait(); }
   [[nodiscard]] bool completed() const noexcept { return completed_; }
   [[nodiscard]] const Status& status() const noexcept { return status_; }
+  /// Simulated instant the request completed (meaningful once completed()).
+  [[nodiscard]] sim::Time completed_at() const noexcept {
+    return gate_.opened_at();
+  }
 
  private:
   friend class Library;

@@ -117,10 +117,12 @@ std::string format_report(Host::Process& p, Host& host) {
     appendf(out, "  host pinned pages now: %zu\n",
             host.memory().pinned_pages());
   }
-  appendf(out, "  fabric drops: fault=%llu congestion=%llu\n",
-          static_cast<unsigned long long>(host.nic().fabric().fault_dropped()),
-          static_cast<unsigned long long>(
-              host.nic().fabric().congestion_dropped()));
+  const net::Fabric& fabric = host.nic().fabric();
+  appendf(out,
+          "  fabric drops: fault=%llu congestion=%llu uplink_stranded=%llu\n",
+          static_cast<unsigned long long>(fabric.fault_dropped()),
+          static_cast<unsigned long long>(fabric.congestion_dropped()),
+          static_cast<unsigned long long>(fabric.uplink_stranded()));
   return out;
 }
 
@@ -156,6 +158,7 @@ std::string format_json_fabric(const net::Fabric& fabric) {
   JsonObject obj;
   obj.field("fault_dropped", fabric.fault_dropped());
   obj.field("congestion_dropped", fabric.congestion_dropped());
+  obj.field("uplink_stranded", fabric.uplink_stranded());
   return obj.close();
 }
 

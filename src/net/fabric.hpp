@@ -29,7 +29,9 @@ class Nic;
 /// explicit rack switches with bounded per-port egress queues. Loss is
 /// attributed by cause: `fault_dropped()` counts injected/link loss,
 /// `congestion_dropped()` counts queue-overflow loss (always zero here — the
-/// ideal switch has infinite buffers; only a Topology increments it).
+/// ideal switch has infinite buffers; only a Topology increments it), and
+/// `uplink_stranded()` counts frames that queued behind a busy uplink while
+/// a sibling uplink sat idle (always zero here too: no uplinks).
 class Fabric {
  public:
   struct Config {
@@ -74,6 +76,11 @@ class Fabric {
   /// incast. The ideal point-to-point fabric never congests.
   [[nodiscard]] std::uint64_t congestion_dropped() const noexcept {
     return congestion_dropped_;
+  }
+  /// Frames that queued at a busy uplink while a sibling uplink of the same
+  /// rack was idle: the load imbalance of the uplink choice, not a loss.
+  [[nodiscard]] std::uint64_t uplink_stranded() const noexcept {
+    return uplink_stranded_;
   }
 
   /// The fabric's fault-injection layer. Configure plans on it directly; it
@@ -137,6 +144,7 @@ class Fabric {
   std::uint64_t delivered_ = 0;
   std::uint64_t fault_dropped_ = 0;
   std::uint64_t congestion_dropped_ = 0;
+  std::uint64_t uplink_stranded_ = 0;
   std::uint64_t link_down_drops_ = 0;
 };
 

@@ -109,10 +109,8 @@ void Topology::route(Frame frame, sim::Time extra_latency) {
         {"net", "switch_hop"});
     return;
   }
-  // Cross-rack: hash the flow onto one of the source rack's shared uplinks
-  // so a given (src, dst) pair always rides the same spine link.
-  const std::size_t i =
-      static_cast<std::size_t>(frame.src ^ frame.dst) % topo_.uplinks_per_rack;
+  // Cross-rack: the source's own uplink (see class comment).
+  const std::size_t i = uplink_index(frame.src);
   SwitchPort* up = racks_[src_rack].uplinks[i].get();
   const std::uint32_t pid = uplink_port_id(topo_, src_rack, i);
   eng_.schedule_after(
@@ -120,12 +118,23 @@ void Topology::route(Frame frame, sim::Time extra_latency) {
       // pinlint: allow(D7: the topology owns its uplink ports and both are
       // network hardware that outlives the engine; racks_ never shrinks)
       [this, up, pid, f = std::move(frame)]() mutable {
-        offer_or_drop(*up, pid, /*is_uplink=*/true, std::move(f));
+        const bool stranded = up->depth() > 0 && sibling_idle(rack_of(f.src));
+        if (offer_or_drop(*up, pid, /*is_uplink=*/true, std::move(f)) &&
+            stranded) {
+          ++uplink_stranded_;
+        }
       },
       {"net", "switch_hop"});
 }
 
-void Topology::offer_or_drop(SwitchPort& port, std::uint32_t port_id,
+bool Topology::sibling_idle(std::size_t rack) const {
+  for (const auto& up : racks_[rack].uplinks) {
+    if (up->depth() == 0) return true;
+  }
+  return false;
+}
+
+bool Topology::offer_or_drop(SwitchPort& port, std::uint32_t port_id,
                              bool is_uplink, Frame frame) {
   const std::uint32_t dst = frame.dst;
   const std::uint64_t bytes = frame.wire_bytes();
@@ -140,9 +149,10 @@ void Topology::offer_or_drop(SwitchPort& port, std::uint32_t port_id,
       e.len = bytes;
       bus_->emit(e);
     }
-    return;
+    return false;
   }
   emit_queue_depth(port, port_id, is_uplink);
+  return true;
 }
 
 void Topology::emit_queue_depth(const SwitchPort& port, std::uint32_t port_id,

@@ -19,10 +19,18 @@ namespace pinsim::net {
 ///
 /// Routing is deterministic:
 ///  * intra-rack: src NIC -> [hop] -> dst downlink queue -> [link] -> dst;
-///  * cross-rack: src NIC -> [hop] -> shared uplink queue (chosen by the
-///    flow hash `(src ^ dst) % uplinks_per_rack` of the *source* rack)
-///    -> [hop] -> dst rack's downlink queue -> [link] -> dst,
+///  * cross-rack: src NIC -> [hop] -> shared uplink queue of the *source*
+///    rack -> [hop] -> dst rack's downlink queue -> [link] -> dst,
 /// where [hop] is `switch_hop_latency` and [link] the base `Config::latency`.
+/// The uplink is the source's index in its rack modulo `uplinks_per_rack`
+/// (`uplink_index`): a host's frames always take one path, so they never
+/// reorder, and no uplink carries the egress of more than
+/// ceil(nodes_per_rack / uplinks_per_rack) NICs, whatever the traffic
+/// matrix. A hash of (src, dst) could not promise that: XOR-paired rounds
+/// (the pairwise-exchange schedule of collectives) give every cross-rack
+/// pair h -> h ^ mask the same `src ^ dst`, so one uplink would carry the
+/// whole rack while its siblings idle. `uplink_stranded()` counts frames
+/// that queue at a busy uplink while a sibling is idle.
 /// The downlink queue replaces the base class's ingress serialization — it
 /// is the same wire — so several senders blasting one receiver still share
 /// its line rate, now with an explicit bounded buffer in front of it:
@@ -60,6 +68,10 @@ class Topology : public Fabric {
   [[nodiscard]] std::size_t rack_of(NodeId node) const noexcept {
     return node / topo_.nodes_per_rack;
   }
+  /// The source rack's uplink a cross-rack frame from `src` takes.
+  [[nodiscard]] std::size_t uplink_index(NodeId src) const noexcept {
+    return src % topo_.nodes_per_rack % topo_.uplinks_per_rack;
+  }
   [[nodiscard]] std::size_t rack_count() const noexcept {
     return racks_.size();
   }
@@ -87,12 +99,16 @@ class Topology : public Fabric {
   };
 
   void ensure_rack(std::size_t rack);
+  /// True when some uplink of `rack` holds no frame. Asked only about a
+  /// busy uplink's rack, so the idle one is a sibling.
+  [[nodiscard]] bool sibling_idle(std::size_t rack) const;
   /// Admission already happened; schedules the switch hops and queue
   /// traversals for one (possibly duplicated) frame.
   void route(Frame frame, sim::Time extra_latency);
   /// Enqueues on `port`; on overflow counts a congestion drop and emits
   /// kNetCongestionDrop. Emits the post-transition queue-depth event.
-  void offer_or_drop(SwitchPort& port, std::uint32_t port_id, bool is_uplink,
+  /// True when the port took the frame.
+  bool offer_or_drop(SwitchPort& port, std::uint32_t port_id, bool is_uplink,
                      Frame frame);
   void emit_queue_depth(const SwitchPort& port, std::uint32_t port_id,
                         bool is_uplink);

@@ -314,18 +314,22 @@ class Gate {
   void open() {
     if (open_) return;
     open_ = true;
+    if (eng_ != nullptr) opened_at_ = eng_->now();
     if (first_) resume_later(std::exchange(first_, {}));
     for (auto h : rest_) resume_later(h);
     rest_.clear();
   }
 
   [[nodiscard]] bool is_open() const noexcept { return open_; }
+  /// Simulated instant open() first ran (0 while closed or unbound).
+  [[nodiscard]] Time opened_at() const noexcept { return opened_at_; }
 
   /// Closes the gate again, forgets its waiters and binds it to `eng` (a
   /// recycled gate keeps the capacity of its overflow list).
   void reset(Engine* eng) noexcept {
     eng_ = eng;
     open_ = false;
+    opened_at_ = 0;
     first_ = {};
     rest_.clear();
   }
@@ -353,6 +357,7 @@ class Gate {
 
   Engine* eng_ = nullptr;
   bool open_ = false;
+  Time opened_at_ = 0;
   std::coroutine_handle<> first_;             // the earliest waiter
   std::vector<std::coroutine_handle<>> rest_;  // later ones, in order
 };

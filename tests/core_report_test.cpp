@@ -135,7 +135,8 @@ TEST(Report, LongHostNameIsNotTruncated) {
   const std::string report = format_report(pa, a);
   EXPECT_NE(report.find(hc.name), std::string::npos);
   EXPECT_NE(report.find("(util "), std::string::npos) << report;
-  EXPECT_NE(report.find("fabric drops: fault=0 congestion=0\n"),
+  EXPECT_NE(report.find("fabric drops: fault=0 congestion=0 "
+                        "uplink_stranded=0\n"),
             std::string::npos);
 }
 
@@ -235,6 +236,8 @@ TEST(Report, RunReportEmitsHostAndFabricScopeOnce) {
             std::to_string(cluster.fabric->congestion_dropped()));
   EXPECT_EQ(value(fabric, "fault_dropped"),
             std::to_string(cluster.fabric->fault_dropped()));
+  EXPECT_EQ(value(fabric, "uplink_stranded"),
+            std::to_string(cluster.fabric->uplink_stranded()));
 }
 
 }  // namespace

@@ -147,6 +147,17 @@ TEST(Gate, DoubleOpenIsIdempotent) {
   EXPECT_TRUE(gate.is_open());
 }
 
+TEST(Gate, OpenedAtKeepsTheFirstOpenUntilReset) {
+  Engine eng;
+  Gate gate(eng);
+  eng.schedule_after(500, [&gate] { gate.open(); });
+  eng.schedule_after(900, [&gate] { gate.open(); });
+  eng.run();
+  EXPECT_EQ(gate.opened_at(), 500);
+  gate.reset(&eng);
+  EXPECT_EQ(gate.opened_at(), 0);
+}
+
 class GateOrder : public ::testing::TestWithParam<int> {};
 
 // The first waiter sits inline and later ones in an overflow list; open()

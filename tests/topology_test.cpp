@@ -81,18 +81,19 @@ TEST(Topology, CrossRackPathAddsUplinkQueueAndSecondHop) {
                              rig.topo.latency() + 1000;
   EXPECT_EQ(arrival, expected);
   EXPECT_EQ(rig.topo.rack_count(), 2u);
-  // Flow (0 -> 5) hashes to uplink (0 ^ 5) % 2 == 1 of rack 0.
-  EXPECT_EQ(rig.topo.uplink(0, 1).stats().drained, 1u);
-  EXPECT_EQ(rig.topo.uplink(0, 0).stats().drained, 0u);
+  // Node 0 is index 0 of rack 0, so it leaves on uplink 0 % 2 == 0.
+  EXPECT_EQ(rig.topo.uplink(0, 0).stats().drained, 1u);
+  EXPECT_EQ(rig.topo.uplink(0, 1).stats().drained, 0u);
 }
 
-TEST(Topology, FlowsHashAcrossSharedUplinksDeterministically) {
+TEST(Topology, SourcesSplitAcrossSharedUplinksDeterministically) {
   Topology::Config cfg = small_cfg(2);  // 2 nodes per rack, 2 uplinks
   Rig rig(cfg, 4);
   for (auto& nic : rig.nics) {
     nic->set_rx_handler([](Frame&&) {});
   }
-  // Rack 0 -> rack 1 flows: (0,2)->uplink 0, (0,3)->1, (1,2)->1, (1,3)->0.
+  // Rack 0 -> rack 1: node 0 rides uplink 0 and node 1 uplink 1, whatever
+  // the destination.
   ASSERT_TRUE(rig.nics[0]->send(make_frame(2, 1024)));
   ASSERT_TRUE(rig.nics[0]->send(make_frame(3, 1024)));
   ASSERT_TRUE(rig.nics[1]->send(make_frame(2, 1024)));
@@ -100,8 +101,78 @@ TEST(Topology, FlowsHashAcrossSharedUplinksDeterministically) {
   rig.eng.run();
   EXPECT_EQ(rig.topo.uplink(0, 0).stats().enqueued, 2u);
   EXPECT_EQ(rig.topo.uplink(0, 1).stats().enqueued, 2u);
+  EXPECT_EQ(rig.topo.uplink_index(0), 0u);
+  EXPECT_EQ(rig.topo.uplink_index(3), 1u);
   EXPECT_GT(rig.topo.uplink_busy_time(), 0);
   EXPECT_EQ(rig.topo.congestion_dropped(), 0u);
+}
+
+TEST(Topology, XorPermutationsUseEveryUplink) {
+  // Pairwise exchange: in round `mask` host h sends to h ^ mask. Every
+  // cross-rack pair then has src ^ dst == mask, so a flow hash of (src, dst)
+  // would put a whole rack on one uplink. Split by source, each of a rack's
+  // two uplinks carries exactly half of its 8 hosts.
+  Rig rig(small_cfg(8), 16);
+  for (auto& nic : rig.nics) {
+    nic->set_rx_handler([](Frame&&) {});
+  }
+  std::uint64_t before[2][2] = {};
+  for (std::size_t mask = 8; mask < 16; ++mask) {
+    for (std::size_t h = 0; h < 16; ++h) {
+      ASSERT_TRUE(rig.nics[h]->send(make_frame(static_cast<NodeId>(h ^ mask),
+                                               2048)));
+    }
+    rig.eng.run();
+    for (std::size_t rack = 0; rack < 2; ++rack) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        const std::uint64_t now = rig.topo.uplink(rack, i).stats().enqueued;
+        EXPECT_EQ(now - before[rack][i], 4u)
+            << "mask " << mask << " rack " << rack << " uplink " << i;
+        before[rack][i] = now;
+      }
+    }
+  }
+  EXPECT_EQ(rig.topo.congestion_dropped(), 0u);
+}
+
+TEST(Topology, HostEgressKeepsOneUplinkInOrder) {
+  Rig rig(small_cfg(), 8);  // 2 racks of 4
+  std::vector<std::uint8_t> arrivals;
+  for (NodeId dst = 4; dst < 8; ++dst) {
+    rig.nics[dst]->set_rx_handler([&arrivals](Frame&& f) {
+      arrivals.push_back(static_cast<std::uint8_t>(f.payload[0]));
+    });
+  }
+  // Node 2 sends to every host of rack 1, twice round, markers in send order.
+  std::vector<std::uint8_t> sent;
+  for (std::uint8_t k = 0; k < 8; ++k) {
+    ASSERT_TRUE(rig.nics[2]->send(make_frame(4 + k % 4, 4096, k)));
+    sent.push_back(k);
+  }
+  rig.eng.run();
+  EXPECT_EQ(rig.topo.uplink(0, 0).stats().enqueued, 8u);
+  EXPECT_EQ(rig.topo.uplink(0, 1).stats().enqueued, 0u);
+  EXPECT_EQ(arrivals, sent);
+}
+
+TEST(Topology, UplinkStrandedCountsQueueingBesideAnIdleSibling) {
+  const auto stranded = [](NodeId a, NodeId b) {
+    Rig rig(small_cfg(), 8);  // 2 racks of 4, 2 uplinks each
+    for (auto& nic : rig.nics) {
+      nic->set_rx_handler([](Frame&&) {});
+    }
+    // One frame from each sender into rack 1, posted at the same instant.
+    EXPECT_TRUE(rig.nics[a]->send(make_frame(4, 4096)));
+    EXPECT_TRUE(rig.nics[b]->send(make_frame(5, 4096)));
+    rig.eng.run();
+    EXPECT_EQ(rig.topo.frames_delivered(), 2u);
+    return rig.topo.uplink_stranded();
+  };
+  // Nodes 0 and 2 share uplink 0: the second frame waits while uplink 1
+  // idles.
+  EXPECT_EQ(stranded(0, 2), 1u);
+  // Nodes 0 and 1 take one uplink each: neither queues beside an idle one.
+  EXPECT_EQ(stranded(0, 1), 0u);
 }
 
 TEST(Topology, IncastOverflowCountsCongestionNotFault) {
