@@ -1,4 +1,4 @@
-// Soak runner: the four acceptance soaks as stage tables over one runner.
+// Soak runner: the five acceptance soaks as stage tables over one runner.
 //
 //   soak chaos     paper §3.3 drop-and-retransmit: PingPong and Alltoallv
 //                  under loss, corruption, duplication and reordering
@@ -66,7 +66,7 @@ constexpr std::uint32_t kCrashes = causes({Cause::kCrash, Cause::kPeerDead,
                                            Cause::kPeerRestarted,
                                            Cause::kCancelled});
 // Rack hosts' pin quota: 16 tenants share 160 pages, far below their
-// cached rendezvous working set, so the arbiter's shedding does real work.
+// cached rendezvous working set, so cross-tenant shedding does real work.
 constexpr std::size_t kRackQuota = 160;
 
 std::vector<std::byte> pattern(std::size_t n, std::uint32_t salt) {

@@ -8,7 +8,7 @@
 # files when those tools exist).
 #
 #   scripts/ci.sh           # default + asan tiers (default includes pinlint)
-#   scripts/ci.sh --soak    # ... plus the full-length soaks, all four suites
+#   scripts/ci.sh --soak    # ... plus the full-length soaks, all five suites
 #   scripts/ci.sh --perf    # ... plus the perf gate (needs python3)
 #   scripts/ci.sh --lint    # ... plus the clang-format/clang-tidy sweep
 set -euo pipefail

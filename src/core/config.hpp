@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "sim/time.hpp"
 
@@ -63,10 +62,6 @@ struct PinningConfig {
   /// busy anyway), so those requests pin synchronously and skip the
   /// overlap machinery's overhead.
   bool overlap_blocking_only = false;
-
-  /// Driver sheds pins (LRU idle region first) when the host exceeds this
-  /// many pinned pages (§3.1 "if there are too many pinned pages").
-  std::size_t max_pinned_pages = std::numeric_limits<std::size_t>::max();
 
   /// Transient pin-failure handling. get_user_pages returning -ENOMEM under
   /// memory pressure (or a PhysicalMemory pin quota refusing the chunk) is

@@ -35,7 +35,7 @@ namespace pinsim::core {
   X("reliability", pull_rerequests, "rerequests",                            \
     "optimistic gap-driven re-requests")                                     \
   X("reliability", retransmit_timeouts, "timeouts",                          \
-    "retransmission timers that fired")                                      \
+    "send timer ticks that resent a frame")                                  \
   X("reliability", duplicate_frames, "dups", "duplicate frames received")    \
   X("reliability", aborts, "aborts", "requests aborted")                     \
   X("faults", frames_corrupted, "corrupted", "frames that failed to decode") \
@@ -78,9 +78,9 @@ namespace pinsim::core {
   X("lifecycle", heartbeat_timeouts, "hb_timeouts",                          \
     "peers declared dead by the watchdog")                                   \
   X("tenant", tenant_arb_requests, "arb_requests",                           \
-    "headroom requests to the pin arbiter")                                  \
+    "quota denials that asked other tenants to shed")                        \
   X("tenant", tenant_arb_grants, "arb_grants",                               \
-    "requests satisfied by shedding")                                        \
+    "requests that ended with headroom")                                     \
   X("tenant", tenant_sheds_suffered, "sheds_suffered",                       \
     "regions shed for another tenant")
 

@@ -99,6 +99,19 @@ class Driver {
     return dead_peers_.count(node) != 0;
   }
 
+  /// Makes the host's pin quota shared: from now on each endpoint's pin
+  /// manager joins `pin_tenants()` when it first schedules a pin chunk, and
+  /// a quota denial may shed another tenant's idle region
+  /// (PinManager::reclaim_quota). Idempotent.
+  void enable_pin_arbitration() noexcept { pin_arbitration_ = true; }
+  [[nodiscard]] bool pin_arbitration() const noexcept {
+    return pin_arbitration_;
+  }
+  /// The host's pin tenants in join order; a manager leaves on destruction.
+  [[nodiscard]] std::vector<PinManager*>& pin_tenants() noexcept {
+    return pin_tenants_;
+  }
+
  private:
   /// Per-slot state that must survive the endpoint object itself: the
   /// incarnation number peers fence against, and crash-history totals the
@@ -140,6 +153,9 @@ class Driver {
   ioat::DmaEngine* dma_;
   StackConfig config_;
   obs::Relay relay_;
+  bool pin_arbitration_ = false;
+  // Before endpoints_: their pin managers leave this list on teardown.
+  std::vector<PinManager*> pin_tenants_;
   std::array<std::unique_ptr<Endpoint>, kMaxEndpoints> endpoints_;
   std::array<SlotLifecycle, kMaxEndpoints> slots_;
   sim::FlatMap<std::uint64_t, std::uint8_t> peer_epochs_;

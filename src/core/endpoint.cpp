@@ -49,6 +49,7 @@ Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
       pins_(driver.engine(), process_core, driver.cpu(),
             driver.config().pinning, counters_, &driver.relay()) {
   pins_.set_identity(driver.node(), id_);
+  pins_.set_driver(&driver);
   auto notifier = std::make_unique<EndpointNotifier>(*this);
   as_.register_notifier(notifier.get());
   notifier_ = std::move(notifier);
@@ -316,13 +317,15 @@ void Endpoint::arm_send_rto(SendRequest& req) {
         auto it = sends_.find(seq);
         if (it == sends_.end()) return;
         SendRequest& r = *it->second;
-        ++counters_.retransmit_timeouts;
         ++r.retries;
         // A pull that keeps arriving is progress, not silence: only ticks
         // without one spend the budget (the backoff still grows).
         if (!r.pulled) ++r.idle_ticks;
         r.pulled = false;
-        {
+        // Once a PULL arrived the receiver drives the rendezvous: a tick
+        // then resends nothing, so it is no retransmission.
+        if (r.eager || !r.pull_seen) {
+          ++counters_.retransmit_timeouts;
           obs::Event e = ev(obs::EventKind::kRetransmit);
           e.seq = seq;
           e.peer = r.dest.node;

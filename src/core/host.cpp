@@ -99,12 +99,4 @@ net::Watchdog& Host::enable_watchdog(net::Watchdog::Config cfg) {
   return *watchdog_;
 }
 
-mem::PinArbiter& Host::enable_pin_arbitration() {
-  if (arbiter_ == nullptr) {
-    arbiter_ = std::make_unique<mem::PinArbiter>(pm_);
-    pm_.set_arbiter(arbiter_.get());
-  }
-  return *arbiter_;
-}
-
 }  // namespace pinsim::core

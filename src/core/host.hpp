@@ -13,7 +13,6 @@
 #include "mem/address_space.hpp"
 #include "mem/malloc_sim.hpp"
 #include "mem/physical_memory.hpp"
-#include "mem/pin_arbiter.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
 #include "net/watchdog.hpp"
@@ -108,14 +107,10 @@ class Host {
   net::Watchdog& enable_watchdog(net::Watchdog::Config cfg);
   [[nodiscard]] net::Watchdog* watchdog() noexcept { return watchdog_.get(); }
 
-  /// Creates the cross-tenant pin arbiter and installs it on this host's
-  /// physical memory; every process's pin manager joins it lazily on first
-  /// quota contact. Idempotent. Enable *before* setting a pin quota low
-  /// enough to contend, so tenants register before the first denial.
-  mem::PinArbiter& enable_pin_arbitration();
-  [[nodiscard]] mem::PinArbiter* pin_arbiter() noexcept {
-    return arbiter_.get();
-  }
+  /// Shares this host's pin quota among its processes: a quota denial a
+  /// process cannot cover from its own idle regions sheds other processes'
+  /// idle regions (see Driver::enable_pin_arbitration). Idempotent.
+  void enable_pin_arbitration() noexcept { driver_.enable_pin_arbitration(); }
 
   [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
   [[nodiscard]] net::Nic& nic() noexcept { return nic_; }
@@ -143,8 +138,6 @@ class Host {
   std::unique_ptr<ioat::DmaEngine> dma_;
   Driver driver_;
   std::unique_ptr<net::Watchdog> watchdog_;
-  // Before processes_: pin managers unregister from the arbiter on teardown.
-  std::unique_ptr<mem::PinArbiter> arbiter_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::size_t> process_core_;  // core index, for restart
   std::size_t next_core_ = 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/driver.hpp"
 #include "mem/types.hpp"
 
 namespace pinsim::core {
@@ -18,27 +19,10 @@ PinManager::PinManager(sim::Engine& eng, cpu::Core& core,
       relay_(relay) {}
 
 PinManager::~PinManager() {
-  if (arb_registered_) arbiter_->unregister_tenant(arb_id_);
+  if (joined_) std::erase(driver_->pin_tenants(), this);
 }
 
-void PinManager::maybe_join_arbitration(mem::PhysicalMemory& pm) {
-  if (arb_registered_ || pm.arbiter() == nullptr) return;
-  arbiter_ = pm.arbiter();
-  // Every process weighs the same: its fair-share floor is an equal part
-  // of the host pin quota.
-  arb_id_ = arbiter_->register_tenant(this, /*weight=*/1);
-  arb_registered_ = true;
-}
-
-bool PinManager::arbitrate_headroom() {
-  if (!arb_registered_) return false;
-  ++counters_.tenant_arb_requests;
-  if (!arbiter_->request_headroom(this)) return false;
-  ++counters_.tenant_arb_grants;
-  return true;
-}
-
-std::size_t PinManager::arb_pinned_pages() const {
+std::size_t PinManager::pinned_pages() const {
   std::size_t total = 0;
   for (const auto& [rid, t] : tracked_) {
     (void)rid;
@@ -47,9 +31,30 @@ std::size_t PinManager::arb_pinned_pages() const {
   return total;
 }
 
-bool PinManager::arb_shed_idle() {
-  if (!shed_one_victim()) return false;
-  ++counters_.tenant_sheds_suffered;
+bool PinManager::reclaim_quota(mem::PhysicalMemory& pm) {
+  // Paper §3.1: with too many pinned pages the driver unpins idle regions.
+  // Busy pins are protected; idle ones are a cache any tenant may reclaim.
+  // Our own LRU idle region goes first. If the quota is still full, every
+  // other tenant on the host, most pinned pages first and ties to whichever
+  // joined first, sheds its LRU idle region until a page is free.
+  if (shed_one_victim()) return true;
+  if (!joined_) return false;
+  ++counters_.tenant_arb_requests;
+  std::vector<std::pair<std::size_t, PinManager*>> victims;
+  for (PinManager* m : driver_->pin_tenants()) {
+    if (m != this) victims.emplace_back(m->pinned_pages(), m);
+  }
+  std::stable_sort(victims.begin(), victims.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  for (const auto& [pages, m] : victims) {
+    if (!m->shed_one_victim()) continue;  // every region busy: next one
+    ++m->counters_.tenant_sheds_suffered;
+    if (pm.pin_headroom() > 0) break;
+  }
+  if (pm.pin_headroom() == 0) return false;
+  ++counters_.tenant_arb_grants;
   return true;
 }
 
@@ -181,20 +186,23 @@ void PinManager::schedule_chunk(Region& r) {
     finish(r, true);
     return;
   }
+  if (!joined_ && driver_ != nullptr && driver_->pin_arbitration()) {
+    driver_->pin_tenants().push_back(this);
+    joined_ = true;
+  }
   auto& pm = r.address_space().physical();
-  maybe_join_arbitration(pm);
   std::size_t chunk = std::min(cfg_.pin_chunk_pages, r.unpinned_pages());
   shed_pins_if_needed(pm, chunk);
 
   // Graceful degradation under a pinned-page quota: when the full chunk
   // cannot fit even after shedding idle regions, pin what fits — a smaller
   // frontier advance beats a failed one. With zero headroom nothing can pin
-  // at all; first ask the host arbiter (if any) to shed an over-floor
-  // tenant for us, then back off and retry so a transient squeeze (another
+  // at all; first reclaim other tenants' idle pins (if this host
+  // arbitrates), then back off and retry so a transient squeeze (another
   // endpoint releasing pages, the quota being raised) heals, and a
   // permanent one ends in a clean ok=false abort once the budget runs out.
   std::size_t headroom = pm.pin_headroom();
-  if (headroom == 0 && arbitrate_headroom()) headroom = pm.pin_headroom();
+  if (headroom == 0 && reclaim_quota(pm)) headroom = pm.pin_headroom();
   if (headroom == 0) {
     ++counters_.pins_denied;
     pm.count_quota_denial();
@@ -241,7 +249,7 @@ void PinManager::schedule_chunk(Region& r) {
       } catch (const mem::PinDeniedError& e) {
         ++counters_.pins_denied;
         if (e.reason() == mem::PinDeniedError::Reason::kQuota &&
-            (shed_one_victim() || arbitrate_headroom())) {
+            reclaim_quota(as.physical())) {
           --i;  // freed quota headroom; retry this page now
           continue;
         }
@@ -504,13 +512,11 @@ bool PinManager::shed_one_victim() {
 
 void PinManager::shed_pins_if_needed(mem::PhysicalMemory& pm,
                                      std::size_t incoming_pages) {
-  // Two ceilings bound the host's pinned pages: the driver's own policy
-  // (cfg_.max_pinned_pages) and the PhysicalMemory quota (the
-  // RLIMIT_MEMLOCK analogue). Shed LRU idle regions until the incoming
-  // chunk fits under both — or nothing evictable remains, in which case the
-  // caller shrinks the chunk to the headroom or backs off.
-  const std::size_t limit = std::min(cfg_.max_pinned_pages, pm.pin_quota());
-  while (pm.pinned_pages() + incoming_pages > limit) {
+  // The PhysicalMemory quota (the RLIMIT_MEMLOCK analogue) bounds the
+  // host's pinned pages. Shed LRU idle regions until the incoming chunk
+  // fits under it — or nothing evictable remains, in which case the caller
+  // shrinks the chunk to the headroom or backs off.
+  while (pm.pinned_pages() + incoming_pages > pm.pin_quota()) {
     if (!shed_one_victim()) return;
   }
 }

@@ -11,7 +11,6 @@
 #include "core/region.hpp"
 #include "cpu/core.hpp"
 #include "cpu/cpu_model.hpp"
-#include "mem/pin_arbiter.hpp"
 #include "mem/pool.hpp"
 #include "obs/event.hpp"
 #include "obs/relay.hpp"
@@ -19,6 +18,8 @@
 #include "sim/flat_map.hpp"
 
 namespace pinsim::core {
+
+class Driver;
 
 /// Driver-side pinning engine (paper §3.1/§3.3): pins declared regions on
 /// demand, strictly in address order, charging Table-1-calibrated costs to
@@ -38,11 +39,12 @@ namespace pinsim::core {
 /// A frame dropped on an overlap miss waits on the same list for the pages
 /// it touches, so its re-request leaves as soon as they are pinned.
 ///
-/// On multi-tenant hosts the manager doubles as one tenant of the host's
-/// `mem::PinArbiter`: it joins arbitration lazily on first quota contact,
-/// answers shed requests with its own LRU walk, and asks the arbiter for
-/// headroom (shedding over-floor tenants) when the shared quota denies it.
-class PinManager : public mem::PinArbiter::TenantOps {
+/// On a host with pin arbitration enabled (`Driver::enable_pin_arbitration`)
+/// the manager is one tenant of the host's shared pin quota: it joins the
+/// driver's tenant list when it first schedules a pin chunk, and a quota
+/// denial it cannot cover from its own idle regions sheds other tenants'
+/// (`reclaim_quota`).
+class PinManager {
  public:
   /// done(ok): ok=false means a segment was invalid (or went away) and the
   /// region is PinState::kFailed; the caller aborts its request.
@@ -57,6 +59,10 @@ class PinManager : public mem::PinArbiter::TenantOps {
              const obs::Relay* relay = nullptr);
 
   void set_relay(const obs::Relay* relay) noexcept { relay_ = relay; }
+  /// The host driver whose tenant list this manager joins once pin
+  /// arbitration is enabled; it must outlive the manager. nullptr (the
+  /// default) keeps the manager on its own.
+  void set_driver(Driver* driver) noexcept { driver_ = driver; }
   /// (node, endpoint) stamped onto emitted events.
   void set_identity(std::uint32_t node, std::uint8_t ep) noexcept {
     node_ = node;
@@ -65,7 +71,7 @@ class PinManager : public mem::PinArbiter::TenantOps {
 
   PinManager(const PinManager&) = delete;
   PinManager& operator=(const PinManager&) = delete;
-  ~PinManager() override;
+  ~PinManager();
 
   /// Tracks a declared region for LRU/pressure management.
   void register_region(Region& r);
@@ -170,15 +176,11 @@ class PinManager : public mem::PinArbiter::TenantOps {
   void shed_pins_if_needed(mem::PhysicalMemory& pm,
                            std::size_t incoming_pages);
   bool shed_one_victim();
-
-  // Cross-tenant arbitration (mem::PinArbiter::TenantOps).
-  [[nodiscard]] std::size_t arb_pinned_pages() const override;
-  bool arb_shed_idle() override;
-  /// Registers with the host arbiter on first quota contact (idempotent).
-  void maybe_join_arbitration(mem::PhysicalMemory& pm);
-  /// Asks the arbiter to shed another tenant below us. True when headroom
-  /// exists on return.
-  bool arbitrate_headroom();
+  /// Pages pinned across every region this manager tracks.
+  [[nodiscard]] std::size_t pinned_pages() const;
+  /// The host-wide idle-pin reclaim a quota denial runs; true when it
+  /// freed headroom (see the definition for the rule).
+  bool reclaim_quota(mem::PhysicalMemory& pm);
   void do_unpin(Region& r, std::uint64_t& op_counter);
   void do_unpin_from(Region& r, std::size_t first_slot,
                      std::uint64_t& op_counter);
@@ -196,9 +198,8 @@ class PinManager : public mem::PinArbiter::TenantOps {
   const obs::Relay* relay_ = nullptr;
   std::uint32_t node_ = 0;
   std::uint8_t ep_ = 0;
-  mem::PinArbiter* arbiter_ = nullptr;  // joined lazily; not owned
-  std::uint32_t arb_id_ = 0;
-  bool arb_registered_ = false;
+  Driver* driver_ = nullptr;  // not owned
+  bool joined_ = false;       // on driver_->pin_tenants()
   // Liveness token for engine timers (retry backoff): a timer may fire after
   // the endpoint (and its PinManager) is destroyed; captured weakly.
   std::shared_ptr<char> alive_ = std::make_shared<char>('p');

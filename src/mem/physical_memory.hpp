@@ -10,7 +10,6 @@
 
 namespace pinsim::mem {
 
-class PinArbiter;
 class PressureInjector;
 
 /// Physical memory: a pool of reference-counted 4 kB frames holding real
@@ -107,12 +106,6 @@ class PhysicalMemory {
     return pressure_;
   }
 
-  /// Optional cross-tenant pin arbiter (mem/pin_arbiter.hpp) consulted by
-  /// pin managers when the quota is exhausted. Not owned; nullptr means
-  /// every tenant fends for itself (the pre-cluster behaviour).
-  void set_arbiter(PinArbiter* a) noexcept { arbiter_ = a; }
-  [[nodiscard]] PinArbiter* arbiter() const noexcept { return arbiter_; }
-
  private:
   void check_live(FrameId f) const;
 
@@ -127,7 +120,6 @@ class PhysicalMemory {
   std::size_t pin_quota_ = std::numeric_limits<std::size_t>::max();
   std::uint64_t quota_denials_ = 0;
   PressureInjector* pressure_ = nullptr;
-  PinArbiter* arbiter_ = nullptr;
 };
 
 }  // namespace pinsim::mem

@@ -301,9 +301,10 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
 }
 
 TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
-  PinningConfig cfg;
-  cfg.max_pinned_pages = 20;
-  auto mgr = make(cfg);
+  // Too many pinned pages for the host quota: the least recently *used*
+  // idle region is shed, not the lowest id or the oldest pin.
+  auto mgr = make({});
+  pm_.set_pin_quota(20);
   Region a = make_region(8 * 4096, 1);
   Region b = make_region(8 * 4096, 2);
   Region c = make_region(8 * 4096, 3);
@@ -316,14 +317,16 @@ TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
   mgr.ensure_pinned(b, [](bool) {});
   eng_.run();
   EXPECT_EQ(pm_.pinned_pages(), 16u);
-  // Pinning c (8 pages) would hit 24 > 20: the LRU idle region (a) is shed.
+  mgr.touch(a);  // a is used again after b: b is now the LRU region
+  // Pinning c (8 pages) would hit 24 > 20: the LRU idle region (b) is shed.
   mgr.ensure_pinned(c, [](bool) {});
   eng_.run();
-  EXPECT_EQ(a.pinned_pages(), 0u);
-  EXPECT_TRUE(b.fully_pinned());
+  EXPECT_TRUE(a.fully_pinned());
+  EXPECT_EQ(b.pinned_pages(), 0u);
   EXPECT_TRUE(c.fully_pinned());
-  EXPECT_GE(counters_.pressure_unpins, 1u);
+  EXPECT_EQ(counters_.pressure_unpins, 1u);
   EXPECT_LE(pm_.pinned_pages(), 20u);
+  pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
   mgr.unregister_region(a);
   mgr.unregister_region(b);
   mgr.unregister_region(c);
@@ -331,8 +334,9 @@ TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
 
 TEST_F(PinManagerTest, PressureNeverEvictsRegionsInUse) {
   PinningConfig cfg;
-  cfg.max_pinned_pages = 10;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   auto mgr = make(cfg);
+  pm_.set_pin_quota(10);
   Region a = make_region(8 * 4096, 1);
   Region b = make_region(8 * 4096, 2);
   mgr.register_region(a);
@@ -340,11 +344,28 @@ TEST_F(PinManagerTest, PressureNeverEvictsRegionsInUse) {
   mgr.ensure_pinned(a, [](bool) {});
   eng_.run();
   a.add_use();  // active communication
-  mgr.ensure_pinned(b, [](bool) {});
-  eng_.run();
-  EXPECT_TRUE(a.fully_pinned());  // was not shed despite the pressure
-  EXPECT_TRUE(b.fully_pinned());
+  bool done = false, ok = false;
+  mgr.ensure_pinned(b, [&](bool o) {
+    done = true;
+    ok = o;
+  });
+  // The quota is a hard ceiling: b pins the 2 pages that fit and waits,
+  // and a is not shed despite the pressure.
+  eng_.run_until(eng_.now() + 200 * sim::kMicrosecond);
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(a.fully_pinned());
+  EXPECT_EQ(b.pinned_pages(), 2u);
+  EXPECT_EQ(counters_.pressure_unpins, 0u);
+
+  // Once a's use drops, b's next retry sheds it and completes.
   a.drop_use();
+  eng_.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(a.pinned_pages(), 0u);
+  EXPECT_TRUE(b.fully_pinned());
+  EXPECT_LE(pm_.pinned_pages(), 10u);
+  pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
   mgr.unregister_region(a);
   mgr.unregister_region(b);
 }
@@ -471,8 +492,8 @@ TEST_F(PinManagerTest, QuotaZeroStarvationEndsGracefully) {
 }
 
 TEST_F(PinManagerTest, QuotaEvictsLruIdleRegionLikeDriverLimit) {
-  // The PhysicalMemory quota must trigger the same LRU shedding as the
-  // driver's own max_pinned_pages policy.
+  // The PhysicalMemory quota sheds the LRU idle region before pinning
+  // past it.
   auto mgr = make({});
   pm_.set_pin_quota(20);
   Region a = make_region(8 * 4096, 1);

@@ -190,9 +190,10 @@ TEST(Stress, CowSnapshotOfCachedRegionStaysIsolated) {
 }
 
 TEST(Stress, MemoryPressureShedsPinsBetweenTransfersAndRepins) {
-  StackConfig stack = pinning_cache_config();
-  stack.pinning.max_pinned_pages = 300;  // < 2 x 256-page buffers
-  Rig rig(stack);
+  Rig rig(pinning_cache_config());
+  for (Host* h : {rig.a.get(), rig.b.get()}) {
+    h->memory().set_pin_quota(300);  // < 2 x 256-page buffers
+  }
   auto& s = *rig.pas[0];
   auto& r = *rig.pbs[0];
   const std::size_t len = 1024 * 1024;  // 256 pages

@@ -9,6 +9,8 @@
 #include "core/host.hpp"
 #include "core/wire.hpp"
 #include "net/fault.hpp"
+#include "obs/bus.hpp"
+#include "obs/critical_path.hpp"
 #include "sim/task.hpp"
 
 namespace pinsim::core {
@@ -331,6 +333,7 @@ TEST(RetryBudget, MovingPullOutlivesTheSendBudget) {
   const auto dst = rig.pb->heap.malloc(size);
   const auto data = pattern(size, 47);
   rig.pa->as.write(src, data);
+  const sim::Time posted = rig.eng.now();
   auto recv = rig.pb->lib.irecv(0x7, kAll, dst, size);
   auto send = rig.pa->lib.isend(rig.pb->addr(), 0x7, src, size);
   rig.drain();
@@ -341,11 +344,65 @@ TEST(RetryBudget, MovingPullOutlivesTheSendBudget) {
   std::vector<std::byte> got(size);
   rig.pb->as.read(dst, got);
   EXPECT_EQ(got, data);
-  // The transfer outlived the budget: more ticks than it allows fired.
-  EXPECT_GT(rig.pa->lib.counters().retransmit_timeouts,
-            static_cast<std::uint64_t>(stack.protocol.retry_budget) + 1);
+  // The transfer outlived the budget: a tick fires at most 1.5 timeouts
+  // after the previous one, so more ticks than the budget allows fired.
+  const auto tick_max = stack.protocol.retransmit_timeout * 3 / 2;
+  EXPECT_GT(send->completed_at() - posted,
+            (stack.protocol.retry_budget + 2) * tick_max);
   EXPECT_EQ(rig.pa->lib.counters().retry_exhausted, 0u);
   EXPECT_EQ(rig.pa->lib.counters().aborts, 0u);
+}
+
+/// Records the sequence numbers of every kRetransmit event.
+struct RetransmitLog final : obs::Sink {
+  void on_event(const obs::Event& e) override {
+    if (e.kind == obs::EventKind::kRetransmit) seqs.push_back(e.seq);
+  }
+  std::vector<std::uint32_t> seqs;
+};
+
+TEST(RetryBudget, PassiveTicksUnderAMovingPullAreNoRetransmits) {
+  // Once the receiver pulls, the sender's timer only watches: a tick that
+  // resends nothing is neither a retransmit timeout nor a retransmit
+  // event, so the critical path never blames retransmission for it.
+  StackConfig stack = tight_budget_stack();
+  stack.protocol.retransmit_timeout = 500 * sim::kMicrosecond;
+  stack.protocol.retransmit_backoff_max = stack.protocol.retransmit_timeout;
+  stack.protocol.retry_budget = 1;
+  Rig rig(stack);
+  obs::Bus bus(rig.eng);
+  RetransmitLog log;
+  obs::CriticalPathAnalyzer path;
+  bus.attach(&log);
+  bus.attach(&path);
+  rig.a->driver().set_bus(&bus);
+  rig.b->driver().set_bus(&bus);
+
+  const std::size_t size = 4 * 1024 * 1024;  // ~3.4 ms on the wire
+  const auto src = rig.pa->heap.malloc(size);
+  const auto dst = rig.pb->heap.malloc(size);
+  rig.pa->as.write(src, pattern(size, 53));
+  const sim::Time posted = rig.eng.now();
+  auto recv = rig.pb->lib.irecv(0x8, kAll, dst, size);
+  auto send = rig.pa->lib.isend(rig.pb->addr(), 0x8, src, size);
+  rig.drain();
+  path.finalize();
+  rig.a->driver().set_bus(nullptr);
+  rig.b->driver().set_bus(nullptr);
+
+  ASSERT_TRUE(send->completed());
+  ASSERT_TRUE(send->status().ok);
+  ASSERT_TRUE(recv->status().ok);
+  // Several send timeouts passed while the pull ran.
+  EXPECT_GT(send->completed_at() - posted,
+            4 * stack.protocol.retransmit_timeout * 3 / 2);
+  EXPECT_EQ(rig.pa->lib.counters().retransmit_timeouts, 0u);
+  EXPECT_TRUE(log.seqs.empty());
+  ASSERT_EQ(path.completed().size(), 1u);
+  const auto& chain = path.completed().front();
+  EXPECT_TRUE(chain.rndv);
+  EXPECT_EQ(chain.retransmits, 0u);
+  EXPECT_EQ(chain.phase(obs::Phase::kRetransmit), 0);
 }
 
 }  // namespace
