@@ -901,10 +901,10 @@ std::vector<Stage> cluster_stages() {
   };
 }
 
-/// The uniform stage at rising quotas, from the rack default past 256, where
-/// each tenant's fair-share floor (quota / 16) first covers one 16-page
-/// rendezvous region: each must complete every exchange, and a larger quota
-/// may never fail more.
+/// The uniform stage at rising quotas, from the rack default up to 280. Each
+/// round a host holds 2 rendezvous sends and 2 receives of 16 pages, a
+/// 64-page working set every point here sits well above: each must complete
+/// every exchange, and a larger quota may never fail more.
 std::vector<Stage> quota_stages() {
   const std::array<std::pair<std::size_t, const char*>, 4> sweep{{
       {kRackQuota, "uniform at quota 160 (256 endpoints)"},
@@ -984,13 +984,13 @@ std::vector<Suite> suites() {
                   {"pin arbiter requests", &Tally::arb, {1, 1}}},
        .passed = "\n%llu messages across 256 endpoints: reports "
                  "byte-identical, congestion and fault loss attributed "
-                 "separately, pin quota arbitrated fairly\n"},
+                 "separately, idle pins reclaimed across tenants\n"},
       {.name = "quota",
        .title = "Quota sweep: the fault-free cluster stage at rising pin "
                 "quotas",
        .reproduces = "paper §3.1 idle pins are revocable: any waiting pin "
-                     "job reclaims idle regions, so no quota starves a "
-                     "tenant",
+                     "job reclaims idle regions, at quotas well above a "
+                     "host's working set",
        .stack = racks, .seed = 0xc1a5'7e25, .stages = quota_stages(),
        .floors = {{"messages posted", &Tally::posted, {30'000, 500'000}}},
        .passed = "\n%llu messages: every quota completes every exchange\n",

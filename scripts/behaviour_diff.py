@@ -2,9 +2,10 @@
 """Check that two builds of the simulator behave identically.
 
   scripts/behaviour_diff.py <parent-build> <change-build>
+                            [<parent-perfbench> <change-perfbench>]
 
-Each argument is a CMake build directory (e.g. `build`). Both builds run
-the quick paper benches (fig6_pingpong_pinning, fig7_decoupled,
+The first two arguments are CMake build directories (e.g. `build`). Both
+builds run the quick paper benches (fig6_pingpong_pinning, fig7_decoupled,
 overlap_miss) and `soak <suite> --quick --trace-out` for all five soak
 suites, every run in its own temporary directory. Then, per run:
 
@@ -14,6 +15,13 @@ suites, every run in its own temporary directory. Then, per run:
     (WALL_CLOCK_KEYS, at any depth);
   * every `.flame.json` (weighted by wall time) must name the same frames;
   * every other file (`.trace.json`, flight dumps) must match byte for byte.
+
+The optional last two arguments are perfbench build directories (each
+holding a `perfbench_unit`, as `perfbench/run.py` builds it). Both then run
+one unit of every perfbench workload at seeds 1 and 90210, with `--trace 0`
+and `--trace 1`; exit status, correctness, attempted and failed counts,
+and the `sim` and `traced` maps must match once host-time keys
+(`is_host_time`) are dropped.
 
 A refactor that claims to change no behaviour passes this with exit 0.
 Exits 1 on any difference, 2 on usage errors or a missing binary. Stdlib
@@ -38,6 +46,18 @@ WALL_CLOCK_KEYS = {
     "top",
     "throughput",
 }
+
+
+PERFBENCH_WORKLOADS = ["pingpong_rndv", "cluster_uniform", "cluster_incast"]
+PERFBENCH_SEEDS = [1, 90210]
+
+
+def is_host_time(key):
+    """Whether a perfbench `sim`/`traced` key measures the host (wall time,
+    rates and shares of it), not the simulation. `*_sim_ms` is sim time."""
+    if key.endswith("_sim_ms"):
+        return False
+    return key.endswith(("_ms", "_per_event", "_per_s", "_share", "_pct"))
 
 
 def runs():
@@ -82,6 +102,43 @@ def run_one(build, binary, args):
     return proc.returncode, proc.stdout, files
 
 
+def run_unit(build, workload, seed, trace):
+    """Runs one perfbench unit in a fresh directory; returns what must match."""
+    exe = os.path.abspath(os.path.join(build, "perfbench_unit"))
+    if not os.access(exe, os.X_OK):
+        print(f"behaviour_diff: no executable {exe}", file=sys.stderr)
+        sys.exit(2)
+    with tempfile.TemporaryDirectory(prefix="behaviour_diff-") as cwd:
+        proc = subprocess.run(
+            [exe, "--workload", workload, "--seed", str(seed),
+             "--trace", str(trace)],
+            cwd=cwd, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        return {"status": proc.returncode, "stdout": ""}
+    unit = json.loads(lines[-1])
+    out = {k: unit[k] for k in ("correct", "errors", "attempted", "failed")}
+    out["status"] = proc.returncode
+    for section in ("sim", "traced"):
+        out[section] = {k: v for k, v in unit[section].items()
+                        if not is_host_time(k)}
+    return out
+
+
+def compare_units(name, parent, change):
+    """Human-readable differences between two run_unit results."""
+    diffs = []
+    for key in sorted(set(parent) | set(change)):
+        a, b = parent.get(key), change.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            for k in sorted(set(a) | set(b)):
+                if a.get(k) != b.get(k):
+                    diffs.append(f"{key}.{k} {a.get(k)} -> {b.get(k)}")
+        elif a != b:
+            diffs.append(f"{key} {a} -> {b}")
+    return [f"{name}: {d}" for d in diffs]
+
+
 def first_diff_line(a, b):
     """1-based number of the first line where two texts differ."""
     la, lb = a.splitlines(), b.splitlines()
@@ -108,9 +165,9 @@ def compare(name, parent, change):
 
 
 def main(argv):
-    if len(argv) != 3 or argv[1].startswith("-"):
-        print("usage: behaviour_diff.py <parent-build> <change-build>",
-              file=sys.stderr)
+    if len(argv) not in (3, 5) or any(a.startswith("-") for a in argv[1:]):
+        print("usage: behaviour_diff.py <parent-build> <change-build> "
+              "[<parent-perfbench> <change-perfbench>]", file=sys.stderr)
         return 2
     parent_build, change_build = argv[1], argv[2]
     failures = []
@@ -119,6 +176,17 @@ def main(argv):
                         run_one(change_build, binary, args))
         print(f"{name}: {'DIFFERS' if diffs else 'same'}", flush=True)
         failures += diffs
+    if len(argv) == 5:
+        for workload in PERFBENCH_WORKLOADS:
+            for seed in PERFBENCH_SEEDS:
+                for trace in (0, 1):
+                    name = f"perfbench-{workload}-s{seed}-t{trace}"
+                    diffs = compare_units(
+                        name, run_unit(argv[3], workload, seed, trace),
+                        run_unit(argv[4], workload, seed, trace))
+                    print(f"{name}: {'DIFFERS' if diffs else 'same'}",
+                          flush=True)
+                    failures += diffs
     for line in failures:
         print(line)
     return 1 if failures else 0

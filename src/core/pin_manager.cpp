@@ -110,10 +110,6 @@ void PinManager::register_region(Region& r) {
 
 void PinManager::unregister_region(Region& r) {
   // Cancel any in-flight pinning and release pins before forgetting it.
-  if (Tracked* t = find_alive(r.id(), &r); t != nullptr && t->job.active) {
-    ++t->job.generation;
-    t->job.active = false;
-  }
   unpin(r);
   tracked_.erase(r.id());
 }
@@ -375,6 +371,7 @@ void PinManager::unpin(Region& r) {
   if (Tracked* t = find_alive(r.id(), &r); t != nullptr && t->job.active) {
     ++t->job.generation;
     t->job.active = false;
+    emit(obs::EventKind::kPinFail, r, "cancelled");  // the job ends here
   }
   do_unpin(r, counters_.unpin_ops);
 }

@@ -96,7 +96,8 @@ class PinManager {
   void ensure_pinned(Region& r, bool overlapped, Completion done);
 
   /// Releases every pin of `r` (charging the unpin cost) without
-  /// undeclaring it. Next ensure_pinned repins.
+  /// undeclaring it. Next ensure_pinned repins. A running pin job is
+  /// cancelled and closes with a kPinFail labelled "cancelled".
   void unpin(Region& r);
 
   /// MMU-notifier path: the VM is invalidating [start, end). Every tracked

@@ -6,15 +6,18 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/lifetimes.hpp"
 #include "obs/sink.hpp"
 #include "sim/engine.hpp"
 
 namespace pinsim::obs {
 
 /// The typed event bus: emitters hand it POD events, the bus stamps the
-/// simulated time and fans out to every attached sink synchronously. With no
-/// sinks attached `active()` is false and emitters skip event construction,
-/// so an uninstrumented run pays one pointer compare per site.
+/// simulated time and fans out to every attached sink synchronously,
+/// through its lifetime table (obs/lifetimes.hpp), which every sink reads
+/// from the event. With no sinks attached `active()` is false and emitters
+/// skip event construction, so an uninstrumented run pays one pointer
+/// compare per site.
 ///
 /// Teardown-order guard: emitters that keep a Bus pointer register via
 /// register_emitter() (obs::Relay does this automatically; raw Bus* holders
@@ -62,7 +65,7 @@ class Bus {
 
   void emit(Event e) {
     e.time = eng_.now();
-    for (Sink* s : sinks_) s->on_event(e);
+    life_.deliver(e, sinks_);
   }
 
   /// Run end: flush every sink (idempotent per attach — callers run it once).
@@ -73,6 +76,7 @@ class Bus {
  private:
   sim::Engine& eng_;
   std::vector<Sink*> sinks_;
+  Lifetimes life_;
   std::size_t emitters_ = 0;
 };
 

@@ -9,14 +9,6 @@ namespace pinsim::obs {
 
 namespace {
 
-// Sender-side identity of a rendezvous chain, used as the flow/async id so
-// every hop of one transfer shares an arc (same key the critical-path
-// analyzer stitches chains with).
-std::uint64_t send_flow_id(std::uint32_t node, std::uint8_t ep,
-                           std::uint32_t seq) {
-  return chain_key(node, ep, seq);
-}
-
 void append_common(std::string& out, const Event& e, const char* name,
                    const char* cat, const char* ph) {
   char buf[256];
@@ -83,84 +75,62 @@ std::string ChromeTraceWriter::render() const {
     out += buf;
   }
 
+  // Async spans: pin jobs (id = region), transfers and pulls (id = the
+  // sender-side chain, so every hop of one transfer shares an arc).
+  const auto span = [&out](const Event& e, const char* name, const char* cat,
+                           const char* ph, std::uint64_t id) {
+    append_common(out, e, name, cat, ph);
+    append_id(out, id);
+    append_args(out, e);
+    out += ",\n";
+  };
+  const auto instant = [&out](const Event& e, const char* cat) {
+    append_common(out, e, event_kind_name(e.kind), cat, "i");
+    out += ",\"s\":\"t\"";
+    append_args(out, e);
+    out += ",\n";
+  };
+  constexpr std::uint64_t kPinSpan = 1ull << 63;
+  constexpr std::uint64_t kPullSpan = 1ull << 62;
   for (const Event& e : events_) {
-    const char* name = event_kind_name(e.kind);
+    const std::uint64_t own = chain_key(e.node, e.ep, e.seq);
     switch (e.kind) {
-      // Async spans: pin jobs (id = region) and transfers (id = chain).
       case EventKind::kPinStart:
-        append_common(out, e, "pin", "pin", "b");
-        append_id(out, send_flow_id(e.node, e.ep, e.region) | (1ull << 63));
-        append_args(out, e);
-        out += ",\n";
-        break;
       case EventKind::kPinDone:
       case EventKind::kPinFail:
-        append_common(out, e, "pin", "pin", "e");
-        append_id(out, send_flow_id(e.node, e.ep, e.region) | (1ull << 63));
-        append_args(out, e);
-        out += ",\n";
+        span(e, "pin", "pin", e.kind == EventKind::kPinStart ? "b" : "e",
+             chain_key(e.node, e.ep, e.region) | kPinSpan);
         break;
       case EventKind::kRndvPost:
       case EventKind::kEagerPost:
-        append_common(out, e, "send", "proto", "b");
-        append_id(out, send_flow_id(e.node, e.ep, e.seq));
-        append_args(out, e);
-        out += ",\n";
-        if (e.kind == EventKind::kRndvPost) {
-          append_flow(out, e, "s", send_flow_id(e.node, e.ep, e.seq));
-        }
+        span(e, "send", "proto", "b", own);
+        if (e.kind == EventKind::kRndvPost) append_flow(out, e, "s", own);
         break;
       case EventKind::kSendDone:
       case EventKind::kSendAbort:
-        append_common(out, e, "send", "proto", "e");
-        append_id(out, send_flow_id(e.node, e.ep, e.seq));
-        append_args(out, e);
-        out += ",\n";
-        append_flow(out, e, "f", send_flow_id(e.node, e.ep, e.seq));
+        span(e, "send", "proto", "e", own);
+        append_flow(out, e, "f", own);
         break;
       case EventKind::kPullStart:
         // The pull knows the sender-side chain: peer endpoint + sender seq
         // travel in the event, binding the receive to the rendezvous arc.
-        append_common(out, e, "pull", "proto", "b");
-        append_id(out, send_flow_id(e.peer, e.peer_ep,
-                                    static_cast<std::uint32_t>(e.offset)) |
-                           (1ull << 62));
-        append_args(out, e);
-        out += ",\n";
-        append_flow(out, e, "t",
-                    send_flow_id(e.peer, e.peer_ep,
-                                 static_cast<std::uint32_t>(e.offset)));
+        span(e, "pull", "proto", "b", sender_chain(e) | kPullSpan);
+        append_flow(out, e, "t", sender_chain(e));
         break;
       case EventKind::kRecvDone:
       case EventKind::kRecvAbort:
-        append_common(out, e, "pull", "proto", "e");
-        append_id(out, send_flow_id(e.peer, e.peer_ep,
-                                    static_cast<std::uint32_t>(e.offset)) |
-                           (1ull << 62));
-        append_args(out, e);
-        out += ",\n";
+        span(e, "pull", "proto", "e", sender_chain(e) | kPullSpan);
         break;
       case EventKind::kRetransmit:
-        append_common(out, e, name, "proto", "i");
-        out += ",\"s\":\"t\"";
-        append_args(out, e);
-        out += ",\n";
-        append_flow(out, e, "t", send_flow_id(e.node, e.ep, e.seq));
+        instant(e, "proto");
+        append_flow(out, e, "t", own);
         break;
       case EventKind::kPullRetry:
-        append_common(out, e, name, "proto", "i");
-        out += ",\"s\":\"t\"";
-        append_args(out, e);
-        out += ",\n";
-        append_flow(out, e, "t",
-                    send_flow_id(e.peer, e.peer_ep,
-                                 static_cast<std::uint32_t>(e.offset)));
+        instant(e, "proto");
+        append_flow(out, e, "t", sender_chain(e));
         break;
       default:
-        append_common(out, e, name, "event", "i");
-        out += ",\"s\":\"t\"";
-        append_args(out, e);
-        out += ",\n";
+        instant(e, "event");
         break;
     }
   }

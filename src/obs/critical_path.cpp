@@ -7,17 +7,6 @@
 
 namespace pinsim::obs {
 
-namespace {
-
-// Pin jobs are identified like pin spans in the Chrome trace: the region id
-// takes the seq slot of the chain key.
-std::uint64_t pin_key(std::uint32_t node, std::uint8_t ep,
-                      std::uint32_t region) {
-  return chain_key(node, ep, region);
-}
-
-}  // namespace
-
 const char* phase_name(Phase p) noexcept {
   switch (p) {
     case Phase::kSenderPin: return "sender_pin";
@@ -41,13 +30,14 @@ Phase CriticalPathAnalyzer::Breakdown::dominant() const noexcept {
 void CriticalPathAnalyzer::transition(Chain& c, sim::Time now, Phase next) {
   if (c.in_handshake) {
     // Leaving the handshake splits its span into pin-blocked and pure
-    // round-trip time; everything else is a plain bucket flip.
+    // round-trip time: pin-blocked is the time the posted region had a pin
+    // job open since the post. Past the handshake, an overlapped pin is
+    // free.
     const sim::Time span = now - c.since;
-    if (c.pin_open) {
-      c.sender_pin += now - c.pin_since;
-      c.pin_open = false;  // past the handshake, an overlapped pin is free
-    }
-    const sim::Time pin = std::min(c.sender_pin, span);
+    const Lifetimes::Region* r = region_of(c);
+    const sim::Time pinning =
+        r == nullptr ? 0 : r->pinning_ns(now) - c.pinning_at_post;
+    const sim::Time pin = std::min(pinning, span);
     c.rec.phase_ns[static_cast<std::size_t>(Phase::kSenderPin)] += pin;
     c.rec.phase_ns[static_cast<std::size_t>(Phase::kHandshake)] += span - pin;
     c.in_handshake = false;
@@ -58,278 +48,151 @@ void CriticalPathAnalyzer::transition(Chain& c, sim::Time now, Phase next) {
   c.since = now;
 }
 
-void CriticalPathAnalyzer::close(std::uint32_t idx, std::uint64_t key,
-                                 sim::Time now, bool aborted) {
-  Chain& c = chains_[idx];
+void CriticalPathAnalyzer::close(Chain& c, sim::Time now, bool aborted) {
   transition(c, now, c.cur);
+  c.open = false;
   c.rec.end = now;
   c.rec.aborted = aborted;
+  if (const Lifetimes::Region* r = region_of(c)) {
+    c.rec.pin_restarts = r->restarts - c.restarts_at_post;
+  }
   if (aborted) {
     ++aborted_count_;
-  } else {
-    ++completed_count_;
-    latency_total_ += c.rec.total();
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      phase_totals_[i] += c.rec.phase_ns[i];
-    }
-    if (completed_.size() < max_records_) {
-      completed_.push_back(c.rec);
-    } else {
-      ++dropped_records_;
-    }
-    // Top-K slowest, kept sorted and exact regardless of record drops.
-    const auto pos = std::upper_bound(
-        slowest_.begin(), slowest_.end(), c.rec,
-        [](const Breakdown& a, const Breakdown& b) {
-          return a.total() > b.total();
-        });
-    if (pos != slowest_.end() || slowest_.size() < top_k_) {
-      slowest_.insert(pos, c.rec);
-      if (slowest_.size() > top_k_) slowest_.pop_back();
-    }
-  }
-  unlink_region(idx);
-  free_chains_.push_back(idx);
-  open_.erase(key);
-}
-
-void CriticalPathAnalyzer::link_region(std::uint32_t idx) {
-  Chain& c = chains_[idx];
-  c.region_prev = kNoChain;
-  c.region_next = kNoChain;
-  const auto [it, inserted] =
-      by_region_.emplace(pin_key(c.rec.node, c.rec.ep, c.region), idx);
-  if (!inserted) {
-    c.region_next = it->second;
-    chains_[it->second].region_prev = idx;
-    it->second = idx;
-  }
-}
-
-void CriticalPathAnalyzer::unlink_region(std::uint32_t idx) {
-  const Chain& c = chains_[idx];
-  if (c.region_next != kNoChain) {
-    chains_[c.region_next].region_prev = c.region_prev;
-  }
-  if (c.region_prev != kNoChain) {
-    chains_[c.region_prev].region_next = c.region_next;
     return;
   }
-  const std::uint64_t pk = pin_key(c.rec.node, c.rec.ep, c.region);
-  if (c.region_next == kNoChain) {
-    by_region_.erase(pk);
+  ++completed_count_;
+  latency_total_ += c.rec.total();
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    phase_totals_[i] += c.rec.phase_ns[i];
+  }
+  if (completed_.size() < max_records_) {
+    completed_.push_back(c.rec);
   } else {
-    by_region_.find(pk)->second = c.region_next;
+    ++dropped_records_;
+  }
+  // Top-K slowest, kept sorted and exact regardless of record drops.
+  const auto pos = std::upper_bound(
+      slowest_.begin(), slowest_.end(), c.rec,
+      [](const Breakdown& a, const Breakdown& b) {
+        return a.total() > b.total();
+      });
+  if (pos != slowest_.end() || slowest_.size() < top_k_) {
+    slowest_.insert(pos, c.rec);
+    if (slowest_.size() > top_k_) slowest_.pop_back();
   }
 }
 
-void CriticalPathAnalyzer::on_pin_event(const Event& e) {
-  const std::uint64_t pk = pin_key(e.node, e.ep, e.region);
-  if (e.kind == EventKind::kPinStart) {
-    pins_open_.insert(pk);
-  } else if (e.kind != EventKind::kPinRestart) {
-    pins_open_.erase(pk);
-  }
-  const auto head = by_region_.find(pk);
-  if (head == by_region_.end()) return;
-  // Only the open chains on this region can be affected.
-  for (std::uint32_t i = head->second; i != kNoChain;
-       i = chains_[i].region_next) {
-    Chain& c = chains_[i];
-    switch (e.kind) {
-      case EventKind::kPinStart:
-        if (c.in_handshake && !c.pin_open && c.rec.rndv) {
-          c.pin_open = true;
-          c.pin_since = e.time;
-        }
-        break;
-      case EventKind::kPinDone:
-      case EventKind::kPinFail:
-        if (c.pin_open) {
-          c.sender_pin += e.time - c.pin_since;
-          c.pin_open = false;
-        }
-        break;
-      case EventKind::kPinRestart:
-        ++c.rec.pin_restarts;
-        break;
-      default:
-        break;
-    }
-  }
+const Lifetimes::Region* CriticalPathAnalyzer::region_of(
+    const Chain& c) const {
+  return life_->region(chain_key(c.rec.node, c.rec.ep, c.region));
 }
 
 CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::find_chain(
     std::uint64_t key) {
-  const auto it = open_.find(key);
-  return it == open_.end() ? nullptr : &chains_[it->second];
+  const Lifetimes::Send* s = life_->send(key);
+  if (s == nullptr || s->slot >= chains_.size()) return nullptr;
+  Chain& c = chains_[s->slot];
+  return c.open ? &c : nullptr;
 }
 
-CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::resolve_receiver(
-    const Event& e) {
-  // Receiver-local events carry the pull handle in `seq`; the handle was
-  // bound to the sender-side chain at kPullStart.
-  const auto hit = pulls_.find(chain_key(e.node, e.ep, e.seq));
-  return hit == pulls_.end() ? nullptr : find_chain(hit->second);
+CriticalPathAnalyzer::Chain* CriticalPathAnalyzer::chain_of(const Event& e) {
+  switch (e.kind) {
+    case EventKind::kOverlapMissSend:
+    case EventKind::kRetransmit:
+    case EventKind::kCopyOut:
+    case EventKind::kSendDone:
+    case EventKind::kSendAbort:
+      return find_chain(chain_key(e.node, e.ep, e.seq));
+    // A pull's start and done carry the sender chain; its other events
+    // carry the pull handle in `seq`, which the table bound to the chain at
+    // the start.
+    case EventKind::kPullStart:
+    case EventKind::kRecvDone:
+      return find_chain(sender_chain(e));
+    case EventKind::kOverlapMissRecv:
+    case EventKind::kPullRetry:
+    case EventKind::kCopyIn: {
+      const Lifetimes::Pull* p = life_->pull(chain_key(e.node, e.ep, e.seq));
+      return p == nullptr ? nullptr : find_chain(sender_chain(p->open));
+    }
+    default:
+      return nullptr;
+  }
 }
 
 void CriticalPathAnalyzer::on_event(const Event& e) {
+  life_ = e.life;
+  if (e.kind == EventKind::kRndvPost || e.kind == EventKind::kEagerPost) {
+    // A re-post of an open key replaces its chain in place.
+    const std::uint32_t slot =
+        life_->send(chain_key(e.node, e.ep, e.seq))->slot;
+    if (chains_.size() <= slot) chains_.resize(slot + 1);
+    Chain& c = chains_[slot];
+    c = Chain{};
+    c.rec.node = e.node;
+    c.rec.ep = e.ep;
+    c.rec.seq = e.seq;
+    c.rec.rndv = e.kind == EventKind::kRndvPost;
+    c.rec.bytes = e.len;
+    c.rec.start = e.time;
+    c.since = e.time;
+    c.region = e.region;
+    c.open = true;
+    c.cur = c.rec.rndv ? Phase::kHandshake : Phase::kTransfer;
+    c.in_handshake = c.rec.rndv;
+    if (const Lifetimes::Region* r = region_of(c)) {
+      c.pinning_at_post = r->pinning_ns(e.time);
+      c.restarts_at_post = r->restarts;
+    }
+    return;
+  }
+  Chain* c = chain_of(e);
+  if (c == nullptr) return;
   switch (e.kind) {
-    case EventKind::kRndvPost:
-    case EventKind::kEagerPost: {
-      Chain c;
-      c.rec.node = e.node;
-      c.rec.ep = e.ep;
-      c.rec.seq = e.seq;
-      c.rec.rndv = e.kind == EventKind::kRndvPost;
-      c.rec.bytes = e.len;
-      c.rec.start = e.time;
-      c.since = e.time;
-      c.region = e.region;
-      if (c.rec.rndv) {
-        c.cur = Phase::kHandshake;
-        c.in_handshake = true;
-        // A pin job already running on this region (pre-pin, region reuse)
-        // blocks the handshake from the very start.
-        if (pins_open_.count(pin_key(e.node, e.ep, e.region)) != 0) {
-          c.pin_open = true;
-          c.pin_since = e.time;
-        }
-      } else {
-        c.cur = Phase::kTransfer;
-        c.in_handshake = false;
-      }
-      // A re-post of an open key replaces its chain in place.
-      const std::uint64_t ck = chain_key(e.node, e.ep, e.seq);
-      std::uint32_t idx;
-      if (const auto it = open_.find(ck); it != open_.end()) {
-        idx = it->second;
-        unlink_region(idx);
-      } else if (!free_chains_.empty()) {
-        idx = free_chains_.back();
-        free_chains_.pop_back();
-        open_.emplace(ck, idx);
-      } else {
-        idx = static_cast<std::uint32_t>(chains_.size());
-        chains_.emplace_back();
-        open_.emplace(ck, idx);
-      }
-      chains_[idx] = c;
-      link_region(idx);
+    case EventKind::kPullStart:
+      transition(*c, e.time, Phase::kTransfer);
       break;
-    }
-
-    case EventKind::kPullStart: {
-      // Receiver names the sender chain via (peer, peer_ep, sender seq in
-      // `offset`) and binds its local handle to it for later events.
-      const std::uint64_t ck = chain_key(
-          e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset));
-      pulls_[chain_key(e.node, e.ep, e.seq)] = ck;
-      if (Chain* c = find_chain(ck); c != nullptr) {
-        transition(*c, e.time, Phase::kTransfer);
-      }
-      break;
-    }
-
-    case EventKind::kOverlapMissSend: {
-      Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
-      if (c != nullptr && !c->in_handshake) {
+    case EventKind::kOverlapMissSend:
+    case EventKind::kOverlapMissRecv:
+      if (!c->in_handshake) {
         ++c->rec.overlap_misses;
         transition(*c, e.time, Phase::kPinStall);
       }
       break;
-    }
-    case EventKind::kOverlapMissRecv: {
-      if (Chain* c = resolve_receiver(e); c != nullptr && !c->in_handshake) {
-        ++c->rec.overlap_misses;
-        transition(*c, e.time, Phase::kPinStall);
+    case EventKind::kRetransmit:
+    case EventKind::kPullRetry:
+      ++(e.kind == EventKind::kRetransmit ? c->rec.retransmits
+                                          : c->rec.pull_retries);
+      // Pin stalls keep the blame: the retransmission is the mechanism,
+      // the unpinned page is the cause. Handshake retransmits just widen
+      // the handshake.
+      if (c->cur == Phase::kTransfer) {
+        transition(*c, e.time, Phase::kRetransmit);
       }
       break;
-    }
-
-    case EventKind::kRetransmit: {
-      if (Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
-          c != nullptr) {
-        ++c->rec.retransmits;
-        // Pin stalls keep the blame: the retransmission is the mechanism,
-        // the unpinned page is the cause. Handshake retransmits just widen
-        // the handshake.
-        if (c->cur == Phase::kTransfer) {
-          transition(*c, e.time, Phase::kRetransmit);
-        }
-      }
-      break;
-    }
-    case EventKind::kPullRetry: {
-      if (Chain* c = resolve_receiver(e); c != nullptr) {
-        ++c->rec.pull_retries;
-        if (c->cur == Phase::kTransfer) {
-          transition(*c, e.time, Phase::kRetransmit);
-        }
-      }
-      break;
-    }
-
     // Bytes moving again ends a stall: flip back to transfer.
-    case EventKind::kCopyOut: {
-      Chain* c = find_chain(chain_key(e.node, e.ep, e.seq));
-      if (c != nullptr &&
-          (c->cur == Phase::kPinStall || c->cur == Phase::kRetransmit)) {
+    case EventKind::kCopyOut:
+    case EventKind::kCopyIn:
+      if (c->cur == Phase::kPinStall || c->cur == Phase::kRetransmit) {
         transition(*c, e.time, Phase::kTransfer);
       }
       break;
-    }
-    case EventKind::kCopyIn: {
-      if (Chain* c = resolve_receiver(e);
-          c != nullptr &&
-          (c->cur == Phase::kPinStall || c->cur == Phase::kRetransmit)) {
-        transition(*c, e.time, Phase::kTransfer);
-      }
-      break;
-    }
-
     case EventKind::kRecvDone:
-    case EventKind::kRecvAbort: {
-      const std::uint64_t ck = chain_key(
-          e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset));
-      if (e.kind == EventKind::kRecvDone) {
-        if (Chain* c = find_chain(ck); c != nullptr) {
-          transition(*c, e.time, Phase::kCompletion);
-        }
-      }
-      pulls_.erase(chain_key(e.node, e.ep, e.seq));
+      transition(*c, e.time, Phase::kCompletion);
       break;
-    }
-
     case EventKind::kSendDone:
-    case EventKind::kSendAbort: {
-      const std::uint64_t ck = chain_key(e.node, e.ep, e.seq);
-      if (const auto it = open_.find(ck); it != open_.end()) {
-        close(it->second, ck, e.time, e.kind == EventKind::kSendAbort);
-      }
+    case EventKind::kSendAbort:
+      close(*c, e.time, e.kind == EventKind::kSendAbort);
       break;
-    }
-
-    case EventKind::kPinStart:
-    case EventKind::kPinDone:
-    case EventKind::kPinFail:
-    case EventKind::kPinRestart:
-      on_pin_event(e);
-      break;
-
     default:
       break;
   }
 }
 
 void CriticalPathAnalyzer::finalize() {
-  orphaned_count_ += open_.size();
+  if (life_ != nullptr) orphaned_count_ += life_->counts().sends;
+  life_ = nullptr;
   chains_.clear();
-  free_chains_.clear();
-  open_.clear();
-  by_region_.clear();
-  pulls_.clear();
-  pins_open_.clear();
 }
 
 std::string CriticalPathAnalyzer::json() const {

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/lifetimes.hpp"
 #include "obs/sink.hpp"
-#include "sim/hash_map.hpp"
 
 namespace pinsim::obs {
 
@@ -28,12 +28,14 @@ inline constexpr std::size_t kPhaseCount = 6;
 
 /// Reconstructs every rendezvous/eager chain from the typed event stream
 /// (stitched with the same sender-side chain_key the Chrome-trace flow
-/// arrows use) and attributes its latency to phases with a per-chain state
-/// machine:
+/// arrows use; the bus's lifetime table holds the open sends and binds each
+/// pull to its sender's chain) and attributes its latency to phases with a
+/// per-chain state machine:
 ///
 ///  * the chain opens at kRndvPost/kEagerPost in kHandshake/kTransfer;
-///  * a pin job on the posted region, while still in handshake, accrues
-///    kSenderPin (regular pinning pays it, overlapped pinning hides it);
+///  * the time a pin job was open on the posted region while the chain was
+///    in handshake is kSenderPin (regular pinning pays it, overlapped
+///    pinning hides it);
 ///  * kPullStart flips to kTransfer; overlap misses flip to kPinStall and
 ///    retransmit/pull-retry timers to kRetransmit until the next byte of
 ///    progress (copy-in/copy-out) flips back;
@@ -113,39 +115,29 @@ class CriticalPathAnalyzer final : public Sink {
   [[nodiscard]] std::string digest() const;
 
  private:
-  static constexpr std::uint32_t kNoChain = 0xffffffffu;
-
+  /// Per-send state, indexed by the send's `Lifetimes::Send::slot`.
   struct Chain {
     Breakdown rec;
     Phase cur = Phase::kHandshake;
     sim::Time since = 0;
     std::uint32_t region = 0;      // sender-side region (rendezvous only)
+    bool open = false;             // posted, not yet closed
     bool in_handshake = true;      // sender-pin only accrues here
-    bool pin_open = false;         // a pin job for `region` is running
-    sim::Time pin_since = 0;
-    sim::Time sender_pin = 0;      // accrued pin-blocked handshake time
-    // Links of the list of open chains on the same (node, ep, region).
-    std::uint32_t region_prev = kNoChain;
-    std::uint32_t region_next = kNoChain;
+    sim::Time pinning_at_post = 0;  // the region's pin-job time at the post
+    std::uint32_t restarts_at_post = 0;  // and its restart count
   };
 
   void transition(Chain& c, sim::Time now, Phase next);
-  void close(std::uint32_t idx, std::uint64_t key, sim::Time now,
-             bool aborted);
-  void on_pin_event(const Event& e);
+  void close(Chain& c, sim::Time now, bool aborted);
+  [[nodiscard]] const Lifetimes::Region* region_of(const Chain& c) const;
   Chain* find_chain(std::uint64_t key);
-  Chain* resolve_receiver(const Event& e);
-  void link_region(std::uint32_t idx);
-  void unlink_region(std::uint32_t idx);
+  /// The open chain `e` is about, if any.
+  Chain* chain_of(const Event& e);
 
   std::size_t max_records_;
   std::size_t top_k_;
-  std::vector<Chain> chains_;                // open chain pool
-  std::vector<std::uint32_t> free_chains_;   // free slots of chains_
-  sim::HashMap<std::uint32_t> open_;         // chain key -> chains_ slot
-  sim::HashMap<std::uint32_t> by_region_;    // pin key -> first chain slot
-  sim::HashMap<std::uint64_t> pulls_;        // handle -> chain key
-  sim::HashSet pins_open_;                   // running pin jobs
+  const Lifetimes* life_ = nullptr;  // the stream's table, for finalize
+  std::vector<Chain> chains_;
   std::vector<Breakdown> completed_;
   std::vector<Breakdown> slowest_;
   std::array<sim::Time, kPhaseCount> phase_totals_{};

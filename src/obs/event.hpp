@@ -9,6 +9,8 @@
 
 namespace pinsim::obs {
 
+class Lifetimes;
+
 /// The field of an `Event` a kind's table row names (see
 /// PINSIM_EVENT_KINDS); the enumerators are spelled like the fields they
 /// read so a row reads as the kind's payload.
@@ -62,7 +64,8 @@ enum class EventSlot : std::uint8_t {
   X(kCopyIn, "copy_in", seq, "handle", region, "region", offset, "offset")   \
   X(kCopyOut, "copy_out", seq, "seq", region, "region", offset, "offset")    \
   X(kDmaCopy, "dma_copy", len, "bytes", none, "", none, "")                  \
-  /* Pin state machine of one region (frontier and total in pages). */       \
+  /* Pin state machine of one region (frontier and total in pages); */       \
+  /* kPinReset..kPinUnpin stay contiguous (is_pin_kind). */                  \
   X(kPinReset, "pin_reset", region, "region", offset, "frontier_pages",      \
     len, "total_pages")                                                      \
   X(kPinStart, "pin_start", region, "region", offset, "frontier_pages",      \
@@ -150,6 +153,12 @@ inline constexpr EventKindRow kEventKindRows[] = {
   return event_kind_row(k).name;
 }
 
+/// Whether `k` is a pin kind (kPinReset..kPinUnpin): one region's pin state
+/// machine, every one carrying the region's frontier in `offset`.
+[[nodiscard]] constexpr bool is_pin_kind(EventKind k) noexcept {
+  return k >= EventKind::kPinReset && k <= EventKind::kPinUnpin;
+}
+
 /// The code of core::AbortCause::kPeerDead, the cause a kLifePeerDead counts
 /// as (the flight recorder's expected-abort set); core asserts the match.
 inline constexpr std::uint8_t kPeerDeadCause = 8;
@@ -167,13 +176,15 @@ inline constexpr std::uint8_t kPeerDeadCause = 8;
          (static_cast<std::uint64_t>(ep) << 32) | seq;
 }
 
-/// One observed event: a small POD stamped with simulated time by the Bus.
-/// Field meaning is per-kind (its PINSIM_EVENT_KINDS row); unused fields
-/// stay 0. `label` must point at a string with static storage duration
-/// (packet type names, literal reasons) — sinks may keep events past the
-/// emitting call.
+/// One observed event: a small POD stamped with simulated time and the
+/// lifetime table by the Bus (`life` is null on an event no bus delivered,
+/// and valid only while a sink handles it). Field meaning is per-kind (its
+/// PINSIM_EVENT_KINDS row); unused fields stay 0. `label` must point at a
+/// string with static storage duration (packet type names, literal
+/// reasons) — sinks may keep events past the emitting call.
 struct Event {
   sim::Time time = 0;
+  const Lifetimes* life = nullptr;  // the open sends, pulls and pin jobs
   EventKind kind = EventKind::kPktTx;
   std::uint8_t ep = 0;        // emitting endpoint id
   std::uint8_t peer_ep = 0;   // remote endpoint id (wire events)
@@ -186,6 +197,12 @@ struct Event {
   std::uint64_t len = 0;      // byte length / total pages
   const char* label = nullptr;
 };
+
+/// The sender chain a receiver-side pull event (pull start, retry, done or
+/// abort) belongs to: (peer, peer_ep, sender seq in `offset`).
+[[nodiscard]] inline std::uint64_t sender_chain(const Event& e) noexcept {
+  return chain_key(e.peer, e.peer_ep, static_cast<std::uint32_t>(e.offset));
+}
 
 /// The value of the field `s` names (0 for none).
 [[nodiscard]] constexpr std::uint64_t slot_value(const Event& e,

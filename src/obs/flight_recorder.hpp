@@ -71,8 +71,8 @@ class FlightRecorder final : public Sink {
  private:
   /// One ring entry: the generic identity fields every kind carries plus
   /// the kind's three slot words (its PINSIM_EVENT_KINDS row). 40 bytes vs
-  /// the 56-byte Event: the label pointer and the fields the row does not
-  /// name are dropped.
+  /// the 64-byte Event: the label and table pointers and the fields the row
+  /// does not name are dropped.
   struct CompactEvent {
     sim::Time time = 0;
     std::uint64_t slot[3] = {};  // named by event_kind_row(kind).slot_name

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/lifetimes.hpp"
 
 namespace pinsim::obs {
 
@@ -24,32 +26,29 @@ void InvariantChecker::violate(const Event& e, std::string message) {
   }
 }
 
-void InvariantChecker::on_pin_event(const Event& e) {
-  RegionModel& m = regions_[key(e.node, e.ep, e.region)];
+void InvariantChecker::on_event(const Event& e) {
+  window_[window_head_] = e;
+  window_head_ = (window_head_ + 1) % kWindow;
+  if (window_held_ < kWindow) ++window_held_;
+  life_ = e.life;
+
   switch (e.kind) {
-    case EventKind::kPinStart:
-      // A job may resume a partially-pinned region (or the checker attached
-      // late): sync the shadow frontier, no check.
-      m.pinned = e.offset;
-      m.total = e.len;
-      break;
-    case EventKind::kPinPages:
-      if (e.offset < m.pinned) {
+    case EventKind::kPinPages: {
+      const std::uint64_t pinned =
+          life_->region(chain_key(e.node, e.ep, e.region))->frontier;
+      if (e.offset < pinned) {
         violate(e, "pin frontier moved backwards without an invalidation (" +
-                       std::to_string(m.pinned) + " -> " +
+                       std::to_string(pinned) + " -> " +
                        std::to_string(e.offset) + " pages)");
       }
-      m.pinned = e.offset;
-      m.total = e.len;
       break;
+    }
     case EventKind::kPinDone:
       if (e.offset != e.len) {
         violate(e, "pin.done with a partial frontier (" +
                        std::to_string(e.offset) + "/" +
                        std::to_string(e.len) + " pages)");
       }
-      m.pinned = e.offset;
-      m.total = e.len;
       break;
     case EventKind::kPinInvalidate:
       // Pages at or above the cut slot had their translations invalidated;
@@ -60,105 +59,64 @@ void InvariantChecker::on_pin_event(const Event& e) {
                        std::to_string(e.offset) + " pages past cut slot " +
                        std::to_string(e.seq));
       }
-      m.pinned = e.offset;
-      m.total = e.len;
-      break;
-    case EventKind::kPinUnpin:
-    case EventKind::kPinShed:
-      m.pinned = 0;
-      break;
-    default:
-      // Informational pin events (reset/retry/shrink/restart/fail) carry
-      // the frontier at emission time; keep the shadow in sync.
-      m.pinned = e.offset;
-      m.total = e.len;
-      break;
-  }
-}
-
-void InvariantChecker::on_event(const Event& e) {
-  window_[window_head_] = e;
-  window_head_ = (window_head_ + 1) % kWindow;
-  if (window_held_ < kWindow) ++window_held_;
-
-  switch (e.kind) {
-    case EventKind::kPinReset:
-    case EventKind::kPinStart:
-    case EventKind::kPinPages:
-    case EventKind::kPinShrink:
-    case EventKind::kPinRetry:
-    case EventKind::kPinRestart:
-    case EventKind::kPinInvalidate:
-    case EventKind::kPinDone:
-    case EventKind::kPinFail:
-    case EventKind::kPinShed:
-    case EventKind::kPinUnpin:
-      on_pin_event(e);
       break;
 
     case EventKind::kCopyIn:
     case EventKind::kCopyOut: {
-      auto it = regions_.find(key(e.node, e.ep, e.region));
-      if (it == regions_.end() || e.len == 0) break;  // unpinned-mode/unknown
+      const Lifetimes::Region* r =
+          life_->region(chain_key(e.node, e.ep, e.region));
+      if (r == nullptr || e.len == 0) break;  // unpinned-mode/unknown
       // Region pages may cover fewer than page_bytes_ (unaligned segments),
       // so byte/page_bytes_ is a lower bound on the slot index: flagging
       // only when even the lower bound escapes the frontier is sound.
       const std::uint64_t last_page = (e.offset + e.len - 1) / page_bytes_;
-      if (last_page >= it->second.pinned) {
+      if (last_page >= r->frontier) {
         violate(e, std::string(e.kind == EventKind::kCopyIn ? "copy-in"
                                                             : "copy-out") +
                        " touches unpinned page " + std::to_string(last_page) +
-                       " (frontier " + std::to_string(it->second.pinned) +
+                       " (frontier " + std::to_string(r->frontier) +
                        " pages)");
       }
       break;
     }
 
     case EventKind::kEagerPost:
-    case EventKind::kRndvPost: {
-      auto [it, inserted] = open_sends_.emplace(key(e.node, e.ep, e.seq), e);
-      (void)it;
-      if (!inserted) {
+    case EventKind::kRndvPost:
+      if (!life_->opened()) {
         violate(e, "send seq " + std::to_string(e.seq) +
                        " reposted while still open");
       }
       break;
-    }
     case EventKind::kSendDone:
     case EventKind::kSendAbort:
-      if (open_sends_.erase(key(e.node, e.ep, e.seq)) == 0) {
+      if (life_->send(chain_key(e.node, e.ep, e.seq)) == nullptr) {
         violate(e, "send completion for seq " + std::to_string(e.seq) +
                        " that was never posted");
       }
-      // The retry budget belongs to this send: a later send reusing the seq
-      // (after a wrap) starts from zero retries.
-      send_retries_.erase(key(e.node, e.ep, e.seq));
       break;
 
-    case EventKind::kRetransmit: {
-      std::uint64_t& last = send_retries_[key(e.node, e.ep, e.seq)];
-      if (e.offset <= last) {
+    case EventKind::kRetransmit:
+      // The retry budget belongs to the open send: a later send reusing the
+      // seq (after a wrap) starts from zero retries.
+      if (const Lifetimes::Send* s =
+              life_->send(chain_key(e.node, e.ep, e.seq));
+          s != nullptr && e.offset <= s->retries) {
         violate(e, "retry budget for seq " + std::to_string(e.seq) +
                        " not monotonically consumed (" +
-                       std::to_string(last) + " -> " +
+                       std::to_string(s->retries) + " -> " +
                        std::to_string(e.offset) + ")");
       }
-      last = e.offset;
       break;
-    }
 
-    case EventKind::kPullStart: {
-      auto [it, inserted] = open_pulls_.emplace(key(e.node, e.ep, e.seq), e);
-      (void)it;
-      if (!inserted) {
+    case EventKind::kPullStart:
+      if (!life_->opened()) {
         violate(e, "pull handle " + std::to_string(e.seq) + " reused while "
                                                             "still open");
       }
       break;
-    }
     case EventKind::kRecvDone:
     case EventKind::kRecvAbort:
-      if (open_pulls_.erase(key(e.node, e.ep, e.seq)) == 0) {
+      if (life_->pull(chain_key(e.node, e.ep, e.seq)) == nullptr) {
         violate(e, "pull completion for handle " + std::to_string(e.seq) +
                        " that was never started");
       }
@@ -167,7 +125,9 @@ void InvariantChecker::on_event(const Event& e) {
     case EventKind::kLifeCrash:
       // The crash sweep must return the host's pinned-page count exactly to
       // the pre-crash non-tenant baseline: anything above leaked pins,
-      // anything below double-unpinned a bystander.
+      // anything below double-unpinned a bystander. The table then drops
+      // the incarnation's rows: its open sends and pulls were failed
+      // (events already seen) or died with it — not orphans to report.
       if (e.offset > e.len) {
         violate(e, "crashed endpoint leaked pinned pages: " +
                        std::to_string(e.offset) + " pinned after the sweep, "
@@ -177,11 +137,6 @@ void InvariantChecker::on_event(const Event& e) {
                        std::to_string(e.offset) + " pinned after the sweep, "
                        "baseline " + std::to_string(e.len));
       }
-      // The incarnation is gone; its ids (regions, seqs, handles) restart
-      // from 1 in the next one. Stale shadow models would turn that reuse
-      // into false violations, and its open sends/pulls were either failed
-      // (events already seen) or died with it — not orphans to report.
-      drop_endpoint_state(e.node, e.ep);
       break;
 
     case EventKind::kNetPortQueue:
@@ -199,52 +154,24 @@ void InvariantChecker::on_event(const Event& e) {
   }
 }
 
-void InvariantChecker::drop_endpoint_state(std::uint32_t node,
-                                           std::uint8_t ep) {
-  const std::uint64_t prefix =
-      (static_cast<std::uint64_t>(node) << 8) | ep;
-  auto drop = [prefix](auto& map) {
-    // pinlint: unordered-ok(pure erase by key predicate, no observable order)
-    for (auto it = map.begin(); it != map.end();) {
-      if ((it->first >> 32) == prefix) {
-        it = map.erase(it);
-      } else {
-        ++it;
-      }
+void InvariantChecker::finalize() {
+  if (life_ == nullptr) return;
+  // Violations land in report() text, so emit them in key order — slot
+  // order would make the report differ between bit-identical runs.
+  const auto orphans = [this](const auto& rows, const std::string& what) {
+    std::vector<std::pair<std::uint64_t, const Event*>> open;
+    open.reserve(rows.size());
+    // pinlint: unordered-ok(rows collected then sorted below)
+    for (const auto& [k, row] : rows) open.emplace_back(k, &row.open);
+    std::sort(open.begin(), open.end());
+    for (const auto& [k, e] : open) {
+      violate(*e, what + std::to_string(e->seq) +
+                      " never completed or aborted");
     }
   };
-  drop(regions_);
-  drop(open_sends_);
-  drop(open_pulls_);
-  drop(send_retries_);
-}
-
-void InvariantChecker::finalize() {
-  // Violations land in report() text, so emit them in key order — bucket
-  // order would make the report differ between bit-identical runs.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(open_sends_.size());
-  // pinlint: unordered-ok(keys collected then sorted below)
-  for (const auto& [k, e] : open_sends_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  for (std::uint64_t k : keys) {
-    const Event& e = open_sends_.at(k);
-    violate(e, "orphaned rendezvous: send seq " + std::to_string(e.seq) +
-                   " never completed or aborted");
-  }
-  open_sends_.clear();
-
-  keys.clear();
-  keys.reserve(open_pulls_.size());
-  // pinlint: unordered-ok(keys collected then sorted below)
-  for (const auto& [k, e] : open_pulls_) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  for (std::uint64_t k : keys) {
-    const Event& e = open_pulls_.at(k);
-    violate(e, "orphaned pull: handle " + std::to_string(e.seq) +
-                   " never completed or aborted");
-  }
-  open_pulls_.clear();
+  orphans(life_->sends(), "orphaned rendezvous: send seq ");
+  orphans(life_->pulls(), "orphaned pull: handle ");
+  life_ = nullptr;
 }
 
 std::string InvariantChecker::report() const {

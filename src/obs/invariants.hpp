@@ -8,13 +8,13 @@
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
-#include "sim/hash_map.hpp"
 
 namespace pinsim::obs {
 
-/// Online protocol/pin-state-machine validator. Attached to a Bus, it keeps
-/// a shadow model per (node, endpoint, region|seq|handle) and flags any
-/// event stream that a correct stack could never produce:
+/// Online protocol/pin-state-machine validator. Attached to a Bus, it reads
+/// the bus's lifetime table (the frontier of each (node, endpoint, region),
+/// the open sends and pulls) and flags any event stream that a correct stack
+/// could never produce:
 ///
 ///  * no copy touches a page above the pinned frontier (DMA-on-unpinned);
 ///  * pins never survive an MMU invalidation of their range — after a
@@ -26,7 +26,7 @@ namespace pinsim::obs {
 ///  * retransmission retry counts are strictly monotonic per request;
 ///  * a crash sweep (kLifeCrash) returns the host's pinned-page count
 ///    exactly to the pre-crash non-tenant baseline — no leaks, no
-///    double-unpins — and retires the dead incarnation's shadow state;
+///    double-unpins;
 ///  * a bounded switch-port queue never reports a depth above its capacity
 ///    (kNetPortQueue carries depth in `offset`, capacity in `len`).
 ///
@@ -70,29 +70,10 @@ class InvariantChecker final : public Sink {
   static constexpr std::size_t kWindow = 64;        // events kept per violation
   static constexpr std::size_t kMaxStored = 32;     // violations kept verbatim
 
-  struct RegionModel {
-    std::uint64_t pinned = 0;  // shadow frontier, in pages
-    std::uint64_t total = 0;
-  };
-
   void violate(const Event& e, std::string message);
-  void on_pin_event(const Event& e);
-  /// Forgets every shadow model owned by (node, ep) — called on kLifeCrash,
-  /// where the next incarnation legitimately reuses ids from 1.
-  void drop_endpoint_state(std::uint32_t node, std::uint8_t ep);
-
-  [[nodiscard]] static std::uint64_t key(std::uint32_t node, std::uint8_t ep,
-                                         std::uint32_t id) noexcept {
-    return (static_cast<std::uint64_t>(node) << 40) |
-           (static_cast<std::uint64_t>(ep) << 32) |
-           static_cast<std::uint64_t>(id);
-  }
 
   std::size_t page_bytes_;
-  sim::HashMap<RegionModel> regions_;
-  sim::HashMap<Event> open_sends_;
-  sim::HashMap<Event> open_pulls_;
-  sim::HashMap<std::uint64_t> send_retries_;  // open sends' last retry
+  const Lifetimes* life_ = nullptr;  // the stream's table, for finalize
   std::array<Event, kWindow> window_;  // ring of the latest events
   std::size_t window_head_ = 0;        // oldest event once the ring is full
   std::size_t window_held_ = 0;

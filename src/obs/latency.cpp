@@ -3,23 +3,11 @@
 #include <cstdio>
 
 #include "obs/json.hpp"
+#include "obs/lifetimes.hpp"
 
 namespace pinsim::obs {
 
 namespace {
-
-void record_open(sim::HashMap<sim::Time>& open,
-                 std::uint64_t k, sim::Time t) {
-  open[k] = t;  // a re-post overwrites: latency measured from the last start
-}
-
-void record_close(sim::HashMap<sim::Time>& open,
-                  std::uint64_t k, sim::Time t, sim::LogHistogram& h) {
-  const auto it = open.find(k);
-  if (it == open.end()) return;
-  h.add(static_cast<double>(t - it->second));
-  open.erase(k);
-}
 
 std::string histogram_json(const sim::LogHistogram& h) {
   std::string out = "{";
@@ -56,35 +44,29 @@ void summary_line(std::string& out, const char* what,
 }  // namespace
 
 void LatencyRecorder::on_event(const Event& e) {
+  const auto since = [&e](sim::Time start) {
+    return static_cast<double>(e.time - start);
+  };
   switch (e.kind) {
-    case EventKind::kPinStart:
-      record_open(pin_open_, key(e, e.region), e.time);
-      break;
     case EventKind::kPinDone:
-      record_close(pin_open_, key(e, e.region), e.time, pin_);
-      break;
-    case EventKind::kPinFail:
-      pin_open_.erase(key(e, e.region));
+      if (const auto* r = e.life->region(chain_key(e.node, e.ep, e.region));
+          r != nullptr && r->pinning) {
+        pin_.add(since(r->job_start));
+      }
       break;
     case EventKind::kEagerPost:
     case EventKind::kRndvPost:
-      record_open(send_open_, key(e, e.seq), e.time);
       sizes_.add(static_cast<double>(e.len));
       break;
     case EventKind::kSendDone:
-      record_close(send_open_, key(e, e.seq), e.time, send_);
-      break;
-    case EventKind::kSendAbort:
-      send_open_.erase(key(e, e.seq));
-      break;
-    case EventKind::kPullStart:
-      record_open(pull_open_, key(e, e.seq), e.time);
+      if (const auto* s = e.life->send(chain_key(e.node, e.ep, e.seq))) {
+        send_.add(since(s->open.time));
+      }
       break;
     case EventKind::kRecvDone:
-      record_close(pull_open_, key(e, e.seq), e.time, pull_);
-      break;
-    case EventKind::kRecvAbort:
-      pull_open_.erase(key(e, e.seq));
+      if (const auto* p = e.life->pull(chain_key(e.node, e.ep, e.seq))) {
+        pull_.add(since(p->open.time));
+      }
       break;
     default:
       break;

@@ -5,17 +5,19 @@
 
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
-#include "sim/hash_map.hpp"
 #include "sim/stats.hpp"
 
 namespace pinsim::obs {
 
-/// Streams the event bus into log-bucketed latency/size histograms:
+/// Streams the event bus into log-bucketed latency/size histograms, taking
+/// each start from the bus's lifetime table:
 ///
 ///  * pin latency      — kPinStart -> kPinDone, per (node, ep, region);
 ///  * send latency     — kRndvPost/kEagerPost -> kSendDone (successes only);
 ///  * pull latency     — kPullStart -> kRecvDone;
 ///  * message sizes    — bytes of every posted send.
+///
+/// A re-post or re-start measures from the latest one.
 ///
 /// All values are nanoseconds of simulated time (sizes in bytes). The
 /// summaries feed the benches' human output; `json()` feeds the machine
@@ -48,17 +50,7 @@ class LatencyRecorder final : public Sink {
   [[nodiscard]] std::string json() const;
 
  private:
-  [[nodiscard]] static std::uint64_t key(const Event& e,
-                                         std::uint32_t id) noexcept {
-    return (static_cast<std::uint64_t>(e.node) << 40) |
-           (static_cast<std::uint64_t>(e.ep) << 32) |
-           static_cast<std::uint64_t>(id);
-  }
-
   sim::LogHistogram pin_, send_, pull_, sizes_;
-  sim::HashMap<sim::Time> pin_open_;
-  sim::HashMap<sim::Time> send_open_;
-  sim::HashMap<sim::Time> pull_open_;
 };
 
 }  // namespace pinsim::obs

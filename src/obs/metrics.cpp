@@ -1,16 +1,19 @@
 #include "obs/metrics.hpp"
 
 #include "obs/json.hpp"
+#include "obs/lifetimes.hpp"
 
 namespace pinsim::obs {
 
 void MetricsSampler::push_sample(sim::Time boundary) {
   Sample s;
   s.t = boundary;
-  s.pinned_pages = pinned_pages_;
-  s.inflight_pin_jobs = static_cast<std::uint32_t>(pin_jobs_.size());
-  s.open_sends = static_cast<std::uint32_t>(sends_.size());
-  s.open_pulls = static_cast<std::uint32_t>(pulls_.size());
+  // Mid-event, the table still describes the stream before the event.
+  const Lifetimes::Counts& open = life_->counts();
+  s.pinned_pages = open.pinned_pages;
+  s.inflight_pin_jobs = open.pin_jobs;
+  s.open_sends = open.sends;
+  s.open_pulls = open.pulls;
   s.port_queue_depth = port_queue_depth_;
   s.overlap_misses = overlap_misses_;
   s.retransmits = retransmits_;
@@ -70,53 +73,10 @@ void MetricsSampler::roll_to(sim::Time t) {
 }
 
 void MetricsSampler::on_event(const Event& e) {
+  life_ = e.life;
   roll_to(e.time);
   dirty_ = true;
   switch (e.kind) {
-    // Pin frontier gauge: every pin event carries the region's pinned page
-    // count in `offset` at emission time, so the gauge just mirrors it.
-    case EventKind::kPinStart:
-      pin_jobs_.insert(chain_key(e.node, e.ep, e.region));
-      [[fallthrough]];
-    case EventKind::kPinPages:
-    case EventKind::kPinShrink:
-    case EventKind::kPinInvalidate:
-    case EventKind::kPinShed:
-    case EventKind::kPinReset:
-    case EventKind::kPinUnpin: {
-      const std::uint64_t key = chain_key(e.node, e.ep, e.region);
-      std::uint64_t& f = frontiers_[key];
-      pinned_pages_ += e.offset - f;  // unsigned wrap cancels on shrink
-      f = e.offset;
-      break;
-    }
-    case EventKind::kPinDone:
-    case EventKind::kPinFail: {
-      const std::uint64_t key = chain_key(e.node, e.ep, e.region);
-      pin_jobs_.erase(key);
-      std::uint64_t& f = frontiers_[key];
-      pinned_pages_ += e.offset - f;
-      f = e.offset;
-      break;
-    }
-
-    case EventKind::kRndvPost:
-    case EventKind::kEagerPost:
-      sends_.insert(chain_key(e.node, e.ep, e.seq));
-      break;
-    case EventKind::kSendDone:
-    case EventKind::kSendAbort:
-      sends_.erase(chain_key(e.node, e.ep, e.seq));
-      break;
-
-    case EventKind::kPullStart:
-      pulls_.insert(chain_key(e.node, e.ep, e.seq));
-      break;
-    case EventKind::kRecvDone:
-    case EventKind::kRecvAbort:
-      pulls_.erase(chain_key(e.node, e.ep, e.seq));
-      break;
-
     case EventKind::kOverlapMissSend:
     case EventKind::kOverlapMissRecv:
       ++overlap_misses_;
@@ -133,8 +93,7 @@ void MetricsSampler::on_event(const Event& e) {
       break;
 
     // Switch-port gauge: every kNetPortQueue carries the port's absolute
-    // depth in `offset`, so the cluster-wide gauge mirrors the per-port
-    // deltas the same way the pin frontier gauge does.
+    // depth in `offset`, so the cluster-wide gauge sums the per-port deltas.
     case EventKind::kNetPortQueue: {
       std::uint64_t& d = port_depths_[e.node];
       port_queue_depth_ += e.offset - d;  // unsigned wrap cancels on drain

@@ -15,6 +15,7 @@ namespace pinsim::obs {
 /// (reset at each boundary), so pressure/fault soaks show *dynamics* instead
 /// of end-state totals.
 ///
+/// The pin, send and pull gauges are the bus's lifetime table's counts.
 /// No engine coupling: sampling is driven by event timestamps. Each incoming
 /// event first closes any interval boundaries it crossed (one sample per
 /// boundary, at most two per gap — a closing sample with the interval's
@@ -76,12 +77,8 @@ class MetricsSampler final : public Sink {
   bool started_ = false;
   bool dirty_ = false;        // events seen since the last pushed sample
 
-  // Gauge state.
-  sim::HashMap<std::uint64_t> frontiers_;  // region -> pages
-  std::uint64_t pinned_pages_ = 0;
-  sim::HashSet pin_jobs_;
-  sim::HashSet sends_;
-  sim::HashSet pulls_;
+  // Gauge state: the lifetime table's counts, plus the switch ports.
+  const Lifetimes* life_ = nullptr;
   sim::HashMap<std::uint64_t> port_depths_;  // port -> depth
   std::uint64_t port_queue_depth_ = 0;  // running sum over port_depths_
 

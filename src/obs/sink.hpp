@@ -5,8 +5,9 @@
 namespace pinsim::obs {
 
 /// A consumer of typed events. Attached to a Bus; `on_event` runs inline at
-/// emission (keep it cheap), `finalize` runs once when the run ends — write
-/// files, run end-of-stream checks.
+/// emission (keep it cheap) with `e.life` pointing at the bus's lifetime
+/// table, `finalize` runs once when the run ends — write files, run
+/// end-of-stream checks.
 class Sink {
  public:
   virtual ~Sink() = default;

@@ -123,9 +123,9 @@ class HashIndex {
 
 }  // namespace detail
 
-/// Hash map from uint64 keys for the per-message tables of the obs sinks
-/// and the endpoints (open sends and pulls, pin jobs, duplicate filters):
-/// up to thousands of live entries, churned once per message.
+/// Hash map from uint64 keys for per-message tables (the obs lifetime
+/// table's open sends, pulls and regions): up to thousands of live entries,
+/// churned once per message.
 ///
 /// Entries live contiguously in insertion order, compacted on erase by
 /// moving the last entry into the hole; a `detail::HashIndex` maps keys to
@@ -160,6 +160,11 @@ class HashMap {
   }
 
   [[nodiscard]] iterator find(std::uint64_t key) noexcept {
+    const std::uint32_t pos = index_.find(key, key_at());
+    return pos == detail::HashIndex::kNone ? entries_.end()
+                                           : entries_.begin() + pos;
+  }
+  [[nodiscard]] const_iterator find(std::uint64_t key) const noexcept {
     const std::uint32_t pos = index_.find(key, key_at());
     return pos == detail::HashIndex::kNone ? entries_.end()
                                            : entries_.begin() + pos;
@@ -215,8 +220,8 @@ class HashMap {
   std::vector<value_type> entries_;
 };
 
-/// Membership set of uint64 keys for the same per-message tables as
-/// HashMap: duplicate-suppression filters, running pin jobs, open sends.
+/// Membership set of uint64 keys for per-message tables that need no
+/// values: the endpoints' duplicate-suppression filters.
 ///
 /// A set needs no values, so the keys live in the slots themselves
 /// (linear probing, backward-shift deletion, doubling at 3/4 load): 8 bytes

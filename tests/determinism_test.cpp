@@ -14,6 +14,7 @@
 // are exactly where unordered-container iteration used to leak.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,6 +22,12 @@
 
 #include "bench_util.hpp"
 #include "mem/pressure.hpp"
+#include "net/topology.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/invariants.hpp"
+#include "obs/latency.hpp"
+#include "obs/metrics.hpp"
 #include "sim/time.hpp"
 #include "workloads/imb.hpp"
 
@@ -122,6 +129,101 @@ TEST(Determinism, DifferentSeedsStillSettleCleanly) {
   const std::string b = run_once(2);
   EXPECT_FALSE(a.empty());
   EXPECT_FALSE(b.empty());
+}
+
+/// The five sinks a benchmark unit attaches, and the outputs it reads.
+struct BenchSinks {
+  static obs::FlightRecorder::Config flight_config() {
+    obs::FlightRecorder::Config fc;
+    fc.max_dumps = 0;  // count dump attempts, write nothing
+    return fc;
+  }
+  std::vector<obs::Sink*> all() {
+    return {&checker, &latency, &critical_path, &metrics, &flight};
+  }
+  std::string outputs() const {
+    return latency.json() + "\n" + metrics.json() + "\n" +
+           critical_path.json() + "\n" + checker.report();
+  }
+
+  obs::InvariantChecker checker;
+  obs::LatencyRecorder latency;
+  obs::CriticalPathAnalyzer critical_path;
+  obs::MetricsSampler metrics;
+  obs::FlightRecorder flight{flight_config()};
+};
+
+/// One bus sink that forwards each event to the wrapped sinks in order: the
+/// shape of the benchmark's timing wrapper, which attaches only itself.
+struct Forwarder final : obs::Sink {
+  void on_event(const obs::Event& e) override {
+    for (obs::Sink* s : sinks) s->on_event(e);
+  }
+  void finalize() override {
+    for (obs::Sink* s : sinks) s->finalize();
+  }
+  std::vector<obs::Sink*> sinks;
+};
+
+/// Three rounds of cross-host exchanges on 4 hosts in 2 racks, 2 tenants per
+/// host under a shared pin quota; 1 message in 4 is a 64 kB rendezvous.
+/// Returns the sinks' outputs.
+std::string cluster_outputs(bool forwarded) {
+  net::Topology::Config tc;
+  tc.nodes_per_rack = 2;
+  tc.uplinks_per_rack = 1;
+  bench::Cluster c(cpu::xeon_e5460(), core::overlapped_cache_config(), tc,
+                   /*num_hosts=*/4, /*cores=*/3, /*memory_frames=*/8192);
+  obs::Bus bus(c.eng);
+  BenchSinks sinks;
+  Forwarder forwarder;
+  if (forwarded) {
+    forwarder.sinks = sinks.all();
+    bus.attach(&forwarder);
+  } else {
+    for (obs::Sink* s : sinks.all()) bus.attach(s);
+  }
+  std::vector<core::Host::Process*> procs;
+  for (auto& h : c.hosts) {
+    h->enable_pin_arbitration();
+    h->memory().set_pin_quota(48);
+    h->driver().set_bus(&bus);
+    for (int p = 0; p < 2; ++p) procs.push_back(&h->spawn_process());
+  }
+  c.fabric->set_bus(&bus);
+
+  const std::size_t n = procs.size();
+  std::vector<core::RequestPtr> reqs;
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = (i + 2 * (round + 1)) % n;  // another host
+      const std::size_t len = (i + round) % 4 == 0 ? 64 * 1024 : 2048;
+      const std::uint64_t match = round * 100 + i;
+      reqs.push_back(procs[j]->lib.irecv(match, ~0ull,
+                                         procs[j]->heap.malloc(len), len));
+      reqs.push_back(procs[i]->lib.isend(procs[j]->addr(), match,
+                                         procs[i]->heap.malloc(len), len));
+    }
+    bool done = false;
+    for (int step = 0; step < 200 && !done; ++step) {
+      c.eng.run_until(c.eng.now() + sim::kMillisecond);
+      done = std::all_of(reqs.begin(), reqs.end(),
+                         [](const auto& r) { return r->completed(); });
+    }
+    EXPECT_TRUE(done) << "round " << round << " did not complete";
+  }
+  bus.finalize();
+  EXPECT_TRUE(sinks.checker.ok()) << sinks.checker.report();
+  EXPECT_GT(sinks.latency.pin_latency().count(), 0u);
+  EXPECT_EQ(sinks.critical_path.completed_count(), 3 * n);
+  for (auto& h : c.hosts) h->driver().set_bus(nullptr);
+  c.fabric->set_bus(nullptr);
+  return sinks.outputs();
+}
+
+TEST(Determinism, SinksBehindOneForwardingSinkMatchDirectAttach) {
+  EXPECT_EQ(cluster_outputs(/*forwarded=*/true),
+            cluster_outputs(/*forwarded=*/false));
 }
 
 }  // namespace

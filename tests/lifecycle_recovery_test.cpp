@@ -12,9 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "capture_sink.hpp"
 #include "core/host.hpp"
 #include "net/fabric.hpp"
 #include "net/watchdog.hpp"
+#include "obs/bus.hpp"
+#include "obs/metrics.hpp"
 #include "sim/lifecycle.hpp"
 
 namespace pinsim {
@@ -135,6 +138,54 @@ TEST(CrashRecovery, KillMidTransferReclaimsPinnedPagesToBaseline) {
   }
   ASSERT_TRUE(r->completed());
   EXPECT_FALSE(r->status().ok);
+}
+
+TEST(CrashRecovery, KillDuringFirstPinChunkClosesThePinJobBeforeTheCrash) {
+  Rig rig;
+  obs::Bus bus(rig.eng);
+  test::CaptureSink capture;
+  obs::MetricsSampler sampler;
+  bus.attach(&capture);
+  bus.attach(&sampler);
+  rig.hostB->driver().set_bus(&bus);
+  struct Detach {
+    core::Host& host;
+    ~Detach() { host.driver().set_bus(nullptr); }
+  } detach{*rig.hostB};
+
+  // The victim posts a rendezvous send: its region's pin job starts and the
+  // first chunk's cost is queued on the core. Kill before it lands.
+  core::Host::Process& vict = rig.hostB->process(0);
+  const std::size_t n = 512 * 1024;
+  const mem::VirtAddr src = vict.heap.malloc(n);
+  const mem::VirtAddr dst = rig.surv->heap.malloc(n);
+  auto r = rig.surv->lib.irecv(0xd1, ~0ull, dst, n);
+  auto s = vict.lib.isend(rig.surv->addr(), 0xd1, src, n);
+  std::size_t start = test::CaptureSink::npos;
+  for (int i = 0; i < 1000 && start == test::CaptureSink::npos; ++i) {
+    rig.run_for(100);
+    start = capture.find_first(obs::EventKind::kPinStart);
+  }
+  ASSERT_NE(start, test::CaptureSink::npos);
+  ASSERT_EQ(capture.find_first(obs::EventKind::kPinPages),
+            test::CaptureSink::npos);
+  rig.hostB->kill_process(0);
+  rig.run_for(5 * sim::kMillisecond);
+
+  // The cancelled job closes in the stream, before the crash that ends its
+  // incarnation, so no sink carries it into the next one.
+  const std::size_t cancel =
+      capture.find_first(obs::EventKind::kPinFail, "cancelled");
+  const std::size_t crash = capture.find_first(obs::EventKind::kLifeCrash);
+  ASSERT_NE(cancel, test::CaptureSink::npos);
+  ASSERT_NE(crash, test::CaptureSink::npos);
+  EXPECT_LT(cancel, crash);
+  EXPECT_EQ(capture.events[cancel].region, capture.events[start].region);
+  EXPECT_EQ(capture.events[cancel].ep, capture.events[start].ep);
+
+  bus.finalize();
+  ASSERT_FALSE(sampler.samples().empty());
+  EXPECT_EQ(sampler.samples().back().inflight_pin_jobs, 0u);
 }
 
 TEST(CrashRecovery, RestartReusesSlotWithBumpedEpochAndHistory) {

@@ -17,6 +17,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/event.hpp"
 #include "sim/random.hpp"
+#include "sink_feed.hpp"
 
 namespace pinsim::obs {
 namespace {
@@ -75,19 +76,20 @@ sim::Time phase_sum(const CriticalPathAnalyzer::Breakdown& b) {
 
 TEST(CriticalPath, CleanRendezvousDecomposesAndSums) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(1000, EventKind::kRndvPost);
   post.region = kRegion;
   post.len = 1 << 20;
-  a.on_event(post);
+  feed(post);
   // Sender pin job covers [1000, 3000] of the handshake.
-  a.on_event(pin_ev(1000, EventKind::kPinStart));
-  a.on_event(pin_ev(3000, EventKind::kPinDone));
-  a.on_event(recv_ev(5000, EventKind::kPullStart));
+  feed(pin_ev(1000, EventKind::kPinStart));
+  feed(pin_ev(3000, EventKind::kPinDone));
+  feed(recv_ev(5000, EventKind::kPullStart));
   Event copy = recv_ev(6000, EventKind::kCopyIn);
   copy.len = 4096;
-  a.on_event(copy);
-  a.on_event(recv_ev(9000, EventKind::kRecvDone));
-  a.on_event(sender_ev(10000, EventKind::kSendDone));
+  feed(copy);
+  feed(recv_ev(9000, EventKind::kRecvDone));
+  feed(sender_ev(10000, EventKind::kSendDone));
   a.finalize();
 
   ASSERT_EQ(a.completed_count(), 1u);
@@ -108,18 +110,19 @@ TEST(CriticalPath, CleanRendezvousDecomposesAndSums) {
 
 TEST(CriticalPath, OverlapMissStallIsBlamedOnPinning) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(recv_ev(1000, EventKind::kPullStart));
+  feed(post);
+  feed(recv_ev(1000, EventKind::kPullStart));
   // The pull outruns the receiver's pin frontier: stalled [2000, 7000],
   // then a landed copy says bytes flow again.
-  a.on_event(recv_ev(2000, EventKind::kOverlapMissRecv));
+  feed(recv_ev(2000, EventKind::kOverlapMissRecv));
   Event copy = recv_ev(7000, EventKind::kCopyIn);
   copy.len = 4096;
-  a.on_event(copy);
-  a.on_event(recv_ev(8000, EventKind::kRecvDone));
-  a.on_event(sender_ev(9000, EventKind::kSendDone));
+  feed(copy);
+  feed(recv_ev(8000, EventKind::kRecvDone));
+  feed(sender_ev(9000, EventKind::kSendDone));
   a.finalize();
 
   ASSERT_EQ(a.completed_count(), 1u);
@@ -133,16 +136,17 @@ TEST(CriticalPath, OverlapMissStallIsBlamedOnPinning) {
 
 TEST(CriticalPath, SenderSideMissAlsoStalls) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(recv_ev(500, EventKind::kPullStart));
+  feed(post);
+  feed(recv_ev(500, EventKind::kPullStart));
   // Sender could not serve the pull from unpinned pages [1000, 4000];
   // a served copy-out ends the stall.
-  a.on_event(sender_ev(1000, EventKind::kOverlapMissSend));
-  a.on_event(sender_ev(4000, EventKind::kCopyOut));
-  a.on_event(recv_ev(6000, EventKind::kRecvDone));
-  a.on_event(sender_ev(7000, EventKind::kSendDone));
+  feed(sender_ev(1000, EventKind::kOverlapMissSend));
+  feed(sender_ev(4000, EventKind::kCopyOut));
+  feed(recv_ev(6000, EventKind::kRecvDone));
+  feed(sender_ev(7000, EventKind::kSendDone));
   a.finalize();
 
   ASSERT_EQ(a.completed_count(), 1u);
@@ -153,15 +157,16 @@ TEST(CriticalPath, SenderSideMissAlsoStalls) {
 
 TEST(CriticalPath, RetransmitStormSumsAndCounts) {
   CriticalPathAnalyzer a;
-  a.on_event(sender_ev(0, EventKind::kEagerPost));
+  test::SinkFeed feed(a);
+  feed(sender_ev(0, EventKind::kEagerPost));
   // Eager chain: opens directly in transfer, three timer fires.
   for (int i = 1; i <= 3; ++i) {
     Event r = sender_ev(static_cast<sim::Time>(i) * 1000,
                         EventKind::kRetransmit);
     r.offset = static_cast<std::uint64_t>(i);  // retry count
-    a.on_event(r);
+    feed(r);
   }
-  a.on_event(sender_ev(10000, EventKind::kSendDone));
+  feed(sender_ev(10000, EventKind::kSendDone));
   a.finalize();
 
   ASSERT_EQ(a.completed_count(), 1u);
@@ -177,16 +182,17 @@ TEST(CriticalPath, RetransmitStormSumsAndCounts) {
 
 TEST(CriticalPath, PullRetryBlamesRetransmitUntilProgress) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(recv_ev(1000, EventKind::kPullStart));
-  a.on_event(recv_ev(2000, EventKind::kPullRetry));
+  feed(post);
+  feed(recv_ev(1000, EventKind::kPullStart));
+  feed(recv_ev(2000, EventKind::kPullRetry));
   Event copy = recv_ev(5000, EventKind::kCopyIn);
   copy.len = 4096;
-  a.on_event(copy);
-  a.on_event(recv_ev(6000, EventKind::kRecvDone));
-  a.on_event(sender_ev(7000, EventKind::kSendDone));
+  feed(copy);
+  feed(recv_ev(6000, EventKind::kRecvDone));
+  feed(sender_ev(7000, EventKind::kSendDone));
   a.finalize();
 
   const auto& b = a.completed()[0];
@@ -197,19 +203,20 @@ TEST(CriticalPath, PullRetryBlamesRetransmitUntilProgress) {
 
 TEST(CriticalPath, PinStallKeepsBlameOverRetransmit) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(recv_ev(1000, EventKind::kPullStart));
-  a.on_event(recv_ev(2000, EventKind::kOverlapMissRecv));
+  feed(post);
+  feed(recv_ev(1000, EventKind::kPullStart));
+  feed(recv_ev(2000, EventKind::kOverlapMissRecv));
   // A retry timer fires mid-stall: the unpinned page is the cause, the
   // retransmission only the mechanism — blame stays on pin_stall.
-  a.on_event(recv_ev(3000, EventKind::kPullRetry));
+  feed(recv_ev(3000, EventKind::kPullRetry));
   Event copy = recv_ev(6000, EventKind::kCopyIn);
   copy.len = 4096;
-  a.on_event(copy);
-  a.on_event(recv_ev(7000, EventKind::kRecvDone));
-  a.on_event(sender_ev(8000, EventKind::kSendDone));
+  feed(copy);
+  feed(recv_ev(7000, EventKind::kRecvDone));
+  feed(sender_ev(8000, EventKind::kSendDone));
   a.finalize();
 
   const auto& b = a.completed()[0];
@@ -220,16 +227,17 @@ TEST(CriticalPath, PinStallKeepsBlameOverRetransmit) {
 
 TEST(CriticalPath, RestartedPinJobIsCountedAndStillSums) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(pin_ev(0, EventKind::kPinStart));
+  feed(post);
+  feed(pin_ev(0, EventKind::kPinStart));
   // An MMU notifier restarts the job mid-pin; the span keeps running.
-  a.on_event(pin_ev(1000, EventKind::kPinRestart));
-  a.on_event(pin_ev(4000, EventKind::kPinDone));
-  a.on_event(recv_ev(5000, EventKind::kPullStart));
-  a.on_event(recv_ev(8000, EventKind::kRecvDone));
-  a.on_event(sender_ev(9000, EventKind::kSendDone));
+  feed(pin_ev(1000, EventKind::kPinRestart));
+  feed(pin_ev(4000, EventKind::kPinDone));
+  feed(recv_ev(5000, EventKind::kPullStart));
+  feed(recv_ev(8000, EventKind::kRecvDone));
+  feed(sender_ev(9000, EventKind::kSendDone));
   a.finalize();
 
   const auto& b = a.completed()[0];
@@ -241,16 +249,17 @@ TEST(CriticalPath, RestartedPinJobIsCountedAndStillSums) {
 
 TEST(CriticalPath, PrePinnedRegionBlocksHandshakeFromStart) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   // Pin job opened before the post (region reuse): the chain is pin-blocked
   // from its very first nanosecond.
-  a.on_event(pin_ev(0, EventKind::kPinStart));
+  feed(pin_ev(0, EventKind::kPinStart));
   Event post = sender_ev(1000, EventKind::kRndvPost);
   post.region = kRegion;
-  a.on_event(post);
-  a.on_event(pin_ev(2000, EventKind::kPinDone));
-  a.on_event(recv_ev(3000, EventKind::kPullStart));
-  a.on_event(recv_ev(4000, EventKind::kRecvDone));
-  a.on_event(sender_ev(5000, EventKind::kSendDone));
+  feed(post);
+  feed(pin_ev(2000, EventKind::kPinDone));
+  feed(recv_ev(3000, EventKind::kPullStart));
+  feed(recv_ev(4000, EventKind::kRecvDone));
+  feed(sender_ev(5000, EventKind::kSendDone));
   a.finalize();
 
   const auto& b = a.completed()[0];
@@ -261,8 +270,9 @@ TEST(CriticalPath, PrePinnedRegionBlocksHandshakeFromStart) {
 
 TEST(CriticalPath, AbortedChainExcludedFromAggregates) {
   CriticalPathAnalyzer a;
-  a.on_event(sender_ev(0, EventKind::kEagerPost));
-  a.on_event(sender_ev(5000, EventKind::kSendAbort));
+  test::SinkFeed feed(a);
+  feed(sender_ev(0, EventKind::kEagerPost));
+  feed(sender_ev(5000, EventKind::kSendAbort));
   a.finalize();
 
   EXPECT_EQ(a.completed_count(), 0u);
@@ -273,7 +283,8 @@ TEST(CriticalPath, AbortedChainExcludedFromAggregates) {
 
 TEST(CriticalPath, OrphanedChainsCountedAtFinalize) {
   CriticalPathAnalyzer a;
-  a.on_event(sender_ev(0, EventKind::kEagerPost));
+  test::SinkFeed feed(a);
+  feed(sender_ev(0, EventKind::kEagerPost));
   a.finalize();
   EXPECT_EQ(a.orphaned_count(), 1u);
   EXPECT_EQ(a.completed_count(), 0u);
@@ -281,11 +292,12 @@ TEST(CriticalPath, OrphanedChainsCountedAtFinalize) {
 
 TEST(CriticalPath, TopKKeepsSlowestSorted) {
   CriticalPathAnalyzer a(/*max_records=*/2, /*top_k=*/2);
+  test::SinkFeed feed(a);
   for (std::uint32_t s = 1; s <= 4; ++s) {
     Event post = sender_ev(0, EventKind::kEagerPost, s);
-    a.on_event(post);
+    feed(post);
     // Message s takes s*1000 ns.
-    a.on_event(sender_ev(s * 1000, EventKind::kSendDone, s));
+    feed(sender_ev(s * 1000, EventKind::kSendDone, s));
   }
   a.finalize();
 
@@ -300,9 +312,10 @@ TEST(CriticalPath, TopKKeepsSlowestSorted) {
 
 TEST(CriticalPath, AggregateTotalsMatchPerMessage) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   for (std::uint32_t s = 1; s <= 3; ++s) {
-    a.on_event(sender_ev(0, EventKind::kEagerPost, s));
-    a.on_event(sender_ev(s * 500, EventKind::kSendDone, s));
+    feed(sender_ev(0, EventKind::kEagerPost, s));
+    feed(sender_ev(s * 500, EventKind::kSendDone, s));
   }
   a.finalize();
 
@@ -325,13 +338,14 @@ TEST(CriticalPath, JsonAndDigestAreWellFormedOnEmptyStream) {
 
 TEST(CriticalPath, JsonCarriesPhaseBreakdown) {
   CriticalPathAnalyzer a;
+  test::SinkFeed feed(a);
   Event post = sender_ev(0, EventKind::kRndvPost);
   post.region = kRegion;
   post.len = 4096;
-  a.on_event(post);
-  a.on_event(recv_ev(1000, EventKind::kPullStart));
-  a.on_event(recv_ev(2000, EventKind::kRecvDone));
-  a.on_event(sender_ev(3000, EventKind::kSendDone));
+  feed(post);
+  feed(recv_ev(1000, EventKind::kPullStart));
+  feed(recv_ev(2000, EventKind::kRecvDone));
+  feed(sender_ev(3000, EventKind::kSendDone));
   a.finalize();
 
   const std::string j = a.json();
@@ -468,6 +482,7 @@ TEST(CriticalPath, RegionIndexMatchesFullScanOnPinHeavyStream) {
   // region, interleaved with pin jobs that start, restart, finish and fail
   // on random regions while chains sit in their handshake.
   CriticalPathAnalyzer a(1u << 20);
+  test::SinkFeed feed(a);
   ScanReference ref;
   sim::Rng rng(0xc41a);
   sim::Time now = 0;
@@ -476,7 +491,7 @@ TEST(CriticalPath, RegionIndexMatchesFullScanOnPinHeavyStream) {
   std::vector<Event> open_posts;  // posts still open, by position
   std::vector<bool> pulled;
   const auto emit = [&](const Event& e) {
-    a.on_event(e);
+    feed(e);
     ref.on_event(e);
   };
   for (int step = 0; step < 20000; ++step) {

@@ -7,6 +7,7 @@
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
+#include "sink_feed.hpp"
 
 namespace pinsim::obs {
 namespace {
@@ -29,15 +30,16 @@ Event pin(sim::Time t, EventKind kind, std::uint32_t region,
 
 TEST(MetricsSampler, GaugesCarryForwardCountersReset) {
   MetricsSampler m(/*interval=*/1000);
-  m.on_event(pin(100, EventKind::kPinStart, 1, 0));
-  m.on_event(pin(200, EventKind::kPinPages, 1, 4));
+  test::SinkFeed feed(m);
+  feed(pin(100, EventKind::kPinStart, 1, 0));
+  feed(pin(200, EventKind::kPinPages, 1, 4));
   Event rx = at(300, EventKind::kRetransmit);
   rx.seq = 9;
-  m.on_event(rx);
+  feed(rx);
   // Crossing into the next interval closes [0,1000): counters captured.
-  m.on_event(pin(1500, EventKind::kPinPages, 1, 8));
+  feed(pin(1500, EventKind::kPinPages, 1, 8));
   // And [1000,2000): no retransmit this time — the counter must have reset.
-  m.on_event(pin(2500, EventKind::kPinPages, 1, 12));
+  feed(pin(2500, EventKind::kPinPages, 1, 12));
   m.finalize();
 
   ASSERT_GE(m.samples().size(), 3u);
@@ -54,10 +56,11 @@ TEST(MetricsSampler, GaugesCarryForwardCountersReset) {
 
 TEST(MetricsSampler, IdleGapEmitsAtMostTwoSamples) {
   MetricsSampler m(/*interval=*/1000);
-  m.on_event(at(100, EventKind::kEagerPost));
+  test::SinkFeed feed(m);
+  feed(at(100, EventKind::kEagerPost));
   // 100 intervals of silence: no 100-sample flood, just the closing sample
   // and one flat carry-forward sample before the event's own interval.
-  m.on_event(at(100500, EventKind::kSendDone));
+  feed(at(100500, EventKind::kSendDone));
   m.finalize();
 
   ASSERT_EQ(m.samples().size(), 3u);
@@ -71,25 +74,26 @@ TEST(MetricsSampler, IdleGapEmitsAtMostTwoSamples) {
 
 TEST(MetricsSampler, GaugeResetsOnUnpinAndCompletion) {
   MetricsSampler m(/*interval=*/1000);
-  m.on_event(pin(0, EventKind::kPinStart, 3, 0));
-  m.on_event(pin(100, EventKind::kPinPages, 3, 16));
-  m.on_event(pin(200, EventKind::kPinDone, 3, 16));
+  test::SinkFeed feed(m);
+  feed(pin(0, EventKind::kPinStart, 3, 0));
+  feed(pin(100, EventKind::kPinPages, 3, 16));
+  feed(pin(200, EventKind::kPinDone, 3, 16));
   Event post = at(300, EventKind::kRndvPost);
   post.seq = 5;
-  m.on_event(post);
+  feed(post);
   Event pull = at(400, EventKind::kPullStart);
   pull.node = 2;
   pull.seq = 77;
-  m.on_event(pull);
+  feed(pull);
   // Everything winds down inside the second interval.
-  m.on_event(pin(1100, EventKind::kPinUnpin, 3, 0));
+  feed(pin(1100, EventKind::kPinUnpin, 3, 0));
   Event rdone = at(1200, EventKind::kRecvDone);
   rdone.node = 2;
   rdone.seq = 77;
-  m.on_event(rdone);
+  feed(rdone);
   Event sdone = at(1300, EventKind::kSendDone);
   sdone.seq = 5;
-  m.on_event(sdone);
+  feed(sdone);
   m.finalize();
 
   ASSERT_GE(m.samples().size(), 2u);
@@ -106,11 +110,12 @@ TEST(MetricsSampler, GaugeResetsOnUnpinAndCompletion) {
 
 TEST(MetricsSampler, CompactionDoublesIntervalAndPreservesCounters) {
   MetricsSampler m(/*interval=*/100, /*max_samples=*/4);
+  test::SinkFeed feed(m);
   std::uint32_t total_misses = 0;
   for (int i = 0; i < 10; ++i) {
     Event e = at(static_cast<sim::Time>(i) * 100 + 50,
                  EventKind::kOverlapMissRecv);
-    m.on_event(e);
+    feed(e);
     ++total_misses;
   }
   m.finalize();
@@ -125,14 +130,15 @@ TEST(MetricsSampler, CompactionDoublesIntervalAndPreservesCounters) {
 
 TEST(MetricsSampler, CopiedBytesAndDenialsAccumulate) {
   MetricsSampler m(/*interval=*/1000);
+  test::SinkFeed feed(m);
   Event c1 = at(100, EventKind::kCopyIn);
   c1.len = 4096;
-  m.on_event(c1);
+  feed(c1);
   Event c2 = at(200, EventKind::kCopyIn);
   c2.len = 8192;
-  m.on_event(c2);
-  m.on_event(at(300, EventKind::kPressureDeny));
-  m.on_event(at(1500, EventKind::kPktTx));
+  feed(c2);
+  feed(at(300, EventKind::kPressureDeny));
+  feed(at(1500, EventKind::kPktTx));
   m.finalize();
 
   ASSERT_GE(m.samples().size(), 1u);
@@ -150,8 +156,9 @@ TEST(MetricsSampler, FinalizeWithoutEventsIsEmpty) {
 
 TEST(MetricsSampler, JsonIsColumnar) {
   MetricsSampler m(/*interval=*/1000);
-  m.on_event(pin(100, EventKind::kPinStart, 1, 0));
-  m.on_event(pin(1200, EventKind::kPinDone, 1, 4));
+  test::SinkFeed feed(m);
+  feed(pin(100, EventKind::kPinStart, 1, 0));
+  feed(pin(1200, EventKind::kPinDone, 1, 4));
   m.finalize();
 
   const std::string j = m.json();

@@ -20,6 +20,7 @@
 #include "obs/latency.hpp"
 #include "obs/relay.hpp"
 #include "sim/task.hpp"
+#include "sink_feed.hpp"
 
 namespace pinsim::obs {
 namespace {
@@ -175,19 +176,20 @@ TEST(ChromeTrace, FinalizeWritesFile) {
 
 TEST(LatencyRecorder, PairsOpensWithCloses) {
   LatencyRecorder rec;
+  test::SinkFeed feed(rec);
   Event s = ev(EventKind::kPinStart);
   s.time = 100;
   s.region = 1;
-  rec.on_event(s);
+  feed(s);
   Event d = ev(EventKind::kPinDone);
   d.time = 700;
   d.region = 1;
-  rec.on_event(d);
+  feed(d);
   // Close without an open is ignored, not mis-recorded.
   Event stray = ev(EventKind::kPinDone);
   stray.time = 900;
   stray.region = 2;
-  rec.on_event(stray);
+  feed(stray);
 
   EXPECT_EQ(rec.pin_latency().count(), 1u);
   EXPECT_DOUBLE_EQ(rec.pin_latency().min(), 600.0);
@@ -197,10 +199,10 @@ TEST(LatencyRecorder, PairsOpensWithCloses) {
   post.time = 1000;
   post.seq = 3;
   post.len = 2048;
-  rec.on_event(post);
+  feed(post);
   Event fail = ev(EventKind::kSendAbort);
   fail.seq = 3;
-  rec.on_event(fail);
+  feed(fail);
   // Aborts drop the open entry without polluting the success histogram.
   EXPECT_EQ(rec.send_latency().count(), 0u);
   EXPECT_EQ(rec.message_sizes().count(), 1u);
