@@ -7,7 +7,7 @@
 //   soak crash     paper §3.2 MMU-notifier teardown of a dying process:
 //                  kill/restart cycles with loss, pressure, flaps, NIC resets
 //   soak cluster   all three on 256 tenants in two racks, with switch
-//                  congestion and cross-tenant pin arbitration
+//                  congestion and host-wide idle-pin reclaim
 //   soak quota     the fault-free cluster stage at rising pin quotas
 //
 // Every stage runs twice under one seed with the invariant checker and the
@@ -973,15 +973,15 @@ std::vector<Suite> suites() {
        .passed = "\n%llu crash cycles: reports byte-identical, every pinned "
                  "page reclaimed, no invariant violations\n"},
       {.name = "cluster",
-       .title = "Cluster soak: rack-scale multi-tenant fabric with pin "
-                "arbitration",
+       .title = "Cluster soak: rack-scale multi-tenant fabric with "
+                "host-wide idle-pin reclaim",
        .reproduces = "paper §5 scaled out: N nodes behind shared switch "
-                     "ports, per-host pin quotas arbitrated across tenant "
-                     "processes",
+                     "ports, a quota-denied pin job reclaiming idle pins "
+                     "from every tenant process on its host",
        .stack = racks, .seed = 0xc1a5'7e25, .step = 0x9e3779b9u,
        .stages = cluster_stages(),
        .floors = {{"messages posted", &Tally::posted, {30'000, 500'000}},
-                  {"pin arbiter requests", &Tally::arb, {1, 1}}},
+                  {"cross-tenant reclaim requests", &Tally::arb, {1, 1}}},
        .passed = "\n%llu messages across 256 endpoints: reports "
                  "byte-identical, congestion and fault loss attributed "
                  "separately, idle pins reclaimed across tenants\n"},

@@ -60,8 +60,8 @@ Measured measure(const cpu::CpuModel& model,
   for (std::size_t npages : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
                              1024u, 2048u, 4096u, 8192u}) {
     const auto addr = as.mmap(npages * mem::kPageSize);
-    core::Region region(1, as, {core::Segment{addr, npages * mem::kPageSize}});
-    mgr.register_region(region);
+    core::Region& region =
+        mgr.declare(as, {core::Segment{addr, npages * mem::kPageSize}});
 
     const sim::Time t0 = eng.now();
     bool pinned = false;
@@ -74,7 +74,7 @@ Measured measure(const cpu::CpuModel& model,
 
     pages.push_back(static_cast<double>(npages));
     cost_ns.push_back(static_cast<double>(t1 - t0));
-    mgr.unregister_region(region);
+    mgr.undeclare(region.id());
     as.munmap(addr, npages * mem::kPageSize);
   }
 

@@ -5,9 +5,11 @@
                             [<parent-perfbench> <change-perfbench>]
 
 The first two arguments are CMake build directories (e.g. `build`). Both
-builds run the quick paper benches (fig6_pingpong_pinning, fig7_decoupled,
-overlap_miss) and `soak <suite> --quick --trace-out` for all five soak
-suites, every run in its own temporary directory. Then, per run:
+builds run the quick paper benches (PAPER_BENCHES: fig6, fig7, overlap_miss,
+table1 on a bare PinManager, table2 and ablation_baselines, whose cache
+sweep evicts from the region cache) and `soak <suite> --quick --trace-out`
+for all five soak suites, every run in its own temporary directory. Then,
+per run:
 
   * exit status and stdout must match;
   * the set of files the run wrote must match;
@@ -34,7 +36,8 @@ import subprocess
 import sys
 import tempfile
 
-PAPER_BENCHES = ["fig6_pingpong_pinning", "fig7_decoupled", "overlap_miss"]
+PAPER_BENCHES = ["fig6_pingpong_pinning", "fig7_decoupled", "overlap_miss",
+                 "table1_pinning", "table2_apps", "ablation_baselines"]
 SOAK_SUITES = ["chaos", "pressure", "crash", "cluster", "quota"]
 
 # Report keys that measure the host, not the simulation.

@@ -87,14 +87,6 @@ Endpoint::~Endpoint() {
   for (auto& [seq, req] : sends_) driver_.engine().cancel(req->rto);
   for (auto& [handle, ps] : pulls_) driver_.engine().cancel(ps->rto);
 
-  // Regions still declared (an endpoint closed mid-transfer, or one driven
-  // without a Library): cancel in-flight pin jobs and release their pins so
-  // the pin manager never holds a pointer into the freed region table.
-  // Unregistering emits unpin events; the flat map iterates in ascending-id
-  // order, which is the order replays expect.
-  for (auto& [id, region] : regions_) pins_.unregister_region(*region);
-  regions_.clear();
-
   // If the address space died first, its destructor already fired the
   // notifier's release() — touching it again would be use-after-free.
   auto* notifier = static_cast<EndpointNotifier*>(notifier_.get());
@@ -129,32 +121,21 @@ std::size_t Endpoint::inflight() const noexcept {
 // --- regions -----------------------------------------------------------------
 
 RegionId Endpoint::declare_region(std::vector<Segment> segments) {
-  const RegionId id = next_region_++;
-  auto region = std::make_unique<Region>(id, as_, std::move(segments));
-  pins_.register_region(*region);
-  Region& ref = *region;
-  regions_.emplace(id, std::move(region));
+  Region& region = pins_.declare(as_, std::move(segments));
   if (driver_.config().pinning.mode == PinMode::kPermanent) {
-    pins_.ensure_pinned(ref, [](bool) {});
+    pins_.ensure_pinned(region, [](bool) {});
   }
-  return id;
+  return region.id();
 }
 
 void Endpoint::undeclare_region(RegionId id) {
-  auto it = regions_.find(id);
-  if (it == regions_.end()) throw std::invalid_argument("unknown region");
-  assert(it->second->use_count() == 0 && "undeclaring a region in use");
-  pins_.unregister_region(*it->second);
-  regions_.erase(it);
+  pins_.undeclare(id);
   for (auto w = pending_reserves_.begin(); w != pending_reserves_.end();) {
     w = w->second == id ? pending_reserves_.erase(w) : std::next(w);
   }
 }
 
-Region* Endpoint::find_region(RegionId id) {
-  auto it = regions_.find(id);
-  return it == regions_.end() ? nullptr : it->second.get();
-}
+Region* Endpoint::find_region(RegionId id) { return pins_.find(id); }
 
 // --- eager send ----------------------------------------------------------------
 

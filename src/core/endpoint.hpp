@@ -54,8 +54,9 @@ struct Status {
 
 using Completion = std::function<void(Status)>;
 
-/// One Open-MX endpoint: the driver-side object holding the region table,
-/// the pin manager, and the MXoE protocol state machines (paper §2.2, §3).
+/// One Open-MX endpoint: the driver-side object holding the pin manager
+/// (which owns the declared regions) and the MXoE protocol state machines
+/// (paper §2.2, §3).
 ///
 /// All packet handling runs in bottom-half context on the NIC's interrupt
 /// core — the stack is interrupt-driven, which is exactly why buffers must
@@ -450,9 +451,6 @@ class Endpoint {
   mem::ObjectPool<PullState> pull_pool_;
   mem::ObjectPool<RecvRequest> recv_pool_;
   mem::ObjectPool<InboundMsg> inbound_pool_;
-
-  sim::FlatMap<RegionId, std::unique_ptr<Region>> regions_;
-  RegionId next_region_ = 1;
 
   sim::FlatMap<std::uint32_t, mem::ObjectPool<SendRequest>::Ptr> sends_;
   std::uint32_t next_send_seq_ = 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "core/driver.hpp"
 #include "mem/types.hpp"
@@ -19,6 +20,11 @@ PinManager::PinManager(sim::Engine& eng, cpu::Core& core,
       relay_(relay) {}
 
 PinManager::~PinManager() {
+  // Regions still declared (an endpoint closed mid-transfer, or one driven
+  // without a Library): cancel in-flight pin jobs and release their pins.
+  // Unpinning emits events; the flat map walks in ascending-id order, which
+  // is the order replays expect.
+  for (auto& [rid, t] : tracked_) unpin(*t->region);
   if (joined_) std::erase(driver_->pin_tenants(), this);
 }
 
@@ -26,7 +32,7 @@ std::size_t PinManager::pinned_pages() const {
   std::size_t total = 0;
   for (const auto& [rid, t] : tracked_) {
     (void)rid;
-    if (t->region != nullptr) total += t->region->pinned_pages();
+    total += t->region->pinned_pages();
   }
   return total;
 }
@@ -85,37 +91,37 @@ void PinManager::emit_invalidate(Region& r, std::size_t cut) {
   relay_->emit(e);
 }
 
-PinManager::Tracked& PinManager::track(Region& r) {
-  auto it = tracked_.find(r.id());
-  if (it == tracked_.end()) {
-    it = tracked_.emplace(r.id(), tracked_pool_.acquire()).first;
-  }
-  Tracked& t = *it->second;
-  t.region = &r;
-  return t;
+Region& PinManager::declare(mem::AddressSpace& as,
+                            std::vector<Segment> segments) {
+  const RegionId id = next_id_++;
+  auto t = tracked_pool_.acquire();
+  t->region = std::make_unique<Region>(id, as, std::move(segments));
+  t->last_use = eng_.now();
+  Region& r = *t->region;
+  tracked_.emplace(id, std::move(t));
+  return r;
 }
 
-PinManager::Tracked* PinManager::find_alive(RegionId rid,
-                                            const Region* expected) {
-  auto it = tracked_.find(rid);
-  if (it == tracked_.end() || it->second->region != expected) return nullptr;
-  return it->second.get();
+void PinManager::undeclare(RegionId id) {
+  Tracked* t = entry(id);
+  if (t == nullptr) throw std::invalid_argument("unknown region");
+  assert(t->region->use_count() == 0 && "undeclaring a region in use");
+  unpin(*t->region);
+  tracked_.erase(id);
 }
 
-void PinManager::register_region(Region& r) {
-  Tracked& t = track(r);
-  t.registered = true;
-  t.last_use = eng_.now();
+Region* PinManager::find(RegionId id) {
+  Tracked* t = entry(id);
+  return t == nullptr ? nullptr : t->region.get();
 }
 
-void PinManager::unregister_region(Region& r) {
-  // Cancel any in-flight pinning and release pins before forgetting it.
-  unpin(r);
-  tracked_.erase(r.id());
+PinManager::Tracked* PinManager::entry(RegionId id) {
+  auto it = tracked_.find(id);
+  return it == tracked_.end() ? nullptr : it->second.get();
 }
 
 void PinManager::touch(Region& r) {
-  if (Tracked* t = find_alive(r.id(), &r)) t->last_use = eng_.now();
+  entry(r.id())->last_use = eng_.now();
 }
 
 void PinManager::ensure_pinned(Region& r, Completion done) {
@@ -140,16 +146,13 @@ void PinManager::when_pinned(Region& r, std::size_t pages, Completion done) {
   // kFailed is retryable, not terminal (§3.1: the region "stays declared,
   // repinned at next communication"): a past pin failure — memory pressure,
   // a then-invalid segment since remapped — must not poison the declaration.
-  if (r.state() == Region::PinState::kFailed) {
-    Tracked* t = find_alive(r.id(), &r);
-    if (t == nullptr || !t->job.active) {
-      r.set_state(Region::PinState::kUnpinned);
-      ++counters_.pin_fail_resets;
-      emit(obs::EventKind::kPinReset, r, "failed region retried");
-    }
-  }
-  Tracked& t = track(r);
+  Tracked& t = *entry(r.id());
   PinJob& job = t.job;
+  if (r.state() == Region::PinState::kFailed && !job.active) {
+    r.set_state(Region::PinState::kUnpinned);
+    ++counters_.pin_fail_resets;
+    emit(obs::EventKind::kPinReset, r, "failed region retried");
+  }
   pages = std::min(pages, r.page_count());
   if (r.pinned_pages() >= pages) {
     done(true);  // e.g. overlapped with no pre-pin: proceed immediately
@@ -176,10 +179,10 @@ void PinManager::when_pinned(Region& r, std::size_t pages, Completion done) {
 }
 
 void PinManager::schedule_chunk(Region& r) {
-  PinJob& job = track(r).job;
+  PinJob& job = entry(r.id())->job;
   assert(job.active);
   if (r.fully_pinned()) {
-    finish(r, true);
+    finish(r, true, "fully pinned");
     return;
   }
   if (!joined_ && driver_ != nullptr && driver_->pin_arbitration()) {
@@ -221,10 +224,9 @@ void PinManager::schedule_chunk(Region& r) {
   const std::uint64_t gen = job.generation;
   const RegionId rid = r.id();
   std::weak_ptr<char> alive = alive_;
-  core_.submit(cpu::Priority::kKernel, cost, [this, rid, rp = &r, gen,
-                                              chunk, alive] {
+  core_.submit(cpu::Priority::kKernel, cost, [this, rid, gen, chunk, alive] {
     if (alive.expired()) return;  // the manager died while the cost accrued
-    Tracked* t = find_alive(rid, rp);
+    Tracked* t = entry(rid);
     if (t == nullptr || !t->job.active || t->job.generation != gen) {
       return;  // invalidated or undeclared while the cost was accruing
     }
@@ -275,7 +277,7 @@ void PinManager::schedule_chunk(Region& r) {
     if (!frames.empty()) emit(obs::EventKind::kPinPages, r, "pages pinned");
     if (hard_failed) {
       ++counters_.pin_failures;
-      finish(r, false);
+      finish(r, false, "failed");
       return;
     }
     // Any forward progress resets the budget: only a *stalled* frontier
@@ -302,35 +304,36 @@ sim::Time PinManager::retry_backoff(int retries) const {
 }
 
 void PinManager::retry_or_fail(Region& r) {
-  PinJob& job = track(r).job;
+  PinJob& job = entry(r.id())->job;
   if (job.retries >= cfg_.pin_retry_budget) {
     ++counters_.pin_retry_exhausted;
     ++counters_.pin_failures;
-    emit(obs::EventKind::kPinFail, r, "retry budget exhausted");
-    finish(r, false);
+    finish(r, false, "retry budget exhausted");
     return;
   }
   ++job.retries;
   ++counters_.pin_retries;
-  const std::uint64_t gen = job.generation;
   emit(obs::EventKind::kPinRetry, r, "transient pin denial, backing off");
+  schedule_backoff(r, job.retries, {"pin", "retry_backoff"});
+}
+
+void PinManager::schedule_backoff(Region& r, int attempt, sim::TaskTag tag) {
   std::weak_ptr<char> alive = alive_;
-  const RegionId rid = r.id();
   eng_.schedule_after(
-      retry_backoff(job.retries),
-      [this, rid, rp = &r, gen, alive] {
-        if (alive.expired()) return;  // the manager died while we slept
-        Tracked* t = find_alive(rid, rp);
+      retry_backoff(attempt),
+      [this, rid = r.id(), gen = entry(r.id())->job.generation, alive] {
+        if (alive.expired()) return;  // the manager died during the backoff
+        Tracked* t = entry(rid);
         if (t == nullptr || !t->job.active || t->job.generation != gen) {
-          return;  // invalidated or undeclared during the backoff
+          return;  // the job ended or restarted, or the region is gone
         }
         schedule_chunk(*t->region);
       },
-      {"pin", "retry_backoff"});
+      tag);
 }
 
 void PinManager::wake(Region& r, std::size_t frontier, bool ok) {
-  auto& ws = track(r).job.waiters;
+  auto& ws = entry(r.id())->job.waiters;
   const auto due =
       std::find_if(ws.begin(), ws.end(),
                    [frontier](const Waiter& w) { return w.pages > frontier; });
@@ -342,17 +345,13 @@ void PinManager::wake(Region& r, std::size_t frontier, bool ok) {
   for (Waiter& w : run) w.done(ok);
 }
 
-void PinManager::finish(Region& r, bool ok) {
-  Tracked& t = track(r);
+void PinManager::finish(Region& r, bool ok, const char* what) {
+  Tracked& t = *entry(r.id());
   PinJob& job = t.job;
   job.active = false;
   ++job.generation;
   t.was_pinned = t.was_pinned || ok;
-  if (ok) {
-    emit(obs::EventKind::kPinDone, r, "fully pinned");
-  } else {
-    emit(obs::EventKind::kPinFail, r, "failed");
-  }
+  emit(ok ? obs::EventKind::kPinDone : obs::EventKind::kPinFail, r, what);
 
   if (!ok) {
     r.set_state(Region::PinState::kFailed);
@@ -361,16 +360,20 @@ void PinManager::finish(Region& r, bool ok) {
     r.set_state(Region::PinState::kFailed);
   }
 
+  const RegionId rid = r.id();
   wake(r, Region::npos, ok);
   // Requests that proceeded on a partial target and are now mid-
-  // communication need an abort path when pinning later fails.
-  if (!ok && failure_handler_) failure_handler_(r);
+  // communication need an abort path when pinning later fails. A woken
+  // waiter may have undeclared the region (an uncached request releases it
+  // on completion); no request uses it then.
+  if (ok || !failure_handler_) return;
+  if (Region* still = find(rid)) failure_handler_(*still);
 }
 
 void PinManager::unpin(Region& r) {
-  if (Tracked* t = find_alive(r.id(), &r); t != nullptr && t->job.active) {
-    ++t->job.generation;
-    t->job.active = false;
+  if (PinJob& job = entry(r.id())->job; job.active) {
+    ++job.generation;
+    job.active = false;
     emit(obs::EventKind::kPinFail, r, "cancelled");  // the job ends here
   }
   do_unpin(r, counters_.unpin_ops);
@@ -413,18 +416,16 @@ void PinManager::do_unpin_from(Region& r, std::size_t first_slot,
 
 void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
   // Collect overlapping regions first, then process: a job that fails its
-  // restart budget runs the failure handler, which may unregister regions
+  // restart budget runs the failure handler, which may undeclare regions
   // (erasing from tracked_) mid-walk. Processing in ascending-id order is
   // part of the deterministic contract.
-  std::vector<std::pair<RegionId, Region*>> hits;
+  std::vector<RegionId> hits;
   for (const auto& [rid, t] : tracked_) {
-    if (t->registered && t->region->overlaps(start, end)) {
-      hits.emplace_back(rid, t->region);
-    }
+    if (t->region->overlaps(start, end)) hits.push_back(rid);
   }
-  for (const auto& [rid, rp] : hits) {
-    Tracked* t = find_alive(rid, rp);
-    if (t == nullptr) continue;  // unregistered by an earlier iteration
+  for (RegionId rid : hits) {
+    Tracked* t = entry(rid);
+    if (t == nullptr) continue;  // undeclared by an earlier iteration
     Region& r = *t->region;
     ++counters_.notifier_invalidations;
 
@@ -460,27 +461,14 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     if (job.inval_restarts >= cfg_.pin_retry_budget) {
       ++counters_.pin_retry_exhausted;
       ++counters_.pin_failures;
-      emit(obs::EventKind::kPinFail, r, "invalidation restart budget exhausted");
-      finish(r, false);
+      finish(r, false, "invalidation restart budget exhausted");
       continue;
     }
     ++job.inval_restarts;
     ++counters_.pin_inval_restarts;
     r.set_state(Region::PinState::kPinning);
     emit(obs::EventKind::kPinRestart, r, "invalidated mid-pin, restarting");
-    const std::uint64_t gen = job.generation;
-    std::weak_ptr<char> alive = alive_;
-    eng_.schedule_after(
-        retry_backoff(job.inval_restarts),
-        [this, rid, rp, gen, alive] {
-          if (alive.expired()) return;  // the manager died during the backoff
-          Tracked* t2 = find_alive(rid, rp);
-          if (t2 == nullptr || !t2->job.active || t2->job.generation != gen) {
-            return;  // invalidated again or undeclared during the backoff
-          }
-          schedule_chunk(*t2->region);
-        },
-        {"pin", "restart_backoff"});
+    schedule_backoff(r, job.inval_restarts, {"pin", "restart_backoff"});
   }
 }
 
@@ -491,8 +479,7 @@ bool PinManager::shed_one_victim() {
   sim::Time oldest = 0;
   for (const auto& [rid, t] : tracked_) {
     (void)rid;
-    if (!t->registered) continue;
-    Region* region = t->region;
+    Region* region = t->region.get();
     if (region->use_count() != 0 || region->pinned_pages() == 0) continue;
     if (t->job.active) continue;
     if (victim == nullptr || t->last_use < oldest) {

@@ -73,18 +73,23 @@ class PinManager {
   PinManager& operator=(const PinManager&) = delete;
   ~PinManager();
 
-  /// Tracks a declared region for LRU/pressure management.
-  void register_region(Region& r);
-  /// Stops tracking (undeclare). Any pins are released first.
-  void unregister_region(Region& r);
+  /// Declares a region: the manager owns it until undeclare (or its own
+  /// destruction). Ids ascend from 1 and are never reused, so a timer that
+  /// re-finds its region by id cannot reach a later declaration.
+  Region& declare(mem::AddressSpace& as, std::vector<Segment> segments);
+  /// Destroys a declared region, cancelling its pin job and releasing its
+  /// pins first. Throws std::invalid_argument for an unknown id.
+  void undeclare(RegionId id);
+  /// The declared region `id`, or nullptr.
+  [[nodiscard]] Region* find(RegionId id);
 
   /// Calls `done(true)` once the first `pages` pages of `r` are pinned
   /// (clamped to the region), joining the region's pin job or starting one.
   /// A target the frontier already covers fires inline. Waiters wake in
   /// (target, arrival) order as the frontier advances; a frontier the MMU
   /// notifier truncates makes them wait for it to pass again; a failed job
-  /// calls each pending waiter once with false; unregister_region drops
-  /// them uncalled. The job starting is counted as a repin if the region
+  /// calls each pending waiter once with false; undeclare drops them
+  /// uncalled. The job starting is counted as a repin if the region
   /// had been pinned before and lost its pages (invalidation/pressure).
   void when_pinned(Region& r, std::size_t pages, Completion done);
 
@@ -134,20 +139,16 @@ class PinManager {
     void reset() { mem::reset_keeping(*this, &PinJob::waiters); }
   };
 
-  /// Everything the manager knows about one region, keyed by the region's
-  /// stable id in an *ordered* flat map: iteration order (notifier
-  /// invalidation, LRU shedding ties) is then part of the deterministic
-  /// contract instead of hash-of-pointer happenstance (pinlint D1/D2). The
-  /// Region pointer is re-validated against the tracked entry before any
-  /// deref from a timer callback, so a region destroyed during a backoff
-  /// cannot be touched. Entries live in pooled nodes so references survive
-  /// reentrant completions that insert into the map, and churn (declare/
-  /// undeclare cycles) stops allocating at steady state.
+  /// One declared region and everything the manager knows about it, keyed
+  /// by the region's id in an *ordered* flat map: iteration order (notifier
+  /// invalidation, LRU shedding ties, destruction) is then part of the
+  /// deterministic contract instead of hash-of-pointer happenstance (pinlint
+  /// D1/D2). Entries live in pooled nodes so references survive reentrant
+  /// completions that insert into the map, and churn (declare/undeclare
+  /// cycles) stops allocating at steady state.
   struct Tracked {
-    Region* region = nullptr;
+    std::unique_ptr<Region> region;
     sim::Time last_use = 0;
-    bool registered = false;  // register_region() called: visible to the
-                              // LRU shedder and the MMU-notifier path
     bool was_pinned = false;  // pinned at least once (repin counting)
     PinJob job;
 
@@ -159,18 +160,19 @@ class PinManager {
     }
   };
 
-  /// The tracked entry for `r`, created on first use (a region pinned
-  /// without register_region() still needs job state, but stays invisible
-  /// to the LRU/notifier paths until registered).
-  Tracked& track(Region& r);
-  /// The entry for `rid` iff it still tracks the exact object `expected` —
-  /// the timer-callback guard (undeclare + id reuse cannot alias).
-  Tracked* find_alive(RegionId rid, const Region* expected);
+  /// The entry of the declared region `id`, or nullptr.
+  Tracked* entry(RegionId id);
 
   void schedule_chunk(Region& r);
   void retry_or_fail(Region& r);
   [[nodiscard]] sim::Time retry_backoff(int retries) const;
-  void finish(Region& r, bool ok);
+  /// Re-runs schedule_chunk for `r`'s current job after
+  /// retry_backoff(`attempt`), unless the job ended or restarted meanwhile
+  /// or the region was undeclared.
+  void schedule_backoff(Region& r, int attempt, sim::TaskTag tag);
+  /// Ends `r`'s job with one kPinDone or kPinFail labelled `what` (static
+  /// storage duration).
+  void finish(Region& r, bool ok, const char* what);
   /// Calls, in list order, every waiter of `r` whose target is at most
   /// `frontier`, with `ok`.
   void wake(Region& r, std::size_t frontier, bool ok);
@@ -195,6 +197,7 @@ class PinManager {
   // must outlive them on destruction.
   mem::ObjectPool<Tracked> tracked_pool_;
   sim::FlatMap<RegionId, mem::ObjectPool<Tracked>::Ptr> tracked_;
+  RegionId next_id_ = 1;
   std::function<void(Region&)> failure_handler_;
   const obs::Relay* relay_ = nullptr;
   std::uint32_t node_ = 0;

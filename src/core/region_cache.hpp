@@ -2,9 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -21,9 +19,13 @@ namespace pinsim::core {
 /// use — so this cache needs no invalidation channel from the kernel, which
 /// is the paper's main simplification over classic registration caches.
 ///
+/// The cache is one vector of declarations, scanned on lookup (capacity is
+/// 64 by default and 2-16 in the benches), so each declaration is stored
+/// once and a hit copies nothing.
 /// Eviction is LRU over idle entries (an entry with in-flight communications
-/// is never evicted). With `enabled == false` every acquire declares and the
-/// matching release undeclares — the "pin once per communication" baseline.
+/// is never evicted): the victim is the entry idle the longest. With
+/// `enabled == false` every acquire declares and the matching release
+/// undeclares — the "pin once per communication" baseline.
 class RegionCache {
  public:
   struct Stats {
@@ -56,18 +58,11 @@ class RegionCache {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  struct Key {
-    std::vector<Segment> segments;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept;
-  };
   struct Entry {
+    SegmentList segments;
     RegionId id = kInvalidRegion;
     std::uint32_t uses = 0;
-    std::list<Key>::iterator lru_pos;  // valid iff uses == 0
-    bool in_lru = false;
+    std::uint64_t idle_since = 0;  // stamped when uses drops to 0
   };
 
   void evict_down_to(std::size_t target);
@@ -75,9 +70,8 @@ class RegionCache {
   CacheConfig cfg_;
   DeclareFn declare_;
   UndeclareFn undeclare_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::unordered_map<RegionId, Key> by_id_;
-  std::list<Key> lru_;  // front = most recent; only idle entries live here
+  std::vector<Entry> entries_;
+  std::uint64_t idle_clock_ = 0;  // last idle_since stamp handed out
   Stats stats_;
 };
 

@@ -319,10 +319,11 @@ TEST(AllocSteadyState, RendezvousCacheHitAllocatesNoMoreThanBefore) {
               per_message);
   EXPECT_EQ(rig.failures, 0u);
   // 43.47 per message before requests, segment lists, receive records,
-  // coroutine frames and frame buffers were pooled. What remains is the
-  // rendezvous machinery: region-cache key copies, pull-state blocks and
-  // the pull-reply copy closures.
-  EXPECT_LE(per_message, 43.47);
+  // coroutine frames and frame buffers were pooled; the bound is the
+  // measured 770 allocations over 64 messages. What remains is the
+  // rendezvous machinery: pull-state blocks and the pull-reply copy
+  // closures.
+  EXPECT_LE(per_message, 12.03125);
 }
 
 }  // namespace

@@ -263,5 +263,22 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(abort_cause_name(info.param));
     });
 
+// Without a region cache a request's completion undeclares its region. A
+// send waiting on a pin job that fails completes from inside the job's
+// end, so the region is gone before the failure handler walks the other
+// sends; the handler must not read it.
+TEST(AbortCauseLifetime, FailedPinJobSurvivesItsWaiterUndeclaringTheRegion) {
+  Rig rig(regular_pinning_config());
+  const mem::VirtAddr buf = rig.pa->heap.malloc(kRndv);
+  RequestPtr other = rig.pa->lib.isend(rig.pb->addr(), 2, buf, kRndv);
+  RequestPtr send = rig.pa->lib.isend(rig.pb->addr(), 1, kUnmapped, kRndv);
+  rig.eng.run_until(10 * sim::kMillisecond);
+  ASSERT_TRUE(send->completed());
+  EXPECT_EQ(send->status().cause, AbortCause::kPinFailed);
+  EXPECT_FALSE(other->completed());  // never matched, never aborted
+  EXPECT_EQ(rig.pa->ep.counters().aborts, 1u);
+  EXPECT_EQ(rig.checker.violation_count(), 0u) << rig.checker.report();
+}
+
 }  // namespace
 }  // namespace pinsim::core

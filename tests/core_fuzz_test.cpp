@@ -112,8 +112,6 @@ TEST_P(PressureScheduleFuzz, AlwaysConvergesBitExactWhenPressureLifts) {
   cfg.pin_chunk_pages = 4;
   cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   cfg.pin_retry_budget = 8;
-  PinManager mgr(eng, core, cpu::xeon_e5460(), cfg, counters);
-
   // Every random schedule streams through the invariant checker too: no
   // seed may produce a pin-state sequence a correct stack could not.
   obs::Bus bus(eng);
@@ -121,7 +119,7 @@ TEST_P(PressureScheduleFuzz, AlwaysConvergesBitExactWhenPressureLifts) {
   obs::Relay relay;
   bus.attach(&checker);
   relay.set_bus(&bus);
-  mgr.set_relay(&relay);
+  PinManager mgr(eng, core, cpu::xeon_e5460(), cfg, counters, &relay);
 
   mem::PressureInjector inj(GetParam() * 2654435761u + 1);
   pm.set_pressure(&inj);
@@ -130,8 +128,7 @@ TEST_P(PressureScheduleFuzz, AlwaysConvergesBitExactWhenPressureLifts) {
   constexpr std::size_t kPages = 48;
   constexpr std::size_t kBytes = kPages * mem::kPageSize;
   const auto addr = as.mmap(kBytes);
-  Region r(1, as, {Segment{addr, kBytes}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as, {Segment{addr, kBytes}});
 
   // Reference model: whatever the schedule wrote must be what the region
   // holds once everything settles.
@@ -210,7 +207,7 @@ TEST_P(PressureScheduleFuzz, AlwaysConvergesBitExactWhenPressureLifts) {
   ASSERT_EQ(r.copy_out(0, out), Region::AccessResult::kOk);
   EXPECT_EQ(out, model) << "seed " << GetParam();
 
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
   EXPECT_EQ(pm.pinned_pages(), 0u);  // no leaked pins anywhere in the schedule
   pm.set_pressure(nullptr);
 

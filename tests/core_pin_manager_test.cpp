@@ -8,10 +8,13 @@
 #include <utility>
 #include <vector>
 
+#include "capture_sink.hpp"
 #include "cpu/core.hpp"
 #include "cpu/cpu_model.hpp"
 #include "mem/physical_memory.hpp"
 #include "mem/pressure.hpp"
+#include "obs/bus.hpp"
+#include "obs/relay.hpp"
 #include "sim/engine.hpp"
 
 namespace pinsim::core {
@@ -25,9 +28,9 @@ class PinManagerTest : public ::testing::Test {
     return PinManager(eng_, core_, cpu::xeon_e5460(), cfg, counters_);
   }
 
-  Region make_region(std::size_t bytes, RegionId id = 1) {
+  Region& make_region(PinManager& mgr, std::size_t bytes) {
     const auto addr = as_.mmap(bytes);
-    return Region(id, as_, {Segment{addr, bytes}});
+    return mgr.declare(as_, {Segment{addr, bytes}});
   }
 
   sim::Engine eng_;
@@ -40,8 +43,7 @@ class PinManagerTest : public ::testing::Test {
 TEST_F(PinManagerTest, SynchronousPinCompletesAfterTable1Cost) {
   PinningConfig cfg;  // on-demand, not overlapped
   auto mgr = make(cfg);
-  Region r = make_region(64 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 64 * 4096);
 
   bool done = false;
   sim::Time done_at = 0;
@@ -59,21 +61,20 @@ TEST_F(PinManagerTest, SynchronousPinCompletesAfterTable1Cost) {
   EXPECT_EQ(done_at, cpu::xeon_e5460().pin_cost(64));
   EXPECT_EQ(counters_.pin_ops, 1u);
   EXPECT_EQ(counters_.pages_pinned, 64u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
   EXPECT_EQ(pm_.pinned_pages(), 0u);
 }
 
 TEST_F(PinManagerTest, AlreadyPinnedCompletesSynchronously) {
   auto mgr = make({});
-  Region r = make_region(4 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 4 * 4096);
   mgr.ensure_pinned(r, [](bool) {});
   eng_.run();
   bool done = false;
   mgr.ensure_pinned(r, [&](bool ok) { done = ok; });
   EXPECT_TRUE(done);  // no waiting: the cache-hit fast path
   EXPECT_EQ(counters_.pin_ops, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, OverlappedReleasesImmediatelyAndPinsInBackground) {
@@ -81,8 +82,7 @@ TEST_F(PinManagerTest, OverlappedReleasesImmediatelyAndPinsInBackground) {
   cfg.overlapped = true;
   cfg.pin_chunk_pages = 16;
   auto mgr = make(cfg);
-  Region r = make_region(128 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 128 * 4096);
 
   bool released = false;
   mgr.ensure_pinned(r, [&](bool ok) { released = ok; });
@@ -91,7 +91,7 @@ TEST_F(PinManagerTest, OverlappedReleasesImmediatelyAndPinsInBackground) {
   eng_.run();
   EXPECT_TRUE(r.fully_pinned());
   EXPECT_EQ(pm_.pinned_pages(), 128u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, OverlappedFrontierAdvancesInOrder) {
@@ -99,8 +99,7 @@ TEST_F(PinManagerTest, OverlappedFrontierAdvancesInOrder) {
   cfg.overlapped = true;
   cfg.pin_chunk_pages = 8;
   auto mgr = make(cfg);
-  Region r = make_region(32 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 32 * 4096);
   mgr.ensure_pinned(r, [](bool) {});
 
   std::vector<std::size_t> frontier_history;
@@ -109,7 +108,7 @@ TEST_F(PinManagerTest, OverlappedFrontierAdvancesInOrder) {
     EXPECT_GE(frontier_history[i], frontier_history[i - 1]);
   }
   EXPECT_TRUE(r.fully_pinned());
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, SyncPrepinPagesDelayEarlyRelease) {
@@ -118,8 +117,7 @@ TEST_F(PinManagerTest, SyncPrepinPagesDelayEarlyRelease) {
   cfg.sync_prepin_pages = 8;
   cfg.pin_chunk_pages = 8;
   auto mgr = make(cfg);
-  Region r = make_region(64 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 64 * 4096);
 
   std::size_t pinned_at_release = 0;
   bool released = false;
@@ -132,13 +130,12 @@ TEST_F(PinManagerTest, SyncPrepinPagesDelayEarlyRelease) {
   EXPECT_TRUE(released);
   EXPECT_GE(pinned_at_release, 8u);
   EXPECT_LT(pinned_at_release, 64u);  // but did not wait for the whole region
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, ConcurrentWaitersShareOnePinPass) {
   auto mgr = make({});
-  Region r = make_region(16 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 16 * 4096);
   int completions = 0;
   for (int i = 0; i < 3; ++i) {
     mgr.ensure_pinned(r, [&](bool ok) {
@@ -149,14 +146,13 @@ TEST_F(PinManagerTest, ConcurrentWaitersShareOnePinPass) {
   eng_.run();
   EXPECT_EQ(completions, 3);
   EXPECT_EQ(counters_.pin_ops, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, InvalidSegmentFailsAtPinTimeNotDeclareTime) {
   auto mgr = make({});
   // Declare succeeds for a region the process never mapped (paper §3.1).
-  Region r(1, as_, {Segment{0x900000000000ULL, 8 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{0x900000000000ULL, 8 * 4096}});
   bool ok = true;
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
   eng_.run();
@@ -164,7 +160,7 @@ TEST_F(PinManagerTest, InvalidSegmentFailsAtPinTimeNotDeclareTime) {
   EXPECT_EQ(r.state(), Region::PinState::kFailed);
   EXPECT_EQ(counters_.pin_failures, 1u);
   EXPECT_EQ(pm_.pinned_pages(), 0u);  // partial pins rolled back
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, FailureHandlerFiresForOverlappedFailure) {
@@ -173,8 +169,7 @@ TEST_F(PinManagerTest, FailureHandlerFiresForOverlappedFailure) {
   auto mgr = make(cfg);
   const auto addr = as_.mmap(4 * 4096);
   as_.munmap(addr + 2 * 4096, 2 * 4096);  // second half invalid
-  Region r(1, as_, {Segment{addr, 4 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 4 * 4096}});
 
   Region* failed = nullptr;
   mgr.set_failure_handler([&](Region& reg) { failed = &reg; });
@@ -184,14 +179,13 @@ TEST_F(PinManagerTest, FailureHandlerFiresForOverlappedFailure) {
   eng_.run();
   EXPECT_EQ(failed, &r);
   EXPECT_EQ(r.state(), Region::PinState::kFailed);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, MmuInvalidationUnpinsAndRepinsOnNextUse) {
   auto mgr = make({});
   const auto addr = as_.mmap(8 * 4096);
-  Region r(1, as_, {Segment{addr, 8 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 8 * 4096}});
   mgr.ensure_pinned(r, [](bool) {});
   eng_.run();
   ASSERT_TRUE(r.fully_pinned());
@@ -209,21 +203,20 @@ TEST_F(PinManagerTest, MmuInvalidationUnpinsAndRepinsOnNextUse) {
   EXPECT_TRUE(ok);
   EXPECT_TRUE(r.fully_pinned());
   EXPECT_EQ(counters_.repins, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, InvalidationOutsideRegionIsIgnored) {
   auto mgr = make({});
   const auto addr = as_.mmap(4 * 4096);
   const auto other = as_.mmap(4 * 4096);
-  Region r(1, as_, {Segment{addr, 4 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 4 * 4096}});
   mgr.ensure_pinned(r, [](bool) {});
   eng_.run();
   mgr.invalidate_range(other, other + 4 * 4096);
   EXPECT_TRUE(r.fully_pinned());
   EXPECT_EQ(counters_.notifier_invalidations, 0u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, InvalidationDuringAsyncPinRestartsIt) {
@@ -232,8 +225,7 @@ TEST_F(PinManagerTest, InvalidationDuringAsyncPinRestartsIt) {
   cfg.pin_chunk_pages = 4;
   auto mgr = make(cfg);
   const auto addr = as_.mmap(64 * 4096);
-  Region r(1, as_, {Segment{addr, 64 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 64 * 4096}});
   bool done = false, ok = false;
   mgr.ensure_pinned(r, /*overlapped=*/false,
                     [&](bool o) { done = true, ok = o; });
@@ -254,7 +246,7 @@ TEST_F(PinManagerTest, InvalidationDuringAsyncPinRestartsIt) {
   EXPECT_TRUE(r.fully_pinned());
   EXPECT_EQ(pm_.pinned_pages(), r.pinned_pages());
   EXPECT_GE(counters_.pin_inval_restarts, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
@@ -268,8 +260,7 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
   cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   auto mgr = make(cfg);
   const auto addr = as_.mmap(16 * 4096);
-  Region r(1, as_, {Segment{addr, 16 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 16 * 4096}});
   bool done = false, ok = true;
   mgr.ensure_pinned(r, /*overlapped=*/false,
                     [&](bool o) { done = true, ok = o; });
@@ -297,7 +288,7 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
   eng_.run();
   EXPECT_TRUE(ok2);
   EXPECT_TRUE(r.fully_pinned());
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
@@ -305,12 +296,9 @@ TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
   // idle region is shed, not the lowest id or the oldest pin.
   auto mgr = make({});
   pm_.set_pin_quota(20);
-  Region a = make_region(8 * 4096, 1);
-  Region b = make_region(8 * 4096, 2);
-  Region c = make_region(8 * 4096, 3);
-  mgr.register_region(a);
-  mgr.register_region(b);
-  mgr.register_region(c);
+  Region& a = make_region(mgr, 8 * 4096);
+  Region& b = make_region(mgr, 8 * 4096);
+  Region& c = make_region(mgr, 8 * 4096);
 
   mgr.ensure_pinned(a, [](bool) {});
   eng_.run();
@@ -327,9 +315,9 @@ TEST_F(PinManagerTest, MemoryPressureShedsLruIdleRegion) {
   EXPECT_EQ(counters_.pressure_unpins, 1u);
   EXPECT_LE(pm_.pinned_pages(), 20u);
   pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
-  mgr.unregister_region(a);
-  mgr.unregister_region(b);
-  mgr.unregister_region(c);
+  mgr.undeclare(a.id());
+  mgr.undeclare(b.id());
+  mgr.undeclare(c.id());
 }
 
 TEST_F(PinManagerTest, PressureNeverEvictsRegionsInUse) {
@@ -337,10 +325,8 @@ TEST_F(PinManagerTest, PressureNeverEvictsRegionsInUse) {
   cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   auto mgr = make(cfg);
   pm_.set_pin_quota(10);
-  Region a = make_region(8 * 4096, 1);
-  Region b = make_region(8 * 4096, 2);
-  mgr.register_region(a);
-  mgr.register_region(b);
+  Region& a = make_region(mgr, 8 * 4096);
+  Region& b = make_region(mgr, 8 * 4096);
   mgr.ensure_pinned(a, [](bool) {});
   eng_.run();
   a.add_use();  // active communication
@@ -366,8 +352,8 @@ TEST_F(PinManagerTest, PressureNeverEvictsRegionsInUse) {
   EXPECT_TRUE(b.fully_pinned());
   EXPECT_LE(pm_.pinned_pages(), 10u);
   pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
-  mgr.unregister_region(a);
-  mgr.unregister_region(b);
+  mgr.undeclare(a.id());
+  mgr.undeclare(b.id());
 }
 
 TEST(PinManagerOom, FrameExhaustionFailsTheRequestGracefully) {
@@ -380,15 +366,14 @@ TEST(PinManagerOom, FrameExhaustionFailsTheRequestGracefully) {
   PinManager mgr(eng, core, cpu::xeon_e5460(), cfg, counters);
 
   const auto addr = as.mmap(128 * 4096);  // cannot possibly fit
-  Region r(1, as, {Segment{addr, 128 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as, {Segment{addr, 128 * 4096}});
   bool ok = true;
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
   eng.run();  // must not throw out of the event loop
   EXPECT_FALSE(ok);
   EXPECT_EQ(r.state(), Region::PinState::kFailed);
   EXPECT_EQ(pm.pinned_pages(), 0u);  // partial pins rolled back
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST(PinManagerOom, ShedsIdleRegionToSatisfyNewPin) {
@@ -402,10 +387,8 @@ TEST(PinManagerOom, ShedsIdleRegionToSatisfyNewPin) {
 
   const auto a1 = as.mmap(40 * 4096);
   const auto a2 = as.mmap(40 * 4096);
-  Region r1(1, as, {Segment{a1, 40 * 4096}});
-  Region r2(2, as, {Segment{a2, 40 * 4096}});
-  mgr.register_region(r1);
-  mgr.register_region(r2);
+  Region& r1 = mgr.declare(as, {Segment{a1, 40 * 4096}});
+  Region& r2 = mgr.declare(as, {Segment{a2, 40 * 4096}});
 
   mgr.ensure_pinned(r1, [](bool) {});
   eng.run();
@@ -420,8 +403,8 @@ TEST(PinManagerOom, ShedsIdleRegionToSatisfyNewPin) {
   EXPECT_TRUE(r2.fully_pinned());
   EXPECT_EQ(r1.pinned_pages(), 0u);
   EXPECT_GE(counters.pressure_unpins, 1u);
-  mgr.unregister_region(r1);
-  mgr.unregister_region(r2);
+  mgr.undeclare(r1.id());
+  mgr.undeclare(r2.id());
 }
 
 // --- kFailed is retryable, quotas, pressure injection ------------------------
@@ -442,8 +425,7 @@ TEST(PinManagerRecovery, FailedRegionResetsAndRepinsOnDemand) {
   const auto hog_addr = as.mmap(50 * 4096);
   auto hog = as.pin_range(hog_addr, 50 * 4096);  // unreclaimable ballast
   const auto addr = as.mmap(30 * 4096);
-  Region r(1, as, {Segment{addr, 30 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as, {Segment{addr, 30 * 4096}});
 
   bool ok = true;
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
@@ -463,7 +445,7 @@ TEST(PinManagerRecovery, FailedRegionResetsAndRepinsOnDemand) {
   EXPECT_TRUE(ok2);
   EXPECT_TRUE(r.fully_pinned());
   EXPECT_GE(counters.pin_fail_resets, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
   EXPECT_EQ(pm.pinned_pages(), 0u);
 }
 
@@ -473,8 +455,7 @@ TEST_F(PinManagerTest, QuotaZeroStarvationEndsGracefully) {
   cfg.pin_retry_budget = 6;
   auto mgr = make(cfg);
   pm_.set_pin_quota(0);  // permanently starved: no pin can ever succeed
-  Region r = make_region(8 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 8 * 4096);
 
   bool ok = true;
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
@@ -488,7 +469,7 @@ TEST_F(PinManagerTest, QuotaZeroStarvationEndsGracefully) {
   EXPECT_EQ(pm_.pinned_pages(), 0u);
   EXPECT_GE(pm_.quota_denials(), 1u);
   pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, QuotaEvictsLruIdleRegionLikeDriverLimit) {
@@ -496,12 +477,9 @@ TEST_F(PinManagerTest, QuotaEvictsLruIdleRegionLikeDriverLimit) {
   // past it.
   auto mgr = make({});
   pm_.set_pin_quota(20);
-  Region a = make_region(8 * 4096, 1);
-  Region b = make_region(8 * 4096, 2);
-  Region c = make_region(8 * 4096, 3);
-  mgr.register_region(a);
-  mgr.register_region(b);
-  mgr.register_region(c);
+  Region& a = make_region(mgr, 8 * 4096);
+  Region& b = make_region(mgr, 8 * 4096);
+  Region& c = make_region(mgr, 8 * 4096);
 
   mgr.ensure_pinned(a, [](bool) {});
   eng_.run();
@@ -516,9 +494,9 @@ TEST_F(PinManagerTest, QuotaEvictsLruIdleRegionLikeDriverLimit) {
   EXPECT_GE(counters_.pressure_unpins, 1u);
   EXPECT_LE(pm_.pinned_pages(), 20u);
   pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
-  mgr.unregister_region(a);
-  mgr.unregister_region(b);
-  mgr.unregister_region(c);
+  mgr.undeclare(a.id());
+  mgr.undeclare(b.id());
+  mgr.undeclare(c.id());
 }
 
 TEST_F(PinManagerTest, ChunkShrinksToQuotaHeadroomAndHealsWhenItFrees) {
@@ -527,10 +505,8 @@ TEST_F(PinManagerTest, ChunkShrinksToQuotaHeadroomAndHealsWhenItFrees) {
   cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   auto mgr = make(cfg);
   pm_.set_pin_quota(20);
-  Region busy = make_region(8 * 4096, 1);
-  Region big = make_region(16 * 4096, 2);
-  mgr.register_region(busy);
-  mgr.register_region(big);
+  Region& busy = make_region(mgr, 8 * 4096);
+  Region& big = make_region(mgr, 16 * 4096);
 
   mgr.ensure_pinned(busy, [](bool) {});
   eng_.run();
@@ -555,8 +531,8 @@ TEST_F(PinManagerTest, ChunkShrinksToQuotaHeadroomAndHealsWhenItFrees) {
   EXPECT_TRUE(ok);
   EXPECT_TRUE(big.fully_pinned());
   pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
-  mgr.unregister_region(busy);
-  mgr.unregister_region(big);
+  mgr.undeclare(busy.id());
+  mgr.undeclare(big.id());
 }
 
 TEST_F(PinManagerTest, InjectedDenialsRetryUntilPressureLifts) {
@@ -570,8 +546,7 @@ TEST_F(PinManagerTest, InjectedDenialsRetryUntilPressureLifts) {
   cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
   cfg.pin_retry_budget = 64;
   auto mgr = make(cfg);
-  Region r = make_region(8 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 8 * 4096);
 
   bool done = false, ok = false;
   mgr.ensure_pinned(r, [&](bool o) { done = true; ok = o; });
@@ -588,13 +563,12 @@ TEST_F(PinManagerTest, InjectedDenialsRetryUntilPressureLifts) {
   EXPECT_TRUE(ok);
   EXPECT_TRUE(r.fully_pinned());
   pm_.set_pressure(nullptr);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, UnpinChargesKernelTimeToTheCore) {
   auto mgr = make({});
-  Region r = make_region(32 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 32 * 4096);
   mgr.ensure_pinned(r, [](bool) {});
   eng_.run();
   const sim::Time busy_before = core_.stats().total_busy();
@@ -602,7 +576,7 @@ TEST_F(PinManagerTest, UnpinChargesKernelTimeToTheCore) {
   eng_.run();
   EXPECT_EQ(core_.stats().total_busy() - busy_before,
             cpu::xeon_e5460().unpin_cost(32));
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 // --- frontier waiters (when_pinned) -----------------------------------------
@@ -611,8 +585,7 @@ TEST_F(PinManagerTest, FrontierWaitersWakeInTargetThenArrivalOrder) {
   PinningConfig cfg;
   cfg.pin_chunk_pages = 4;
   auto mgr = make(cfg);
-  Region r = make_region(32 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 32 * 4096);
 
   // (name, frontier when it ran), in call order.
   std::vector<std::pair<char, std::size_t>> woke;
@@ -635,7 +608,7 @@ TEST_F(PinManagerTest, FrontierWaitersWakeInTargetThenArrivalOrder) {
       {'b', 8}, {'f', 8}, {'a', 16}, {'c', 16}, {'d', 32}, {'e', 32}};
   EXPECT_EQ(woke, want);
   EXPECT_EQ(counters_.pin_ops, 1u);  // one job served every target
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, CoveredFrontierTargetFiresInline) {
@@ -643,8 +616,7 @@ TEST_F(PinManagerTest, CoveredFrontierTargetFiresInline) {
   cfg.overlapped = true;
   cfg.pin_chunk_pages = 4;
   auto mgr = make(cfg);
-  Region r = make_region(32 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 32 * 4096);
   mgr.ensure_pinned(r, [](bool) {});
   while (r.pinned_pages() < 8 && eng_.step()) {
   }
@@ -663,7 +635,7 @@ TEST_F(PinManagerTest, CoveredFrontierTargetFiresInline) {
   mgr.when_pinned(r, 32, [&](bool ok) { fired += ok ? 1 : 100; });
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(counters_.pin_ops, 1u);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, TruncatedFrontierMakesWaitersWaitAgain) {
@@ -671,8 +643,7 @@ TEST_F(PinManagerTest, TruncatedFrontierMakesWaitersWaitAgain) {
   cfg.pin_chunk_pages = 4;
   auto mgr = make(cfg);
   const auto addr = as_.mmap(32 * 4096);
-  Region r(1, as_, {Segment{addr, 32 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 32 * 4096}});
 
   std::size_t fired_at = 0;
   mgr.when_pinned(r, 24, [&](bool ok) {
@@ -693,7 +664,7 @@ TEST_F(PinManagerTest, TruncatedFrontierMakesWaitersWaitAgain) {
   EXPECT_EQ(counters_.pin_inval_restarts, 1u);
   eng_.run();
   EXPECT_TRUE(r.fully_pinned());
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, FailedJobFailsEachPendingWaiterOnce) {
@@ -702,8 +673,7 @@ TEST_F(PinManagerTest, FailedJobFailsEachPendingWaiterOnce) {
   auto mgr = make(cfg);
   const auto addr = as_.mmap(4 * 4096);
   as_.munmap(addr + 2 * 4096, 2 * 4096);  // pages 2 and 3 are invalid
-  Region r(1, as_, {Segment{addr, 4 * 4096}});
-  mgr.register_region(r);
+  Region& r = mgr.declare(as_, {Segment{addr, 4 * 4096}});
   int handler_calls = 0;
   mgr.set_failure_handler([&](Region&) { ++handler_calls; });
 
@@ -724,15 +694,14 @@ TEST_F(PinManagerTest, FailedJobFailsEachPendingWaiterOnce) {
   EXPECT_EQ(fails, (std::vector<int>{0, 1, 1, 1}));
   EXPECT_EQ(handler_calls, 1);
   EXPECT_EQ(r.state(), Region::PinState::kFailed);
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
 }
 
 TEST_F(PinManagerTest, UnregisterDropsPendingWaitersUncalled) {
   PinningConfig cfg;
   cfg.pin_chunk_pages = 4;
   auto mgr = make(cfg);
-  Region r = make_region(32 * 4096);
-  mgr.register_region(r);
+  Region& r = make_region(mgr, 32 * 4096);
 
   bool called = false;
   auto token = std::make_shared<int>(0);
@@ -742,11 +711,139 @@ TEST_F(PinManagerTest, UnregisterDropsPendingWaitersUncalled) {
   });
   while (r.pinned_pages() < 8 && eng_.step()) {
   }
-  mgr.unregister_region(r);
+  mgr.undeclare(r.id());
   EXPECT_TRUE(held.expired());  // the waiter is gone with the region
   eng_.run();
   EXPECT_FALSE(called);
   EXPECT_EQ(pm_.pinned_pages(), 0u);
+}
+
+// --- declared regions ---------------------------------------------------------
+
+TEST_F(PinManagerTest, DeclareHandsOutAscendingIdsNeverReused) {
+  auto mgr = make({});
+  const RegionId a = make_region(mgr, 4096).id();
+  const RegionId b = make_region(mgr, 4096).id();
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 2u);
+  mgr.undeclare(b);
+  EXPECT_EQ(mgr.find(b), nullptr);
+  EXPECT_THROW(mgr.undeclare(b), std::invalid_argument);
+  EXPECT_EQ(make_region(mgr, 4096).id(), 3u);
+  EXPECT_EQ(mgr.find(a)->id(), a);
+}
+
+TEST_F(PinManagerTest, DestructorUnpinsWhatIsStillDeclared) {
+  {
+    PinningConfig cfg;
+    cfg.pin_chunk_pages = 4;
+    auto mgr = make(cfg);
+    Region& idle = make_region(mgr, 8 * 4096);
+    Region& busy = make_region(mgr, 32 * 4096);
+    mgr.ensure_pinned(idle, [](bool) {});
+    eng_.run();
+    mgr.ensure_pinned(busy, [](bool) {});
+    while (busy.pinned_pages() < 8 && eng_.step()) {
+    }
+    ASSERT_GT(pm_.pinned_pages(), 8u);
+  }
+  EXPECT_EQ(pm_.pinned_pages(), 0u);
+  eng_.run();  // the cancelled job's pending chunk must not touch anything
+  EXPECT_EQ(pm_.pinned_pages(), 0u);
+}
+
+TEST_F(PinManagerTest, RestartBackoffOfAnUndeclaredRegionSkipsTheNextOne) {
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 4;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
+  auto mgr = make(cfg);
+  Region& r = make_region(mgr, 32 * 4096);
+  const mem::VirtAddr addr = r.segments().front().addr;
+  mgr.ensure_pinned(r, [](bool) {});
+  while (r.pinned_pages() < 8 && eng_.step()) {
+  }
+  // Invalidated mid-pin: the job restarts after a backoff. The region is
+  // undeclared before the backoff fires, and the next declaration must not
+  // inherit the restart.
+  mgr.invalidate_range(addr, addr + 32 * 4096);
+  ASSERT_EQ(counters_.pin_inval_restarts, 1u);
+  const RegionId gone = r.id();
+  mgr.undeclare(gone);
+  Region& next = make_region(mgr, 32 * 4096);
+  EXPECT_NE(next.id(), gone);
+  eng_.run();
+  EXPECT_EQ(next.pinned_pages(), 0u);
+  EXPECT_EQ(next.state(), Region::PinState::kUnpinned);
+  EXPECT_EQ(counters_.pin_ops, 1u);
+  EXPECT_EQ(pm_.pinned_pages(), 0u);
+  mgr.undeclare(next.id());
+}
+
+// --- one close per pin job ---------------------------------------------------
+
+/// Pin events a manager emits, captured through a relay.
+struct PinEvents {
+  explicit PinEvents(sim::Engine& eng) : bus(eng) {
+    bus.attach(&sink);
+    relay.set_bus(&bus);
+  }
+  [[nodiscard]] std::size_t count(obs::EventKind kind) const {
+    return static_cast<std::size_t>(
+        std::ranges::count(sink.events, kind, &obs::Event::kind));
+  }
+  obs::Bus bus;
+  test::CaptureSink sink;
+  obs::Relay relay;
+};
+
+TEST_F(PinManagerTest, RetryBudgetEndsTheJobWithOnePinFail) {
+  PinEvents events(eng_);
+  PinningConfig cfg;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
+  cfg.pin_retry_budget = 3;
+  auto mgr = make(cfg);
+  mgr.set_relay(&events.relay);
+  pm_.set_pin_quota(0);
+  Region& r = make_region(mgr, 8 * 4096);
+  bool ok = true;
+  mgr.ensure_pinned(r, [&](bool o) { ok = o; });
+  eng_.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(counters_.pin_retry_exhausted, 1u);
+  EXPECT_EQ(events.count(obs::EventKind::kPinStart), 1u);
+  EXPECT_EQ(events.count(obs::EventKind::kPinFail), 1u);
+  const auto fail = events.sink.find_first(obs::EventKind::kPinFail,
+                                           "retry budget exhausted");
+  EXPECT_NE(fail, test::CaptureSink::npos);
+  pm_.set_pin_quota(std::numeric_limits<std::size_t>::max());
+  mgr.undeclare(r.id());
+}
+
+TEST_F(PinManagerTest, RestartBudgetEndsTheJobWithOnePinFail) {
+  PinEvents events(eng_);
+  PinningConfig cfg;
+  cfg.pin_chunk_pages = 4;
+  cfg.pin_retry_budget = 2;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
+  auto mgr = make(cfg);
+  mgr.set_relay(&events.relay);
+  Region& r = make_region(mgr, 16 * 4096);
+  const mem::VirtAddr addr = r.segments().front().addr;
+  bool done = false, ok = true;
+  mgr.ensure_pinned(r, /*overlapped=*/false,
+                    [&](bool o) { done = true, ok = o; });
+  while (!done && eng_.step()) {
+    if (r.pinned_pages() > 0) mgr.invalidate_range(addr, addr + 16 * 4096);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(counters_.pin_inval_restarts, 2u);
+  EXPECT_EQ(events.count(obs::EventKind::kPinStart), 1u);
+  EXPECT_EQ(events.count(obs::EventKind::kPinFail), 1u);
+  const auto fail = events.sink.find_first(
+      obs::EventKind::kPinFail, "invalidation restart budget exhausted");
+  EXPECT_NE(fail, test::CaptureSink::npos);
+  mgr.undeclare(r.id());
 }
 
 }  // namespace

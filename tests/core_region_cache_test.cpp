@@ -20,11 +20,13 @@ struct FakeDriver {
   void undeclare(RegionId id) {
     ASSERT_EQ(live.erase(id), 1u) << "undeclare of unknown region";
     ++undeclares;
+    undeclared.push_back(id);
   }
   RegionId next = 1;
   std::set<RegionId> live;
   int declares = 0;
   int undeclares = 0;
+  std::vector<RegionId> undeclared;  // in undeclare order
 };
 
 RegionCache make_cache(FakeDriver& drv, bool enabled, std::size_t capacity) {
@@ -151,6 +153,54 @@ TEST(RegionCache, ClearUndeclaresIdleEntries) {
   cache.clear();
   EXPECT_EQ(drv.undeclares, 2);
   EXPECT_TRUE(drv.live.empty());
+}
+
+TEST(RegionCache, ClearUndeclaresLeastRecentlyIdleFirst) {
+  FakeDriver drv;
+  auto cache = make_cache(drv, true, 8);
+  const RegionId a = cache.acquire(seg(0x1000, 4096));
+  const RegionId b = cache.acquire(seg(0x2000, 4096));
+  const RegionId c = cache.acquire(seg(0x3000, 4096));
+  cache.release(b);
+  cache.release(c);
+  cache.release(a);
+  cache.clear();
+  EXPECT_EQ(drv.undeclared, (std::vector<RegionId>{b, c, a}));
+}
+
+TEST(RegionCache, EvictionsUndeclareLeastRecentlyIdleFirst) {
+  FakeDriver drv;
+  auto cache = make_cache(drv, true, 3);
+  const RegionId a = cache.acquire(seg(0x1000, 4096));
+  const RegionId b = cache.acquire(seg(0x2000, 4096));
+  const RegionId c = cache.acquire(seg(0x3000, 4096));
+  cache.release(b);
+  cache.release(a);
+  cache.release(c);
+  // Two misses past capacity evict the two entries idle the longest, not
+  // the lowest ids or the oldest declarations.
+  const RegionId d = cache.acquire(seg(0x4000, 4096));
+  const RegionId e = cache.acquire(seg(0x5000, 4096));
+  EXPECT_EQ(drv.undeclared, (std::vector<RegionId>{b, a}));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  cache.release(d);
+  cache.release(e);
+}
+
+TEST(RegionCache, ReacquireThenReleaseMakesEntryMostRecent) {
+  FakeDriver drv;
+  auto cache = make_cache(drv, true, 2);
+  const RegionId a = cache.acquire(seg(0x1000, 4096));
+  cache.release(a);
+  const RegionId b = cache.acquire(seg(0x2000, 4096));
+  cache.release(b);
+  cache.release(cache.acquire(seg(0x1000, 4096)));  // a idle again, newest
+  cache.release(cache.acquire(seg(0x3000, 4096)));
+  cache.release(cache.acquire(seg(0x4000, 4096)));
+  ASSERT_EQ(drv.undeclared.size(), 2u);
+  EXPECT_EQ(drv.undeclared[0], b);
+  EXPECT_EQ(drv.undeclared[1], a);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(RegionCache, DestructorDrainsCache) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,13 +34,9 @@ struct Tenants {
   /// it whole; `done` (optional) receives the pin job's verdict.
   Region& start_pin(std::size_t p, std::size_t pages, bool* done = nullptr) {
     auto& as = host.process(p).as;
-    regions_.push_back({p, std::make_unique<Region>(
-                               next_id_++, as,
-                               std::vector<Segment>{
-                                   {as.mmap(pages * mem::kPageSize),
-                                    pages * mem::kPageSize}})});
-    Region& r = *regions_.back().region;
-    manager(p).register_region(r);
+    Region& r = manager(p).declare(
+        as, {Segment{as.mmap(pages * mem::kPageSize), pages * mem::kPageSize}});
+    regions_.push_back({p, r.id()});
     manager(p).ensure_pinned(r, /*overlapped=*/false, [done](bool ok) {
       if (done != nullptr) *done = ok;
     });
@@ -78,7 +73,7 @@ struct Tenants {
  private:
   struct Pinned {
     std::size_t proc = 0;
-    std::unique_ptr<Region> region;
+    RegionId region = kInvalidRegion;
   };
 
   static Host::Config host_config() {
@@ -88,13 +83,12 @@ struct Tenants {
   }
 
   void release(Pinned& x) {
-    if (x.region == nullptr) return;
-    manager(x.proc).unregister_region(*x.region);
-    x.region.reset();
+    if (x.region == kInvalidRegion) return;
+    manager(x.proc).undeclare(x.region);
+    x.region = kInvalidRegion;
   }
 
   std::vector<Pinned> regions_;
-  RegionId next_id_ = 1;
 };
 
 // The tenant holding the most pinned pages sheds first, whatever the join

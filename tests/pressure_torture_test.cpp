@@ -52,10 +52,9 @@ struct Torture {
         mgr(eng, core, cpu::xeon_e5460(), fast_cfg(), counters),
         notifier(mgr),
         addr(as.mmap(kBytes)),
-        region(1, as, {Segment{addr, kBytes}}),
+        region(mgr.declare(as, {Segment{addr, kBytes}})),
         expect(kBytes) {
     as.register_notifier(&notifier);
-    mgr.register_region(region);
     // Every enumerated schedule also streams through the online invariant
     // checker: no interleaving may make pins survive an invalidation or the
     // frontier retreat without cause.
@@ -102,7 +101,7 @@ struct Torture {
     ASSERT_EQ(region.copy_out(0, out), Region::AccessResult::kOk);
     ASSERT_EQ(out, expect);
     ASSERT_EQ(pm.pinned_pages(), region.pinned_pages());
-    mgr.unregister_region(region);
+    mgr.undeclare(region.id());
     ASSERT_EQ(pm.pinned_pages(), 0u);
     checker.finalize();
     ASSERT_TRUE(checker.ok()) << checker.report();
@@ -113,14 +112,15 @@ struct Torture {
   mem::AddressSpace as;
   cpu::Core core;
   Counters counters;
-  PinManager mgr;
-  ForwardingNotifier notifier;
-  mem::VirtAddr addr;
-  Region region;
-  std::vector<std::byte> expect;
+  // The sinks outlive the manager, which unpins what is still declared.
   obs::Bus bus{eng};
   obs::InvariantChecker checker{mem::kPageSize};
   obs::Relay relay;
+  PinManager mgr;
+  ForwardingNotifier notifier;
+  mem::VirtAddr addr;
+  Region& region;
+  std::vector<std::byte> expect;
 };
 
 std::vector<std::byte> payload(std::size_t n, int salt) {
