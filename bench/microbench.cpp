@@ -313,6 +313,25 @@ void BM_HostConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_HostConstruct)->Unit(benchmark::kMillisecond);
 
+/// Builds one host with a pool one frame larger than any built before it in
+/// this process, starting at the 16 MB cell's: no cached arena fits, so
+/// every construction unmaps the cached arenas and populates a fresh one,
+/// as the first 16 MB cell of a process does.
+void BM_HostConstructCold(benchmark::State& state) {
+  static std::size_t frames = kImbCellFrames;
+  core::Host::Config hc;
+  for (auto _ : state) {
+    hc.memory_frames = frames++;
+    sim::Engine eng;
+    net::Fabric fabric(eng);
+    core::Host host(eng, fabric, hc, core::overlapped_cache_config());
+    benchmark::DoNotOptimize(host.memory().free_frames());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kImbCellFrames * mem::kPageSize));
+}
+BENCHMARK(BM_HostConstructCold)->Unit(benchmark::kMillisecond);
+
 /// Rebuilds the 16 MB cell's host after a host whose rank reserved the
 /// cell's buffers: the timed construction re-zeroes the frames that rank
 /// wrote. Only the second construction is timed.

@@ -35,7 +35,13 @@ namespace pinsim::core {
   X("reliability", pull_rerequests, "rerequests",                            \
     "optimistic gap-driven re-requests")                                     \
   X("reliability", retransmit_timeouts, "timeouts",                          \
-    "send timer ticks that resent a frame")                                  \
+    "timer ticks of every kind: the sum of the next three rows")             \
+  X("reliability", send_timeouts, "send_timeouts",                           \
+    "send timer ticks that resent an eager or RNDV frame")                   \
+  X("reliability", notify_timeouts, "notify_timeouts",                       \
+    "NOTIFY timer ticks that resent a NOTIFY")                               \
+  X("reliability", pull_stall_ticks, "pull_stall_ticks",                     \
+    "pull timer ticks without progress that re-requested every block")       \
   X("reliability", duplicate_frames, "dups", "duplicate frames received")    \
   X("reliability", aborts, "aborts", "requests aborted")                     \
   X("faults", frames_corrupted, "corrupted", "frames that failed to decode") \

@@ -306,6 +306,7 @@ void Endpoint::arm_send_rto(SendRequest& req) {
         // Once a PULL arrived the receiver drives the rendezvous: a tick
         // then resends nothing, so it is no retransmission.
         if (r.eager || !r.pull_seen) {
+          ++counters_.send_timeouts;
           ++counters_.retransmit_timeouts;
           obs::Event e = ev(obs::EventKind::kRetransmit);
           e.seq = seq;
@@ -1134,6 +1135,7 @@ void Endpoint::send_notify(PullState& ps) {
           destroy_pull(handle);
           return;
         }
+        ++counters_.notify_timeouts;
         ++counters_.retransmit_timeouts;
         send_notify(p);
       }),
@@ -1164,6 +1166,7 @@ void Endpoint::arm_pull_rto(PullState& ps) {
                                    : AbortCause::kPullStall);
             return;
           }
+          ++counters_.pull_stall_ticks;
           ++counters_.retransmit_timeouts;
           {
             obs::Event e = ev(obs::EventKind::kPullRetry);

@@ -1,12 +1,16 @@
 #include "mem/physical_memory.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <new>
+#include <thread>
 
 #if defined(__linux__)
+#include <sched.h>
 #include <sys/mman.h>
 #endif
 
@@ -34,8 +38,9 @@ struct Arena {
 
 /// Arenas of destroyed pools, still mapped and populated, for the next pool
 /// of this process. Never destroyed, so a pool destroyed during static
-/// teardown can still return its arena. Unsynchronized: the simulator is
-/// single-threaded.
+/// teardown can still return its arena. Unsynchronized: only the thread
+/// that constructs or destroys a pool touches it; the helpers of
+/// `for_each_slice` see nothing but their own bytes.
 std::vector<Arena>& arena_cache() {
   // pinlint: allow(D3: leaked on purpose; pools outlive static destructors)
   static auto* cache = new std::vector<Arena>;
@@ -45,6 +50,78 @@ std::vector<Arena>& arena_cache() {
 void unmap(const Arena& a) {
   ASAN_UNPOISON_MEMORY_REGION(a.bytes, a.frames * kPageSize);
   ::munmap(a.bytes, a.frames * kPageSize);
+}
+
+/// Slices a set-up pass is split into: at most this many, and each at least
+/// kMinSliceFrames long, so a pool under twice that stays on one thread.
+constexpr std::size_t kMaxSlices = 4;
+constexpr std::size_t kMinSliceFrames = (1u << 20) / kPageSize;
+
+/// One slice per core this process may run on, within the bounds above.
+std::size_t slice_count(std::size_t frames) {
+  std::size_t cores = 1;
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+    cores = static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::clamp<std::size_t>(
+      std::min(cores, frames / kMinSliceFrames), 1, kMaxSlices);
+}
+
+/// Runs `op(bytes, len)` over the first `frames` frames at `base`, split
+/// into page-aligned slices: the calling thread takes the first and a
+/// short-lived helper thread each of the others; a slice whose helper
+/// cannot start runs on the caller. Returns once every helper is joined:
+/// whether `op` succeeded on every slice.
+template <class Op>
+bool for_each_slice(std::byte* base, std::size_t frames, Op op) {
+  const std::size_t n = slice_count(frames);
+  std::array<bool, kMaxSlices> ok{};
+  const auto run = [&](std::size_t i) {
+    const std::size_t lo = frames * i / n;
+    const std::size_t hi = frames * (i + 1) / n;
+    ok[i] = op(base + lo * kPageSize, (hi - lo) * kPageSize);
+  };
+  std::array<std::thread, kMaxSlices> helpers;
+  for (std::size_t i = 1; i < n; ++i) {
+    try {
+      helpers[i] = std::thread(run, i);
+    } catch (const std::exception&) {
+      // No thread to spare: the loop below runs this slice here.
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!helpers[i].joinable()) run(i);
+  }
+  for (std::thread& t : helpers) {
+    if (t.joinable()) t.join();
+  }
+  return std::all_of(ok.begin(), ok.begin() + n, [](bool b) { return b; });
+}
+
+std::byte* map_anonymous(std::size_t len, int flags) {
+  void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | flags, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc{};
+  return static_cast<std::byte*>(p);
+}
+
+/// Maps `frames` fresh frames with every page faulted in as a zero page:
+/// `MADV_POPULATE_WRITE` in parallel slices, or, where the kernel refuses
+/// that advice (EINVAL before Linux 5.14), one single-threaded
+/// `MAP_POPULATE`.
+std::byte* map_populated(std::size_t frames) {
+  const std::size_t len = frames * kPageSize;
+#if defined(MADV_POPULATE_WRITE)
+  std::byte* bytes = map_anonymous(len, 0);
+  if (for_each_slice(bytes, frames, [](std::byte* b, std::size_t n) {
+        return ::madvise(b, n, MADV_POPULATE_WRITE) == 0;
+      })) {
+    return bytes;
+  }
+  ::munmap(bytes, len);
+#endif
+  return map_anonymous(len, MAP_POPULATE);
 }
 
 /// Hands out the smallest cached arena of at least `frames` frames with its
@@ -64,15 +141,16 @@ Arena acquire_arena(std::size_t frames) {
     const Arena a = *best;
     cache.erase(best);
     ASAN_UNPOISON_MEMORY_REGION(a.bytes, frames * kPageSize);
-    std::memset(a.bytes, 0, std::min(a.dirty, frames) * kPageSize);
+    for_each_slice(a.bytes, std::min(a.dirty, frames),
+                   [](std::byte* b, std::size_t n) {
+                     std::memset(b, 0, n);
+                     return true;
+                   });
     return a;
   }
   for (const Arena& a : cache) unmap(a);
   cache.clear();
-  void* p = ::mmap(nullptr, frames * kPageSize, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc{};
-  return {static_cast<std::byte*>(p), frames, 0};
+  return {map_populated(frames), frames, 0};
 }
 
 #endif

@@ -24,13 +24,19 @@ class PressureInjector;
 ///
 /// Zero-once contract: like the kernel zero-filling a fresh anonymous page,
 /// every byte of the pool is zeroed exactly once before anyone can see it.
-/// On Linux the pool is one private anonymous mapping populated at
-/// construction (MAP_POPULATE), so the kernel hands over zero pages and no
-/// user-space pass writes over them; elsewhere it is value-initialised heap
-/// storage. The kernel populates each mapping once per process: a destroyed
-/// pool hands its mapping (an "arena") to a process-wide cache, and the next
-/// pool takes the smallest cached arena that fits, zeroing during
-/// construction only the prefix of frames earlier pools handed out.
+/// On Linux the pool is one private anonymous mapping that the kernel
+/// populates with zero pages at construction, so no user-space pass writes
+/// over them; elsewhere it is value-initialised heap storage. The kernel
+/// populates each mapping once per process: a destroyed pool hands its
+/// mapping (an "arena") to a process-wide cache, and the next pool takes
+/// the smallest cached arena that fits, zeroing during construction only
+/// the prefix of frames earlier pools handed out. Construction splits the
+/// populate (MADV_POPULATE_WRITE) or the clear (memset) into page-aligned
+/// slices, one per core of the process's affinity mask (at most 4, each at
+/// least 1 MiB), and runs all but the first on short-lived helper threads
+/// that it joins before returning; a kernel that refuses the advice gets one
+/// MAP_POPULATE mapping instead. The cache itself is touched only by the
+/// constructing or destroying thread.
 /// `alloc()` then re-zeroes only recycled frames: the free list is LIFO and
 /// starts as every frame in increasing id order, so never-used frames leave
 /// it in increasing id order and every frame at or above the pristine

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "cpu/core.hpp"
 #include "mem/address_space.hpp"
@@ -275,6 +280,14 @@ void dirty_every_frame(std::size_t frames, std::byte pattern) {
   }
 }
 
+/// Holds a pool larger than every pool built before it in this binary:
+/// mapping it missed the arena cache, which unmapped every cached arena, so
+/// while it lives the next pool maps a fresh arena.
+class EmptyArenaCache {
+  static inline std::size_t next_frames_ = 8192;
+  mem::PhysicalMemory big_{next_frames_++};
+};
+
 TEST(ZeroOnce, PoolAfterAFullyDirtiedPoolReadsZero) {
   constexpr std::size_t kFrames = 512;
   for (std::size_t frames : {kFrames / 2, kFrames, 2 * kFrames}) {
@@ -321,17 +334,92 @@ TEST(ZeroOnce, LivePoolsNeverShareFrames) {
 
 TEST(ZeroOnce, SmallPoolKeepsDirtPastItsRangeMarked) {
   // A small pool that writes nothing must not forget that an earlier, larger
-  // pool dirtied frames beyond its own range. kLarge exceeds every other
-  // pool in this binary, so its first pool maps afresh and leaves its arena
-  // as the only one the small pool can take.
+  // pool dirtied frames beyond its own range. The cache starts empty, so the
+  // large pool's arena is the only one the small pool can take.
   constexpr std::size_t kLarge = 4096;
   constexpr std::size_t kSmall = 8;
+  EmptyArenaCache empty;
   dirty_every_frame(kLarge, std::byte{0x99});
   { mem::PhysicalMemory small(kSmall); }
   mem::PhysicalMemory pm(kLarge);
   for (std::size_t i = 0; i < kLarge; ++i) {
     const auto f = pm.alloc();
     ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+  }
+}
+
+// Set-up splits a pool's populate, and an arena's dirty-prefix clear, into
+// page-aligned slices run on several threads. 1,031 frames split unevenly
+// (4 slices of 257 or 258 frames on four cores), so a slice boundary off by
+// one frame would leave a frame unpopulated or dirty.
+constexpr std::size_t kUnevenFrames = 1031;
+
+TEST(ZeroOnce, FreshPoolOfUnevenSlicesIsPopulatedAndZeroToItsLastFrame) {
+  EmptyArenaCache empty;
+  mem::PhysicalMemory pm(kUnevenFrames);
+  std::vector<mem::FrameId> frames;
+  for (std::size_t i = 0; i < kUnevenFrames; ++i) frames.push_back(pm.alloc());
+  EXPECT_EQ(pm.free_frames(), 0u);
+#if defined(__linux__)
+  // alloc() touches no pristine frame, so only set-up can have faulted the
+  // pages in: every one must be resident before anything reads it.
+  std::vector<unsigned char> resident(kUnevenFrames);
+  ASSERT_EQ(::mincore(pm.data(frames.front()).data(),
+                      kUnevenFrames * mem::kPageSize, resident.data()),
+            0);
+  for (std::size_t i = 0; i < kUnevenFrames; ++i) {
+    ASSERT_TRUE(resident[i] & 1) << "frame " << i << " was not populated";
+  }
+#endif
+  for (auto f : frames) ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+}
+
+TEST(ZeroOnce, DirtyPrefixEndingMidSliceIsClearedWhole) {
+  // 1,000 dirty frames end inside the last populate slice of the
+  // 1,031-frame pool, and the clear splits them into slices of its own
+  // (333, 333 and 334 frames on four cores).
+  constexpr std::size_t kDirty = 1000;
+  EmptyArenaCache empty;
+  std::uintptr_t first = 0;
+  {
+    mem::PhysicalMemory pm(kUnevenFrames);
+    for (std::size_t i = 0; i < kDirty; ++i) {
+      auto page = pm.data(pm.alloc());
+      std::fill(page.begin(), page.end(), std::byte{0xd1});
+      if (i == 0) first = reinterpret_cast<std::uintptr_t>(page.data());
+    }
+  }
+  mem::PhysicalMemory pm(kUnevenFrames);
+  for (std::size_t i = 0; i < kUnevenFrames; ++i) {
+    const auto f = pm.alloc();
+    if (i == 0) {  // the only cached arena: the one just dirtied
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(pm.data(f).data()), first);
+    }
+    ASSERT_TRUE(all_zero(pm.data(f))) << "frame " << f;
+  }
+}
+
+TEST(ZeroOnce, PoolsPopulatedInParallelSlicesNeverShareAFrame) {
+  EmptyArenaCache empty;
+  mem::PhysicalMemory a(kUnevenFrames);
+  mem::PhysicalMemory b(2 * kUnevenFrames);
+  std::vector<mem::FrameId> fa, fb;
+  for (std::size_t i = 0; i < a.total_frames(); ++i) fa.push_back(a.alloc());
+  for (std::size_t i = 0; i < b.total_frames(); ++i) fb.push_back(b.alloc());
+  for (auto f : fa) {
+    auto page = a.data(f);
+    std::fill(page.begin(), page.end(), std::byte{0xa7});
+  }
+  for (auto f : fb) ASSERT_TRUE(all_zero(b.data(f))) << "frame " << f;
+  for (auto f : fb) {
+    auto page = b.data(f);
+    std::fill(page.begin(), page.end(), std::byte{0x7a});
+  }
+  for (auto f : fa) {
+    const auto page = a.data(f);
+    ASSERT_TRUE(std::all_of(page.begin(), page.end(),
+                            [](std::byte x) { return x == std::byte{0xa7}; }))
+        << "frame " << f;
   }
 }
 

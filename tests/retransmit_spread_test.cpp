@@ -3,7 +3,8 @@
 // and RNDV), NOTIFY and pull-tick timers waits its nominal timeout t plus a
 // seeded draw from [0, t/2), so the N retries land at N distinct delays,
 // none before t and all before 1.5 t, and a second run of the same seeds
-// reproduces every delay exactly.
+// reproduces every delay exactly. Each timer also counts its ticks under its
+// own name, and `retransmit_timeouts` is their sum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,7 +122,8 @@ bool is_tx(const obs::Event& e, PacketType t) {
 }
 
 /// One retransmit timer, the frames lost to make it fire, the traffic that
-/// arms it, and the events that bracket its first wait.
+/// arms it, the events that bracket its first wait, and the counter its
+/// ticks move.
 struct Scenario {
   const char* name;
   std::vector<PacketType> drop;
@@ -129,6 +131,7 @@ struct Scenario {
   bool post_receives;
   bool (*arm)(const obs::Event&);
   bool (*fire)(const obs::Event&);
+  std::uint64_t Counters::*ticks;
 };
 
 const Scenario kScenarios[] = {
@@ -136,24 +139,28 @@ const Scenario kScenarios[] = {
      [](const obs::Event& e) { return is_tx(e, PacketType::kEager); },
      [](const obs::Event& e) {
        return e.kind == obs::EventKind::kRetransmit;
-     }},
+     },
+     &Counters::send_timeouts},
     {"rndv_send", {PacketType::kRndv}, kRndv, true,
      [](const obs::Event& e) { return is_tx(e, PacketType::kRndv); },
      [](const obs::Event& e) {
        return e.kind == obs::EventKind::kRetransmit;
-     }},
+     },
+     &Counters::send_timeouts},
     // The NOTIFY timer re-sends the NOTIFY itself: its wait runs from the
     // first NOTIFY to the second.
     {"notify", {PacketType::kNotify}, kRndv, true,
      [](const obs::Event& e) { return is_tx(e, PacketType::kNotify); },
-     [](const obs::Event& e) { return is_tx(e, PacketType::kNotify); }},
+     [](const obs::Event& e) { return is_tx(e, PacketType::kNotify); },
+     &Counters::notify_timeouts},
     {"pull_tick", {PacketType::kPullReply}, kRndv, true,
      [](const obs::Event& e) {
        return e.kind == obs::EventKind::kPullStart;
      },
      [](const obs::Event& e) {
        return e.kind == obs::EventKind::kPullRetry;
-     }},
+     },
+     &Counters::pull_stall_ticks},
 };
 
 void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
@@ -178,6 +185,27 @@ TEST_P(TimerSpread, SimultaneousLossesRetryAtDistinctSeededInstants) {
   const std::set<sim::Time> distinct(waits.begin(), waits.end());
   EXPECT_EQ(distinct.size(), kPairs) << "retries collided in lockstep";
   EXPECT_EQ(run(), waits) << "the same seeds must give the same instants";
+}
+
+TEST_P(TimerSpread, TicksCountUnderTheTimersOwnName) {
+  const Scenario& s = GetParam();
+  Rig rig(s.drop);
+  rig.exchange(s.len, s.post_receives);
+  Counters sum;
+  for (const auto* procs : {&rig.senders, &rig.receivers}) {
+    for (Host::Process* p : *procs) {
+      const Counters& c = p->lib.counters();
+      sum.retransmit_timeouts += c.retransmit_timeouts;
+      sum.send_timeouts += c.send_timeouts;
+      sum.notify_timeouts += c.notify_timeouts;
+      sum.pull_stall_ticks += c.pull_stall_ticks;
+    }
+  }
+  EXPECT_GE(sum.*s.ticks, kPairs) << "every endpoint's timer ticked";
+  EXPECT_EQ(sum.retransmit_timeouts,
+            sum.send_timeouts + sum.notify_timeouts + sum.pull_stall_ticks);
+  EXPECT_EQ(sum.retransmit_timeouts, sum.*s.ticks)
+      << "a tick counted under another timer's name";
 }
 
 INSTANTIATE_TEST_SUITE_P(
