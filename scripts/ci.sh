@@ -5,9 +5,13 @@
 # PINSIM_PERF_TIER=1) to run the perf-regression gate against the committed
 # BENCH_seed.json baseline, --lint (or PINSIM_LINT_TIER=1) to run the
 # static-analysis tier (pinlint, plus clang-format/clang-tidy on changed
-# files when those tools exist).
+# files when those tools exist), --tsan (or PINSIM_TSAN_TIER=1) to run the
+# ThreadSanitizer tier over the code that runs on more than one thread.
 #
 #   scripts/ci.sh           # default + asan tiers (default includes pinlint)
+#   scripts/ci.sh --tsan    # ... plus the TSan tier: the obs tests, the bus
+#                           # delivery tests, mem_extra_test (the frame
+#                           # pool's set-up slices) and the determinism test
 #   scripts/ci.sh --soak    # ... plus the full-length soaks, all five suites
 #   scripts/ci.sh --perf    # ... plus the perf gate (needs python3)
 #   scripts/ci.sh --lint    # ... plus the clang-format/clang-tidy sweep
@@ -17,12 +21,14 @@ cd "$(dirname "$0")/.."
 run_soak=0
 run_perf="${PINSIM_PERF_TIER:-0}"
 run_lint="${PINSIM_LINT_TIER:-0}"
+run_tsan="${PINSIM_TSAN_TIER:-0}"
 for arg in "$@"; do
   case "$arg" in
     --soak) run_soak=1 ;;
     --perf) run_perf=1 ;;
     --lint) run_lint=1 ;;
-    *) echo "usage: $0 [--soak] [--perf] [--lint]" >&2; exit 2 ;;
+    --tsan) run_tsan=1 ;;
+    *) echo "usage: $0 [--soak] [--perf] [--lint] [--tsan]" >&2; exit 2 ;;
   esac
 done
 
@@ -138,6 +144,10 @@ fi
 
 tier default
 tier asan
+
+if [[ "${run_tsan}" -eq 1 ]]; then
+  tier tsan
+fi
 
 if [[ "${run_soak}" -eq 1 ]]; then
   tier soak

@@ -31,13 +31,6 @@ constexpr std::size_t kCompletedMemory = 8192;
 /// without stretching recovery past 1.5 t.
 constexpr sim::Time kTimerSpreadDivisor = 2;
 
-/// Shorthand for building a typed event at an emission site.
-obs::Event ev(obs::EventKind kind) {
-  obs::Event e;
-  e.kind = kind;
-  return e;
-}
-
 }  // namespace
 
 Endpoint::Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
@@ -990,30 +983,34 @@ void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
   ++blk.frames_received;
   const std::uint32_t handle = ps.handle;
   const std::size_t n = body.data.size();
-  charge_rx_copy(n, guarded([this, handle, block_idx, paged,
-                             body = std::move(body)]() mutable {
+  // The closure carries the frame's number in the pull rather than the
+  // body, which keeps it inside sim::UniqueFunction's inline buffer.
+  const auto frame =
+      static_cast<std::uint32_t>(block_idx * frames_per_block() + frame_idx);
+  charge_rx_copy(n, guarded([this, handle, frame,
+                             data = std::move(body.data)]() mutable {
     auto pit = pulls_.find(handle);
     if (pit == pulls_.end()) return;
     PullState& p = *pit->second;
-    if (paged) {
-      p.region->copy_in_paged(body.offset, body.data);
-    } else if (p.region->copy_in(body.offset, body.data) !=
-               Region::AccessResult::kOk) {
+    const std::size_t block_idx = frame / frames_per_block();
+    const std::size_t fi = frame % frames_per_block();
+    PullBlock& b = p.blocks[block_idx];
+    const std::size_t offset =
+        b.offset + fi * driver_.config().protocol.frame_payload;
+    if (driver_.config().pinning.mode == PinMode::kNone) {
+      p.region->copy_in_paged(offset, data);
+    } else if (p.region->copy_in(offset, data) != Region::AccessResult::kOk) {
       // Invalidated between the check and the copy: count it as a miss and
       // re-pull the block once the region has repinned it.
       overlap_miss(obs::EventKind::kOverlapMissRecv, {p.peer_node, p.peer_ep},
-                   p.handle, p.region->id(), body.offset, body.data.size());
-      PullBlock& b = p.blocks[block_idx];
-      const std::size_t fi = (body.offset - b.offset) /
-                             driver_.config().protocol.frame_payload;
+                   p.handle, p.region->id(), offset, data.size());
       b.frame_seen[fi] = false;
       --b.frames_received;
       repull_when_pinned(p, block_idx);
       return;
     }
     emit_data(obs::EventKind::kCopyIn, {p.peer_node, p.peer_ep}, p.handle,
-              p.region->id(), body.offset, body.data.size());
-    PullBlock& b = p.blocks[block_idx];
+              p.region->id(), offset, data.size());
     if (++b.frames_done == b.frame_seen.size()) {
       b.complete = true;
       --p.requested_incomplete;
@@ -1288,6 +1285,11 @@ void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction after) {
              std::move(after));
 }
 
+std::size_t Endpoint::frames_per_block() const {
+  const auto& proto = driver_.config().protocol;
+  return (proto.pull_block + proto.frame_payload - 1) / proto.frame_payload;
+}
+
 void Endpoint::emit_data(obs::EventKind kind, EndpointAddr peer,
                          std::uint32_t seq, RegionId region,
                          std::uint64_t offset, std::size_t len) {
@@ -1309,13 +1311,15 @@ void Endpoint::overlap_miss(obs::EventKind kind, EndpointAddr peer,
   emit_data(kind, peer, seq, region, offset, len);
 }
 
-void Endpoint::obs_emit(obs::Event e) {
-  const obs::Relay& relay = driver_.relay();
-  if (!relay.active()) return;
+obs::Event Endpoint::ev(obs::EventKind kind) const {
+  obs::Event e;
+  e.kind = kind;
   e.node = driver_.node();
   e.ep = id_;
-  relay.emit(e);
+  return e;
 }
+
+void Endpoint::obs_emit(const obs::Event& e) { driver_.relay().emit(e); }
 
 void Endpoint::send_packet(EndpointAddr dest, PacketBody body,
                            cpu::Priority priority, sim::Time extra_cost) {

@@ -381,14 +381,20 @@ class Endpoint {
   // closure before type erasure keeps it inline in the UniqueFunction.
   void charge_rx_copy(std::size_t bytes, sim::UniqueFunction after);
 
+  /// PULL_REPLY frames in a full pull block.
+  [[nodiscard]] std::size_t frames_per_block() const;
+
   // Frame assembly/transmission. `priority` is BH for packet-driven sends
   // and kernel for process-context submissions.
   void send_packet(EndpointAddr dest, PacketBody body, cpu::Priority priority,
                    sim::Time extra_cost = 0);
 
-  /// Stamps (node, ep) onto `e` and hands it to the driver's observability
-  /// relay; a no-op (one pointer compare) with no bus attached.
-  void obs_emit(obs::Event e);
+  /// A typed event of `kind` from this endpoint (node and ep filled in).
+  [[nodiscard]] obs::Event ev(obs::EventKind kind) const;
+
+  /// Hands `e` to the driver's observability relay; a no-op (one pointer
+  /// compare) with no bus attached.
+  void obs_emit(const obs::Event& e);
 
   /// Emits a data-movement event (a copy or an overlap miss) of `len` bytes
   /// at `offset` in `region`, bound to its send or pull chain by `seq`.

@@ -10,9 +10,10 @@
 #include <thread>
 
 #if defined(__linux__)
-#include <sched.h>
 #include <sys/mman.h>
 #endif
+
+#include "sim/cpus.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -59,13 +60,9 @@ constexpr std::size_t kMinSliceFrames = (1u << 20) / kPageSize;
 
 /// One slice per core this process may run on, within the bounds above.
 std::size_t slice_count(std::size_t frames) {
-  std::size_t cores = 1;
-  cpu_set_t set;
-  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
-    cores = static_cast<std::size_t>(CPU_COUNT(&set));
-  }
   return std::clamp<std::size_t>(
-      std::min(cores, frames / kMinSliceFrames), 1, kMaxSlices);
+      std::min(sim::affinity_cpus(), frames / kMinSliceFrames), 1,
+      kMaxSlices);
 }
 
 /// Runs `op(bytes, len)` over the first `frames` frames at `base`, split

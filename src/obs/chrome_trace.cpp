@@ -50,6 +50,7 @@ void append_flow(std::string& out, const Event& e, const char* ph,
 }  // namespace
 
 std::string ChromeTraceWriter::render() const {
+  drain();
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
 
   // Track naming metadata: one process per node, one thread per endpoint.

@@ -20,15 +20,20 @@ namespace pinsim::obs {
 class ChromeTraceWriter final : public Sink {
  public:
   explicit ChromeTraceWriter(std::string path) : path_(std::move(path)) {}
+  ~ChromeTraceWriter() override { wait_idle(); }
 
   void on_event(const Event& e) override { events_.push_back(e); }
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
   /// Writes the trace file. Returns silently on I/O failure after printing
   /// a warning (a failed trace dump must never fail the run it observed).
   void finalize() override;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] std::size_t event_count() const noexcept {
+  [[nodiscard]] std::size_t event_count() const {
+    drain();
     return events_.size();
   }
 

@@ -196,6 +196,7 @@ void CriticalPathAnalyzer::finalize() {
 }
 
 std::string CriticalPathAnalyzer::json() const {
+  drain();
   std::string out = "{";
   out += "\"completed\":" + json_num(completed_count_);
   out += ",\"aborted\":" + json_num(aborted_count_);
@@ -256,6 +257,7 @@ std::string CriticalPathAnalyzer::json() const {
 }
 
 std::string CriticalPathAnalyzer::digest() const {
+  drain();
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof buf,

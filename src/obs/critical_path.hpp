@@ -74,37 +74,49 @@ class CriticalPathAnalyzer final : public Sink {
   explicit CriticalPathAnalyzer(std::size_t max_records = 4096,
                                 std::size_t top_k = 8)
       : max_records_(max_records), top_k_(top_k == 0 ? 1 : top_k) {}
+  ~CriticalPathAnalyzer() override { wait_idle(); }
 
   void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
   /// End of stream: chains still open are counted as orphaned (the
   /// invariant checker reports them loudly; here they just stay out of the
   /// completed aggregates).
   void finalize() override;
 
-  [[nodiscard]] const std::vector<Breakdown>& completed() const noexcept {
+  [[nodiscard]] const std::vector<Breakdown>& completed() const {
+    drain();
     return completed_;
   }
-  [[nodiscard]] const std::vector<Breakdown>& slowest() const noexcept {
+  [[nodiscard]] const std::vector<Breakdown>& slowest() const {
+    drain();
     return slowest_;  // sorted, slowest first; at most top_k entries
   }
-  [[nodiscard]] std::uint64_t completed_count() const noexcept {
+  [[nodiscard]] std::uint64_t completed_count() const {
+    drain();
     return completed_count_;
   }
-  [[nodiscard]] std::uint64_t aborted_count() const noexcept {
+  [[nodiscard]] std::uint64_t aborted_count() const {
+    drain();
     return aborted_count_;
   }
-  [[nodiscard]] std::uint64_t orphaned_count() const noexcept {
+  [[nodiscard]] std::uint64_t orphaned_count() const {
+    drain();
     return orphaned_count_;
   }
-  [[nodiscard]] std::uint64_t dropped_records() const noexcept {
+  [[nodiscard]] std::uint64_t dropped_records() const {
+    drain();
     return dropped_records_;
   }
   /// Aggregate over every cleanly completed chain.
-  [[nodiscard]] sim::Time phase_total(Phase p) const noexcept {
+  [[nodiscard]] sim::Time phase_total(Phase p) const {
+    drain();
     return phase_totals_[static_cast<std::size_t>(p)];
   }
-  [[nodiscard]] sim::Time latency_total() const noexcept {
+  [[nodiscard]] sim::Time latency_total() const {
+    drain();
     return latency_total_;
   }
 

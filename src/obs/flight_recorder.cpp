@@ -70,6 +70,7 @@ void FlightRecorder::append_entry_json(std::string& out,
 }
 
 std::string FlightRecorder::render(std::string_view reason) const {
+  drain();
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for_each_held([&](const CompactEvent& ce) {
@@ -87,6 +88,7 @@ std::string FlightRecorder::render(std::string_view reason) const {
 
 std::string FlightRecorder::digest(std::string_view reason,
                                    std::size_t tail) const {
+  drain();
   std::string out = "flight recorder: ";
   out += reason;
   out += "\n  window: last " + json_num(static_cast<std::uint64_t>(held_)) +
@@ -113,32 +115,29 @@ std::string FlightRecorder::digest(std::string_view reason,
 }
 
 std::string FlightRecorder::dump(std::string_view reason) {
+  drain();
   ++dump_attempts_;
   if (dump_attempts_ > max_dumps_) return "";
   dumping_ = true;
   const std::string path =
       dump_prefix_ + "-" + json_num(dump_attempts_) + ".flight.json";
   const std::string body = render(reason);
-  std::fputs(digest(reason).c_str(), stderr);
+  std::string note = digest(reason);
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot write flight dump to %s\n",
-                 path.c_str());
-    dumping_ = false;
-    return "";
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
+  const bool ok =
+      f != nullptr &&
+      std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f != nullptr) std::fclose(f);
   dumping_ = false;
-  if (!ok) {
-    std::fprintf(stderr, "obs: short write on %s\n", path.c_str());
-    return "";
-  }
-  std::fprintf(stderr, "  dump: %s\n", path.c_str());
-  return path;
+  note += f == nullptr ? "obs: cannot write flight dump to " + path + "\n"
+          : !ok        ? "obs: short write on " + path + "\n"
+                       : "  dump: " + path + "\n";
+  print_stderr(note);
+  return ok ? path : "";
 }
 
 std::string FlightRecorder::json() const {
+  drain();
   std::string out = "{\"capacity\":" +
                     json_num(static_cast<std::uint64_t>(cap_));
   out += ",\"recorded\":" + json_num(recorded_);

@@ -40,21 +40,35 @@ class FlightRecorder final : public Sink {
 
   FlightRecorder();
   explicit FlightRecorder(Config cfg);
+  ~FlightRecorder() override { wait_idle(); }
 
   void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
   /// Post-mortem dump: writes `<prefix>-<attempt>.flight.json` and prints
-  /// the text digest to stderr. Returns the path written, or "" when the
-  /// dump cap suppressed the write or the write failed. Always bumps the
-  /// attempt counter.
+  /// the text digest to stderr (on the bus's worker, queued for its next
+  /// drain). Returns the path written, or "" when the dump cap suppressed
+  /// the write or the write failed. Always bumps the attempt counter.
   std::string dump(std::string_view reason);
 
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::uint64_t dump_attempts() const noexcept {
+  [[nodiscard]] std::uint64_t recorded() const {
+    drain();
+    return recorded_;
+  }
+  [[nodiscard]] std::uint64_t dropped() const {
+    drain();
+    return dropped_;
+  }
+  [[nodiscard]] std::uint64_t dump_attempts() const {
+    drain();
     return dump_attempts_;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return held_; }
+  [[nodiscard]] std::size_t size() const {
+    drain();
+    return held_;
+  }
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
   /// The `.flight.json` body (Chrome Trace Event JSON): one "i" instant per

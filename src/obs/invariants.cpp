@@ -175,7 +175,8 @@ void InvariantChecker::finalize() {
 }
 
 std::string InvariantChecker::report() const {
-  if (ok()) return "invariants: ok\n";
+  drain();
+  if (violation_count_ == 0) return "invariants: ok\n";
   std::string out = "invariants: " + std::to_string(violation_count_) +
                     " violation(s)\n";
   for (const Violation& v : violations_) {

@@ -42,17 +42,26 @@ class InvariantChecker final : public Sink {
 
   explicit InvariantChecker(std::size_t page_bytes = 4096)
       : page_bytes_(page_bytes == 0 ? 4096 : page_bytes) {}
+  ~InvariantChecker() override { wait_idle(); }
 
   void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
   /// End-of-stream checks: any send/pull still open is an orphan.
   void finalize() override;
 
-  [[nodiscard]] bool ok() const noexcept { return violation_count_ == 0; }
-  [[nodiscard]] std::uint64_t violation_count() const noexcept {
+  [[nodiscard]] bool ok() const {
+    drain();
+    return violation_count_ == 0;
+  }
+  [[nodiscard]] std::uint64_t violation_count() const {
+    drain();
     return violation_count_;
   }
-  [[nodiscard]] const std::vector<Violation>& violations() const noexcept {
+  [[nodiscard]] const std::vector<Violation>& violations() const {
+    drain();
     return violations_;
   }
 
@@ -61,8 +70,11 @@ class InvariantChecker final : public Sink {
 
   /// Called synchronously from violate() with the stored violation (only
   /// for the first kMaxStored — later ones are counted, not stored). The
-  /// flight recorder hooks this to dump its window post-mortem.
+  /// flight recorder hooks this to dump its window post-mortem. It runs
+  /// where on_event does, on the bus's worker, so it may touch only sink
+  /// state.
   void set_violation_hook(std::function<void(const Violation&)> hook) {
+    drain();
     violation_hook_ = std::move(hook);
   }
 

@@ -74,6 +74,7 @@ void LatencyRecorder::on_event(const Event& e) {
 }
 
 std::string LatencyRecorder::summary() const {
+  drain();
   std::string out;
   summary_line(out, "pin (ns)", pin_, "");
   summary_line(out, "send (ns)", send_, "");
@@ -84,6 +85,7 @@ std::string LatencyRecorder::summary() const {
 }
 
 std::string LatencyRecorder::json() const {
+  drain();
   std::string out = "{";
   out += "\"pin_latency_ns\":" + histogram_json(pin_);
   out += ",\"send_latency_ns\":" + histogram_json(send_);

@@ -26,19 +26,27 @@ class LatencyRecorder final : public Sink {
  public:
   LatencyRecorder()
       : pin_(100.0), send_(100.0), pull_(100.0), sizes_(1.0) {}
+  ~LatencyRecorder() override { wait_idle(); }
 
   void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
-  [[nodiscard]] const sim::LogHistogram& pin_latency() const noexcept {
+  [[nodiscard]] const sim::LogHistogram& pin_latency() const {
+    drain();
     return pin_;
   }
-  [[nodiscard]] const sim::LogHistogram& send_latency() const noexcept {
+  [[nodiscard]] const sim::LogHistogram& send_latency() const {
+    drain();
     return send_;
   }
-  [[nodiscard]] const sim::LogHistogram& pull_latency() const noexcept {
+  [[nodiscard]] const sim::LogHistogram& pull_latency() const {
+    drain();
     return pull_;
   }
-  [[nodiscard]] const sim::LogHistogram& message_sizes() const noexcept {
+  [[nodiscard]] const sim::LogHistogram& message_sizes() const {
+    drain();
     return sizes_;
   }
 

@@ -57,6 +57,7 @@ void LifecycleRecorder::on_event(const Event& e) {
 }
 
 std::string LifecycleRecorder::json() const {
+  drain();
   auto field = [](const char* name, std::uint64_t v) {
     return json_str(name) + ":" + json_num(v);
   };

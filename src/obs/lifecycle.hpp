@@ -30,9 +30,17 @@ class LifecycleRecorder final : public Sink {
     std::uint64_t recoveries = 0;         // restarts with a completion seen
   };
 
-  void on_event(const Event& e) override;
+  ~LifecycleRecorder() override { wait_idle(); }
 
-  [[nodiscard]] const Totals& totals() const noexcept { return totals_; }
+  void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
+
+  [[nodiscard]] const Totals& totals() const {
+    drain();
+    return totals_;
+  }
 
   /// One JSON object for the report ("lifecycle" section).
   [[nodiscard]] std::string json() const;

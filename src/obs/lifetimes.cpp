@@ -10,8 +10,7 @@ namespace {
 
 }  // namespace
 
-void Lifetimes::deliver(Event e, std::span<Sink* const> sinks) {
-  e.life = this;
+void Lifetimes::deliver(const Event& e, std::span<Sink* const> sinks) {
   open(e);
   for (Sink* s : sinks) s->on_event(e);
   settle(e);

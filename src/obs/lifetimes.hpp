@@ -16,8 +16,8 @@ namespace pinsim::obs {
 /// chain_key(node, ep, id), with the region id, the send seq or the pull
 /// handle as the id.
 ///
-/// `Bus::emit` hands every event to `deliver`, which stamps it with this
-/// table and updates the table in two steps around the fan-out:
+/// The bus stamps every event with this table and hands it to `deliver`,
+/// which updates the table in two steps around the fan-out:
 ///  - before it, a post or a pull start opens its row (a repeat while open
 ///    replaces the row's event; see `opened`) and a pin event makes sure
 ///    its region has a row, so a sink finds the row an event is about;
@@ -55,8 +55,9 @@ class Lifetimes {
     }
   };
 
-  /// Stamps `e` with this table and hands it to every sink in order.
-  void deliver(Event e, std::span<Sink* const> sinks);
+  /// Hands `e`, stamped with this table (`e.life == this`), to every sink
+  /// in order.
+  void deliver(const Event& e, std::span<Sink* const> sinks);
 
   [[nodiscard]] const Send* send(std::uint64_t key) const noexcept {
     return find(sends_, key);

@@ -120,6 +120,7 @@ void MetricsSampler::finalize() {
 }
 
 std::string MetricsSampler::json() const {
+  drain();
   std::string out = "{";
   out += "\"interval_ns\":" + json_num(interval_);
   out += ",\"compactions\":" +

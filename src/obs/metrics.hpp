@@ -47,18 +47,27 @@ class MetricsSampler final : public Sink {
                           std::size_t max_samples = 512)
       : interval_(interval == 0 ? 1 : interval),
         max_samples_(max_samples < 4 ? 4 : max_samples) {}
+  ~MetricsSampler() override { wait_idle(); }
 
   void on_event(const Event& e) override;
+  [[nodiscard]] bool inline_delivery() const noexcept override {
+    return false;
+  }
 
   /// Flushes the trailing partial interval (if it saw any events).
   void finalize() override;
 
-  [[nodiscard]] const std::vector<Sample>& samples() const noexcept {
+  [[nodiscard]] const std::vector<Sample>& samples() const {
+    drain();
     return samples_;
   }
   /// Current interval width — doubles on each compaction.
-  [[nodiscard]] sim::Time interval() const noexcept { return interval_; }
-  [[nodiscard]] std::uint32_t compactions() const noexcept {
+  [[nodiscard]] sim::Time interval() const {
+    drain();
+    return interval_;
+  }
+  [[nodiscard]] std::uint32_t compactions() const {
+    drain();
     return compactions_;
   }
 

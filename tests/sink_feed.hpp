@@ -14,7 +14,8 @@ class SinkFeed {
  public:
   explicit SinkFeed(obs::Sink& sink) : sink_(&sink) {}
 
-  void operator()(const obs::Event& e) {
+  void operator()(obs::Event e) {
+    e.life = &life_;
     life_.deliver(e, std::span<obs::Sink* const>(&sink_, 1));
   }
 
