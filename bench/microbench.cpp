@@ -204,7 +204,7 @@ void BM_RegionCopyInOut(benchmark::State& state) {
     }
   }
   state.SetBytesProcessed(state.iterations() * 2 * static_cast<int64_t>(bytes));
-  for (auto& [va, f] : region.take_all_pins()) as.unpin_page(va, f);
+  for (auto& [va, f] : region.take_pins_from(0)) as.unpin_page(va, f);
 }
 BENCHMARK(BM_RegionCopyInOut);
 
@@ -287,7 +287,7 @@ void BM_PullReplyFrame(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBlock));
   for (core::Region* r : {&src, &dst}) {
-    for (auto& [va, f] : r->take_all_pins()) as.unpin_page(va, f);
+    for (auto& [va, f] : r->take_pins_from(0)) as.unpin_page(va, f);
   }
 }
 BENCHMARK(BM_PullReplyFrame);

@@ -2,8 +2,9 @@
 # CI entry point: builds and tests the default preset, then the ASan+UBSan
 # preset (the memory-chaos acceptance bar is "bit-exact with zero sanitizer
 # findings"). Pass --soak to also run the full-length soak tier, --perf (or
-# PINSIM_PERF_TIER=1) to run the perf-regression gate against the committed
-# BENCH_seed.json baseline, --lint (or PINSIM_LINT_TIER=1) to run the
+# PINSIM_PERF_TIER=1) to run the perf-regression gates against three
+# committed baselines (BENCH_seed.json, BENCH_pr12.json, BENCH_pr8.json; see
+# perf_tier below), --lint (or PINSIM_LINT_TIER=1) to run the
 # static-analysis tier (pinlint, plus clang-format/clang-tidy on changed
 # files when those tools exist), --tsan (or PINSIM_TSAN_TIER=1) to run the
 # ThreadSanitizer tier over the code that runs on more than one thread.
@@ -13,7 +14,7 @@
 #                           # delivery tests, mem_extra_test (the frame
 #                           # pool's set-up slices) and the determinism test
 #   scripts/ci.sh --soak    # ... plus the full-length soaks, all five suites
-#   scripts/ci.sh --perf    # ... plus the perf gate (needs python3)
+#   scripts/ci.sh --perf    # ... plus the three perf gates (needs python3)
 #   scripts/ci.sh --lint    # ... plus the clang-format/clang-tidy sweep
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -154,7 +155,7 @@ if [[ "${run_soak}" -eq 1 ]]; then
 fi
 
 # Perf tier: instrumented quick runs of the paper benches, folded into a
-# BENCH point and gated twice:
+# BENCH point and gated three times:
 #  1. against the committed BENCH_seed.json for the bit-stable sim-time
 #     latency metrics (tight threshold, cannot flake) — throughput metrics
 #     are newer than that baseline and ride along record-only;

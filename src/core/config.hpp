@@ -88,14 +88,9 @@ struct ProtocolConfig {
   std::size_t eager_threshold = 32 * 1024;
 
   /// Data bytes per frame for eager fragments and pull replies (fits a 9000
-  /// MTU with headers).
+  /// MTU with headers). A pull block may hold at most 64 frames
+  /// (Endpoint::kPullBlock / 64 bytes or more); the Driver rejects less.
   std::size_t frame_payload = 8192;
-
-  /// Bytes per pull block request (MXoE uses 32 kB blocks).
-  std::size_t pull_block = 32 * 1024;
-
-  /// Pull blocks kept outstanding by the receiver.
-  std::size_t pull_window = 2;
 
   /// Base retransmission timeout for control traffic (paper footnote: 1 s
   /// before a lost packet is re-requested pessimistically). Consecutive
@@ -122,9 +117,6 @@ struct ProtocolConfig {
   /// Open-MX pull handler does. This is what bounds the §4.3 degradation to
   /// tens of MB/s instead of one message per second.
   sim::Time pull_retry_timeout = 10 * sim::kMillisecond;
-
-  /// Cost charged to the process core for entering the kernel (ioctl).
-  sim::Time syscall_cost = 150;
 
   /// Use the I/OAT DMA engine for receive-side copies when available.
   bool use_ioat = false;

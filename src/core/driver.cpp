@@ -11,6 +11,12 @@ namespace pinsim::core {
 Driver::Driver(sim::Engine& eng, net::Nic& nic, const cpu::CpuModel& cpu,
                ioat::DmaEngine* dma, StackConfig config)
     : eng_(eng), nic_(nic), cpu_(cpu), dma_(dma), config_(config) {
+  // A pull block tracks its frames in one 64-bit mask.
+  const std::size_t frame_payload = config_.protocol.frame_payload;
+  if (frame_payload == 0 ||
+      (Endpoint::kPullBlock + frame_payload - 1) / frame_payload > 64) {
+    throw std::invalid_argument("frame_payload: more than 64 frames a block");
+  }
   nic_.set_rx_handler([this](net::Frame&& f) { on_frame(std::move(f)); });
   if (config_.protocol.distribute_interrupts) {
     // Flow steering: the destination endpoint id sits at a fixed offset in

@@ -28,6 +28,8 @@ class Driver {
  public:
   static constexpr std::size_t kMaxEndpoints = 16;
 
+  /// Throws std::invalid_argument for a `frame_payload` of 0 or one that
+  /// splits a pull block into more than 64 frames.
   Driver(sim::Engine& eng, net::Nic& nic, const cpu::CpuModel& cpu,
          ioat::DmaEngine* dma, StackConfig config);
 

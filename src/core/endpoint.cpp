@@ -96,11 +96,6 @@ EndpointAddr Endpoint::addr() const noexcept {
   return EndpointAddr{driver_.node(), id_};
 }
 
-bool Endpoint::overlap_for(bool blocking_hint) const {
-  const auto& p = driver_.config().pinning;
-  return p.overlapped && (!p.overlap_blocking_only || blocking_hint);
-}
-
 cpu::Core& Endpoint::bh_core() noexcept {
   return driver_.config().protocol.distribute_interrupts
              ? process_core_
@@ -114,11 +109,7 @@ std::size_t Endpoint::inflight() const noexcept {
 // --- regions -----------------------------------------------------------------
 
 RegionId Endpoint::declare_region(std::vector<Segment> segments) {
-  Region& region = pins_.declare(as_, std::move(segments));
-  if (driver_.config().pinning.mode == PinMode::kPermanent) {
-    pins_.ensure_pinned(region, [](bool) {});
-  }
-  return region.id();
+  return pins_.declare(as_, std::move(segments)).id();
 }
 
 void Endpoint::undeclare_region(RegionId id) {
@@ -245,8 +236,7 @@ std::uint32_t Endpoint::isend_rndv(EndpointAddr dest, std::uint64_t match,
   // Pin per configuration: with overlapping the completion fires right away
   // (or after the pre-pin threshold) and the RNDV leaves before the region
   // is fully pinned (Figure 5); otherwise it waits (Figure 2).
-  pins_.ensure_pinned(*region, overlap_for(blocking_hint),
-                      guarded([this, seq](bool ok) {
+  pins_.ensure_pinned(*region, guarded([this, seq](bool ok) {
     auto it = sends_.find(seq);
     if (it == sends_.end()) return;  // already failed/aborted
     if (!ok) {
@@ -254,7 +244,7 @@ std::uint32_t Endpoint::isend_rndv(EndpointAddr dest, std::uint64_t match,
     } else if (!it->second->rndv_sent) {
       send_rndv_frame(*it->second);
     }
-  }));
+  }), blocking_hint);
   return seq;
 }
 
@@ -482,7 +472,7 @@ std::uint64_t Endpoint::irecv(std::uint64_t match, std::uint64_t mask,
 
   // Warm the pin before the rendezvous arrives (Figure 3: MPI_Recv -> pin).
   if (Region* r = find_region(region); r != nullptr) {
-    pins_.ensure_pinned(*r, overlap_for(blocking_hint), [](bool) {});
+    pins_.ensure_pinned(*r, [](bool) {}, blocking_hint);
   }
 
   // Match already-arrived messages in arrival order (MPI non-overtaking).
@@ -789,14 +779,13 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
   ps.recv = std::move(recv);
   ps.region = region;
 
-  const auto& proto = driver_.config().protocol;
-  for (std::size_t off = 0; off < wanted; off += proto.pull_block) {
+  const std::size_t frame_payload = driver_.config().protocol.frame_payload;
+  for (std::size_t i = 0; i * kPullBlock < wanted; ++i) {
+    const std::size_t frames =
+        (ps.block_len(i) + frame_payload - 1) / frame_payload;
     PullBlock blk;
-    blk.offset = off;
-    blk.len = std::min(proto.pull_block, wanted - off);
-    blk.frame_seen.assign(
-        (blk.len + proto.frame_payload - 1) / proto.frame_payload, false);
-    ps.blocks.push_back(std::move(blk));
+    blk.unseen = blk.uncopied = ~std::uint64_t{0} >> (64 - frames);
+    ps.blocks.push_back(blk);
   }
 
   // `ps` stays valid across the emplace: the pooled node's address is
@@ -821,8 +810,7 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
 
   region->add_use();
   arm_pull_rto(ps);
-  pins_.ensure_pinned(*region, overlap_for(ps.recv.blocking_hint),
-                      guarded([this, handle](bool ok) {
+  pins_.ensure_pinned(*region, guarded([this, handle](bool ok) {
     auto it = pulls_.find(handle);
     if (it == pulls_.end()) return;
     if (!ok) {
@@ -830,7 +818,7 @@ void Endpoint::start_pull(InboundMsg&& rndv_msg, RecvRequest recv) {
     } else if (!it->second->started) {
       begin_pull_requests(*it->second);
     }
-  }));
+  }), ps.recv.blocking_hint);
 }
 
 void Endpoint::begin_pull_requests(PullState& ps) {
@@ -839,8 +827,7 @@ void Endpoint::begin_pull_requests(PullState& ps) {
 }
 
 void Endpoint::pump_pull_window(PullState& ps) {
-  const auto& proto = driver_.config().protocol;
-  while (ps.requested_incomplete < proto.pull_window &&
+  while (ps.requested_incomplete < kPullWindow &&
          ps.next_block < ps.blocks.size()) {
     request_block(ps, ps.next_block++);
   }
@@ -848,7 +835,7 @@ void Endpoint::pump_pull_window(PullState& ps) {
 
 void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
   PullBlock& blk = ps.blocks[block_idx];
-  if (blk.complete) return;
+  if (blk.complete()) return;
   if (!blk.requested) {
     blk.requested = true;
     ++ps.requested_incomplete;
@@ -858,8 +845,8 @@ void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
   {
     obs::Event e = ev(obs::EventKind::kPullBlockReq);
     e.seq = ps.handle;
-    e.offset = blk.offset;
-    e.len = blk.len;
+    e.offset = block_idx * kPullBlock;
+    e.len = ps.block_len(block_idx);
     e.peer = ps.peer_node;
     e.peer_ep = ps.peer_ep;
     obs_emit(e);
@@ -867,8 +854,8 @@ void Endpoint::request_block(PullState& ps, std::size_t block_idx) {
   PullBody body;
   body.region = ps.sender_region;
   body.handle = ps.handle;
-  body.offset = blk.offset;
-  body.len = static_cast<std::uint32_t>(blk.len);
+  body.offset = block_idx * kPullBlock;
+  body.len = static_cast<std::uint32_t>(ps.block_len(block_idx));
   body.seq = ps.sender_seq;
   send_packet({ps.peer_node, ps.peer_ep}, body, cpu::Priority::kBottomHalf);
 }
@@ -906,13 +893,11 @@ void Endpoint::on_packet(net::NodeId src, std::uint8_t src_ep,
     // Both copies below write every byte or the reply is dropped unsent.
     // The chunk is the frame to be: encode() adds header and CRC in place.
     reply.data = payload_for_overwrite(PacketType::kPullReply, n);
-    // Zero-copy send: the NIC reads the pinned pages during serialization;
-    // no CPU copy cost is charged. If the page is not pinned yet this is an
-    // overlap miss and the frame is simply not sent (paper §3.3).
-    if (driver_.config().pinning.mode == PinMode::kNone) {
-      region->copy_out_paged(off, reply.data);  // NIC-MMU walk, never misses
-    } else if (region->copy_out(off, reply.data) !=
-               Region::AccessResult::kOk) {
+    // Zero-copy send: the NIC reads the pinned pages during serialization
+    // (a paged region's through the page table); no CPU copy cost is
+    // charged. If the page is not pinned yet this is an overlap miss and
+    // the frame is simply not sent (paper §3.3).
+    if (region->copy_out(off, reply.data) != Region::AccessResult::kOk) {
       overlap_miss(obs::EventKind::kOverlapMissSend, {src, src_ep}, body.seq,
                    body.region, off, n);
       // A PULL of a send that already ended is stale: nothing waits for
@@ -945,23 +930,25 @@ void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
     ++counters_.checksum_drops;
     return;
   }
-  const std::size_t block_idx = body.offset / proto.pull_block;
+  const std::size_t block_idx = body.offset / kPullBlock;
   if (block_idx >= ps.blocks.size()) {
     ++counters_.checksum_drops;
     return;
   }
   PullBlock& blk = ps.blocks[block_idx];
-  const std::size_t in_block = body.offset - blk.offset;
-  if (in_block % proto.frame_payload != 0 || in_block >= blk.len) {
+  const std::size_t block_len = ps.block_len(block_idx);
+  const std::size_t in_block = body.offset % kPullBlock;
+  if (in_block % proto.frame_payload != 0 || in_block >= block_len) {
     ++counters_.checksum_drops;
     return;
   }
   const std::size_t frame_idx = in_block / proto.frame_payload;
-  if (body.data.size() != std::min(proto.frame_payload, blk.len - in_block)) {
+  if (body.data.size() != std::min(proto.frame_payload, block_len - in_block)) {
     ++counters_.checksum_drops;
     return;
   }
-  if (blk.frame_seen[frame_idx]) {
+  const std::uint64_t frame_bit = std::uint64_t{1} << frame_idx;
+  if ((blk.unseen & frame_bit) == 0) {
     ++counters_.duplicate_frames;
     ++counters_.duplicates_suppressed;
     return;
@@ -970,8 +957,7 @@ void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
   // The paper's cheap test on the region descriptor: not pinned yet ->
   // overlap miss -> drop the packet, retransmission recovers (§3.3).
   ++counters_.region_accesses;
-  const bool paged = driver_.config().pinning.mode == PinMode::kNone;
-  if (!paged && !ps.region->range_pinned(body.offset, body.data.size())) {
+  if (!ps.region->range_pinned(body.offset, body.data.size())) {
     overlap_miss(obs::EventKind::kOverlapMissRecv, {ps.peer_node, ps.peer_ep},
                  ps.handle, ps.region->id(), body.offset, body.data.size());
     repull_when_pinned(ps, block_idx);
@@ -979,8 +965,8 @@ void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
     return;
   }
 
-  blk.frame_seen[frame_idx] = true;
-  ++blk.frames_received;
+  blk.unseen &= ~frame_bit;
+  ++ps.frames_received;
   const std::uint32_t handle = ps.handle;
   const std::size_t n = body.data.size();
   // The closure carries the frame's number in the pull rather than the
@@ -995,24 +981,23 @@ void Endpoint::on_packet(net::NodeId, std::uint8_t, PullReplyBody&& body) {
     const std::size_t block_idx = frame / frames_per_block();
     const std::size_t fi = frame % frames_per_block();
     PullBlock& b = p.blocks[block_idx];
-    const std::size_t offset =
-        b.offset + fi * driver_.config().protocol.frame_payload;
-    if (driver_.config().pinning.mode == PinMode::kNone) {
-      p.region->copy_in_paged(offset, data);
-    } else if (p.region->copy_in(offset, data) != Region::AccessResult::kOk) {
+    const std::uint64_t bit = std::uint64_t{1} << fi;
+    const std::size_t offset = block_idx * kPullBlock +
+                               fi * driver_.config().protocol.frame_payload;
+    if (p.region->copy_in(offset, data) != Region::AccessResult::kOk) {
       // Invalidated between the check and the copy: count it as a miss and
       // re-pull the block once the region has repinned it.
       overlap_miss(obs::EventKind::kOverlapMissRecv, {p.peer_node, p.peer_ep},
                    p.handle, p.region->id(), offset, data.size());
-      b.frame_seen[fi] = false;
-      --b.frames_received;
+      b.unseen |= bit;
+      --p.frames_received;
       repull_when_pinned(p, block_idx);
       return;
     }
     emit_data(obs::EventKind::kCopyIn, {p.peer_node, p.peer_ep}, p.handle,
               p.region->id(), offset, data.size());
-    if (++b.frames_done == b.frame_seen.size()) {
-      b.complete = true;
+    b.uncopied &= ~bit;
+    if (b.complete()) {
       --p.requested_incomplete;
       ++p.blocks_done;
       if (p.blocks_done == p.blocks.size()) {
@@ -1031,7 +1016,8 @@ void Endpoint::repull_when_pinned(PullState& ps, std::size_t block_idx) {
   blk.awaiting_pins = true;
   const std::uint32_t handle = ps.handle;
   pins_.when_pinned(
-      *ps.region, ps.region->pages_through(blk.offset, blk.len),
+      *ps.region,
+      ps.region->pages_through(block_idx * kPullBlock, ps.block_len(block_idx)),
       guarded([this, handle, block_idx](bool ok) {
         auto it = pulls_.find(handle);
         if (it == pulls_.end()) return;
@@ -1039,7 +1025,7 @@ void Endpoint::repull_when_pinned(PullState& ps, std::size_t block_idx) {
         PullBlock& b = p.blocks[block_idx];
         b.awaiting_pins = false;
         // A failed pin job aborts the pull through the failure handler.
-        if (!ok || p.done || b.complete) return;
+        if (!ok || p.done || b.complete()) return;
         ++counters_.pull_rerequests;
         request_block(p, block_idx);
       }));
@@ -1049,7 +1035,7 @@ void Endpoint::reserve_when_pinned(net::NodeId src, std::uint8_t src_ep,
                                    const PullBody& body, Region& region) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(body.handle) << 32) ^
-      (body.offset / driver_.config().protocol.pull_block);
+      (body.offset / kPullBlock);
   if (!pending_reserves_.emplace(key, region.id()).second) return;
   pins_.when_pinned(region, region.pages_through(body.offset, body.len),
                     guarded([this, src, src_ep, body, key](bool ok) {
@@ -1072,15 +1058,12 @@ void Endpoint::maybe_optimistic_rerequest(PullState& ps,
   // are merely queued behind the copy engine is fine. Blocks only ever turn
   // complete, so the scan starts past the complete prefix.
   while (ps.first_incomplete < arrived_block &&
-         ps.blocks[ps.first_incomplete].complete) {
+         ps.blocks[ps.first_incomplete].complete()) {
     ++ps.first_incomplete;
   }
   for (std::size_t i = ps.first_incomplete; i < arrived_block; ++i) {
     PullBlock& blk = ps.blocks[i];
-    if (!blk.requested || blk.complete ||
-        blk.frames_received == blk.frame_seen.size()) {
-      continue;
-    }
+    if (!blk.requested || blk.unseen == 0) continue;
     if (driver_.engine().now() - blk.last_request < kRerequestCooldown) {
       return;
     }
@@ -1151,14 +1134,14 @@ void Endpoint::arm_pull_rto(PullState& ps) {
         // Only a transfer that made no progress since the last tick is
         // stalled (tail-dropped by an overlap miss, or lost on the wire);
         // one that is merely streaming must not be re-pulled.
-        const std::size_t progress = p.frames_received_total();
+        const std::size_t progress = p.frames_received;
         if (p.started && progress == p.last_progress) {
           if (++p.stall_ticks > driver_.config().protocol.pull_stall_budget) {
             // The sender has been silent for the whole budget: stop holding
             // receiver state for it, tell it we gave up, fail the receive.
             // Still pinning the landing region is the root cause then.
             ++counters_.retry_exhausted;
-            abort_pull(handle, p.region->state() == Region::PinState::kPinning
+            abort_pull(handle, pins_.pinning(*p.region)
                                    ? AbortCause::kPinStarved
                                    : AbortCause::kPullStall);
             return;
@@ -1176,7 +1159,7 @@ void Endpoint::arm_pull_rto(PullState& ps) {
           }
           for (std::size_t i = 0; i < p.blocks.size(); ++i) {
             PullBlock& blk = p.blocks[i];
-            if (blk.requested && !blk.complete) request_block(p, i);
+            if (blk.requested && !blk.complete()) request_block(p, i);
           }
         } else {
           p.stall_ticks = 0;
@@ -1286,8 +1269,8 @@ void Endpoint::charge_rx_copy(std::size_t bytes, sim::UniqueFunction after) {
 }
 
 std::size_t Endpoint::frames_per_block() const {
-  const auto& proto = driver_.config().protocol;
-  return (proto.pull_block + proto.frame_payload - 1) / proto.frame_payload;
+  const std::size_t frame_payload = driver_.config().protocol.frame_payload;
+  return (kPullBlock + frame_payload - 1) / frame_payload;
 }
 
 void Endpoint::emit_data(obs::EventKind kind, EndpointAddr peer,

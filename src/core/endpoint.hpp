@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,7 +58,10 @@ using Completion = std::function<void(Status)>;
 
 /// One Open-MX endpoint: the driver-side object holding the pin manager
 /// (which owns the declared regions) and the MXoE protocol state machines
-/// (paper §2.2, §3).
+/// (paper §2.2, §3). Every pinning decision (the pin mode, whether a pin
+/// overlaps the communication) is the pin manager's: the endpoint hands it
+/// each request's blocking hint, and its data paths ask only whether the
+/// bytes they touch are accessible.
 ///
 /// All packet handling runs in bottom-half context on the NIC's interrupt
 /// core — the stack is interrupt-driven, which is exactly why buffers must
@@ -66,6 +71,11 @@ using Completion = std::function<void(Status)>;
 /// them.
 class Endpoint {
  public:
+  /// Bytes per pull block request (MXoE uses 32 kB blocks).
+  static constexpr std::size_t kPullBlock = 32 * 1024;
+  /// Pull blocks kept outstanding by the receiver.
+  static constexpr std::size_t kPullWindow = 2;
+
   Endpoint(Driver& driver, std::uint8_t id, mem::AddressSpace& as,
            cpu::Core& process_core);
   ~Endpoint();
@@ -75,9 +85,9 @@ class Endpoint {
 
   // --- region ioctls (called by the user-space library) --------------------
 
-  /// Declares a (possibly vectorial) region. Never pins by itself except in
-  /// PinMode::kPermanent. Declaration of invalid segments *succeeds*; the
-  /// failure surfaces at communication time (paper §3.1).
+  /// Declares a (possibly vectorial) region through the pin manager, which
+  /// decides whether and when it pins. Declaration of invalid segments
+  /// *succeeds*; the failure surfaces at communication time (paper §3.1).
   [[nodiscard]] RegionId declare_region(std::vector<Segment> segments);
 
   /// Destroys a declared region, dropping any pins it still holds.
@@ -99,7 +109,7 @@ class Endpoint {
                             Completion done);
 
   /// Large-message send over the rendezvous/pull protocol. The region must
-  /// be declared; pinning follows the configured PinningConfig.
+  /// be declared; the pin manager decides how it pins.
   /// `blocking_hint` tells the driver whether the application will block on
   /// this request (§6: overlap may be restricted to blocking operations).
   /// Returns the send sequence id usable with cancel_send().
@@ -246,16 +256,18 @@ class Endpoint {
     }
   };
 
+  /// Block i of a pull covers message bytes [i * kPullBlock, +block_len(i)),
+  /// one bit per frame in each mask (the Driver caps a block at 64 frames).
   struct PullBlock {
-    std::size_t offset = 0;  // absolute message offset
-    std::size_t len = 0;
-    std::vector<bool> frame_seen;
-    std::size_t frames_received = 0;  // arrived on the wire (copy may pend)
-    std::size_t frames_done = 0;      // copied into the region
+    std::uint64_t unseen = 0;    // frames not arrived on the wire yet
+    std::uint64_t uncopied = 0;  // frames not copied into the region yet
     bool requested = false;
-    bool complete = false;
     bool awaiting_pins = false;  // a pin-frontier waiter will re-pull it
     sim::Time last_request = 0;
+
+    /// Every frame copied. A frame is seen before it is copied, so a
+    /// complete block has none unseen either.
+    [[nodiscard]] bool complete() const { return uncopied == 0; }
   };
 
   /// Receiver-side large-message transfer (one per matched rendezvous).
@@ -274,6 +286,7 @@ class Endpoint {
     std::size_t blocks_done = 0;
     std::size_t first_incomplete = 0;  // blocks before it are all complete
     std::size_t requested_incomplete = 0;
+    std::size_t frames_received = 0;  // arrived on the wire, every block
     bool started = false;  // pulls flowing (pin gate passed)
     bool done = false;     // data complete, NOTIFY (re)transmitting
     int notify_retries = 0;
@@ -281,10 +294,8 @@ class Endpoint {
     std::size_t last_progress = 0;  // frames received at the last rto tick
     sim::Engine::EventId rto{};
 
-    [[nodiscard]] std::size_t frames_received_total() const {
-      std::size_t n = 0;
-      for (const PullBlock& b : blocks) n += b.frames_received;
-      return n;
+    [[nodiscard]] std::size_t block_len(std::size_t i) const {
+      return std::min(kPullBlock, msg_len - i * kPullBlock);
     }
 
     void reset() { mem::reset_keeping(*this, &PullState::blocks); }
@@ -408,10 +419,6 @@ class Endpoint {
   [[nodiscard]] bool match_ok(const RecvRequest& r, std::uint64_t match) const {
     return (r.match & r.mask) == (match & r.mask);
   }
-
-  /// Whether this request's pinning overlaps with communication, combining
-  /// the global config with the §6 per-request blocking hint.
-  [[nodiscard]] bool overlap_for(bool blocking_hint) const;
 
   /// Remembers a completed inbound message id for duplicate suppression
   /// (bounded memory).

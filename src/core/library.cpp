@@ -11,9 +11,8 @@ Library::Library(Endpoint& ep)
              [this](const std::vector<Segment>& segs) {
                // Declaration is a syscall; its cost lands on the process
                // core ahead of the communication that triggered it.
-               ep_.process_core().consume(
-                   cpu::Priority::kKernel,
-                   ep_.driver().config().protocol.syscall_cost);
+               ep_.process_core().consume(cpu::Priority::kKernel,
+                                          kSyscallCost);
                return ep_.declare_region(segs);
              },
              [this](RegionId id) { ep_.undeclare_region(id); }) {}
@@ -56,7 +55,7 @@ RequestPtr Library::submit_send(EndpointAddr dest, std::uint64_t match,
   cpu::Core& core = ep_.process_core();
 
   if (total_length(r->segments_) <= proto.eager_threshold) {
-    core.submit(cpu::Priority::kKernel, proto.syscall_cost,
+    core.submit(cpu::Priority::kKernel, kSyscallCost,
                 [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
                   if (r->complete_if_cancelled()) return;
@@ -76,7 +75,7 @@ RequestPtr Library::submit_send(EndpointAddr dest, std::uint64_t match,
         if (r->complete_if_cancelled()) return;
         r->region_ = cache_.acquire(r->segments_);
         ep_.process_core().submit(
-            cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
+            cpu::Priority::kKernel, kSyscallCost,
             [this, alive, r] {
               if (alive.expired()) return;
               if (r->cancel_requested_) cache_.release(r->region_);
@@ -109,7 +108,7 @@ RequestPtr Library::submit_recv(std::uint64_t match, std::uint64_t mask,
   cpu::Core& core = ep_.process_core();
 
   if (total_length(r->segments_) <= proto.eager_threshold) {
-    core.submit(cpu::Priority::kKernel, proto.syscall_cost,
+    core.submit(cpu::Priority::kKernel, kSyscallCost,
                 [this, alive = std::weak_ptr<void>(alive_), r] {
                   if (alive.expired()) return;  // library died mid-queue
                   if (r->complete_if_cancelled()) return;
@@ -128,7 +127,7 @@ RequestPtr Library::submit_recv(std::uint64_t match, std::uint64_t mask,
         if (r->complete_if_cancelled()) return;
         r->region_ = cache_.acquire(r->segments_);
         ep_.process_core().submit(
-            cpu::Priority::kKernel, ep_.driver().config().protocol.syscall_cost,
+            cpu::Priority::kKernel, kSyscallCost,
             [this, alive, r] {
               if (alive.expired()) return;
               if (r->cancel_requested_) cache_.release(r->region_);

@@ -158,6 +158,9 @@ class Library {
   [[nodiscard]] RegionCache& cache() noexcept { return cache_; }
   [[nodiscard]] Counters& counters() noexcept { return ep_.counters(); }
 
+  /// Cost charged to the process core for entering the kernel (ioctl).
+  static constexpr sim::Time kSyscallCost = 150;
+
  private:
   /// User-space cost of a cache lookup (the small overhead §4.2 mentions).
   static constexpr sim::Time kCacheLookupCost = 200;

@@ -37,13 +37,17 @@ std::size_t PinManager::pinned_pages() const {
   return total;
 }
 
-bool PinManager::reclaim_quota(mem::PhysicalMemory& pm) {
+bool PinManager::make_headroom(mem::PhysicalMemory& pm, std::size_t pages) {
   // Paper §3.1: with too many pinned pages the driver unpins idle regions.
   // Busy pins are protected; idle ones are a cache any tenant may reclaim.
-  // Our own LRU idle region goes first. If the quota is still full, every
-  // other tenant on the host, most pinned pages first and ties to whichever
-  // joined first, sheds its LRU idle region until a page is free.
-  if (shed_one_victim()) return true;
+  // The PhysicalMemory quota (the RLIMIT_MEMLOCK analogue) bounds the
+  // host's pinned pages. Our own LRU idle regions go first, until `pages`
+  // fit under it. If not one page fits then, every other tenant on the
+  // host, most pinned pages first and ties to whichever joined first, sheds
+  // its LRU idle region until a page is free.
+  while (pm.pinned_pages() + pages > pm.pin_quota() && shed_one_victim()) {
+  }
+  if (pm.pin_headroom() > 0) return true;
   if (!joined_) return false;
   ++counters_.tenant_arb_requests;
   std::vector<std::pair<std::size_t, PinManager*>> victims;
@@ -54,7 +58,7 @@ bool PinManager::reclaim_quota(mem::PhysicalMemory& pm) {
                    [](const auto& a, const auto& b) {
                      return a.first > b.first;
                    });
-  for (const auto& [pages, m] : victims) {
+  for (const auto& [held, m] : victims) {
     if (!m->shed_one_victim()) continue;  // every region busy: next one
     ++m->counters_.tenant_sheds_suffered;
     if (pm.pin_headroom() > 0) break;
@@ -64,30 +68,18 @@ bool PinManager::reclaim_quota(mem::PhysicalMemory& pm) {
   return true;
 }
 
-void PinManager::emit(obs::EventKind kind, Region& r, const char* what) {
+void PinManager::emit(obs::EventKind kind, Region& r, const char* what,
+                      std::size_t cut) {
   if (relay_ == nullptr || !relay_->active()) return;
   obs::Event e;
   e.kind = kind;
   e.node = node_;
   e.ep = ep_;
   e.region = r.id();
-  e.offset = r.pinned_pages();
-  e.len = r.page_count();
-  e.label = what;
-  relay_->emit(e);
-}
-
-void PinManager::emit_invalidate(Region& r, std::size_t cut) {
-  if (relay_ == nullptr || !relay_->active()) return;
-  obs::Event e;
-  e.kind = obs::EventKind::kPinInvalidate;
-  e.node = node_;
-  e.ep = ep_;
-  e.region = r.id();
   e.seq = static_cast<std::uint32_t>(cut);
   e.offset = r.pinned_pages();
   e.len = r.page_count();
-  e.label = "mmu notifier";
+  e.label = what;
   relay_->emit(e);
 }
 
@@ -95,10 +87,12 @@ Region& PinManager::declare(mem::AddressSpace& as,
                             std::vector<Segment> segments) {
   const RegionId id = next_id_++;
   auto t = tracked_pool_.acquire();
-  t->region = std::make_unique<Region>(id, as, std::move(segments));
+  t->region = std::make_unique<Region>(id, as, std::move(segments),
+                                       cfg_.mode == PinMode::kNone);
   t->last_use = eng_.now();
   Region& r = *t->region;
   tracked_.emplace(id, std::move(t));
+  if (cfg_.mode == PinMode::kPermanent) ensure_pinned(r, [](bool) {});
   return r;
 }
 
@@ -124,32 +118,34 @@ void PinManager::touch(Region& r) {
   entry(r.id())->last_use = eng_.now();
 }
 
-void PinManager::ensure_pinned(Region& r, Completion done) {
-  ensure_pinned(r, cfg_.overlapped, std::move(done));
-}
-
-void PinManager::ensure_pinned(Region& r, bool overlapped, Completion done) {
+void PinManager::ensure_pinned(Region& r, Completion done,
+                               bool blocking_hint) {
+  const bool overlapped =
+      cfg_.overlapped && (!cfg_.overlap_blocking_only || blocking_hint);
   when_pinned(r, overlapped ? cfg_.sync_prepin_pages : r.page_count(),
               std::move(done));
 }
 
+bool PinManager::pinning(const Region& r) const {
+  const auto it = tracked_.find(r.id());
+  return it != tracked_.end() && it->second->job.active;
+}
+
 void PinManager::when_pinned(Region& r, std::size_t pages, Completion done) {
   touch(r);
-  if (cfg_.mode == PinMode::kNone) {
-    done(true);  // QsNet-style: nothing to pin, ever
-    return;
-  }
-  if (r.fully_pinned()) {
+  // A paged region has nothing to pin, ever (QsNet-style).
+  if (r.paged() || r.fully_pinned()) {
     done(true);
     return;
   }
-  // kFailed is retryable, not terminal (§3.1: the region "stays declared,
+  // A failure is retryable, not terminal (§3.1: the region "stays declared,
   // repinned at next communication"): a past pin failure — memory pressure,
   // a then-invalid segment since remapped — must not poison the declaration.
+  // A failed region is idle: its job ended in the failure.
   Tracked& t = *entry(r.id());
   PinJob& job = t.job;
-  if (r.state() == Region::PinState::kFailed && !job.active) {
-    r.set_state(Region::PinState::kUnpinned);
+  if (t.failed) {
+    t.failed = false;
     ++counters_.pin_fail_resets;
     emit(obs::EventKind::kPinReset, r, "failed region retried");
   }
@@ -172,7 +168,6 @@ void PinManager::when_pinned(Region& r, std::size_t pages, Completion done) {
     job.inval_restarts = 0;
     ++counters_.pin_ops;
     if (t.was_pinned) ++counters_.repins;
-    r.set_state(Region::PinState::kPinning);
     emit(obs::EventKind::kPinStart, r, "pinning");
     schedule_chunk(r);
   }
@@ -191,17 +186,16 @@ void PinManager::schedule_chunk(Region& r) {
   }
   auto& pm = r.address_space().physical();
   std::size_t chunk = std::min(cfg_.pin_chunk_pages, r.unpinned_pages());
-  shed_pins_if_needed(pm, chunk);
 
   // Graceful degradation under a pinned-page quota: when the full chunk
   // cannot fit even after shedding idle regions, pin what fits — a smaller
   // frontier advance beats a failed one. With zero headroom nothing can pin
-  // at all; first reclaim other tenants' idle pins (if this host
-  // arbitrates), then back off and retry so a transient squeeze (another
+  // at all; once other tenants' idle pins are reclaimed too (if this host
+  // arbitrates), back off and retry so a transient squeeze (another
   // endpoint releasing pages, the quota being raised) heals, and a
   // permanent one ends in a clean ok=false abort once the budget runs out.
-  std::size_t headroom = pm.pin_headroom();
-  if (headroom == 0 && reclaim_quota(pm)) headroom = pm.pin_headroom();
+  make_headroom(pm, chunk);
+  const std::size_t headroom = pm.pin_headroom();
   if (headroom == 0) {
     ++counters_.pins_denied;
     pm.count_quota_denial();
@@ -247,7 +241,7 @@ void PinManager::schedule_chunk(Region& r) {
       } catch (const mem::PinDeniedError& e) {
         ++counters_.pins_denied;
         if (e.reason() == mem::PinDeniedError::Reason::kQuota &&
-            reclaim_quota(as.physical())) {
+            make_headroom(as.physical(), 1)) {
           --i;  // freed quota headroom; retry this page now
           continue;
         }
@@ -354,10 +348,9 @@ void PinManager::finish(Region& r, bool ok, const char* what) {
   emit(ok ? obs::EventKind::kPinDone : obs::EventKind::kPinFail, r, what);
 
   if (!ok) {
-    r.set_state(Region::PinState::kFailed);
     // Give back whatever partial pins we hold; a failed region holds none.
-    do_unpin(r, counters_.unpin_ops);
-    r.set_state(Region::PinState::kFailed);
+    do_unpin(t);
+    t.failed = true;
   }
 
   const RegionId rid = r.id();
@@ -371,28 +364,29 @@ void PinManager::finish(Region& r, bool ok, const char* what) {
 }
 
 void PinManager::unpin(Region& r) {
-  if (PinJob& job = entry(r.id())->job; job.active) {
-    ++job.generation;
-    job.active = false;
+  Tracked& t = *entry(r.id());
+  if (t.job.active) {
+    ++t.job.generation;
+    t.job.active = false;
     emit(obs::EventKind::kPinFail, r, "cancelled");  // the job ends here
   }
-  do_unpin(r, counters_.unpin_ops);
+  do_unpin(t);
 }
 
-void PinManager::do_unpin(Region& r, std::uint64_t& op_counter) {
+void PinManager::do_unpin(Tracked& t) {
+  Region& r = *t.region;
+  t.failed = false;
   const bool had_pins = r.pinned_pages() > 0;
-  do_unpin_from(r, 0, op_counter);
-  r.set_state(Region::PinState::kUnpinned);
+  do_unpin_from(r, 0);
   if (had_pins) emit(obs::EventKind::kPinUnpin, r, "unpinned");
 }
 
-void PinManager::do_unpin_from(Region& r, std::size_t first_slot,
-                               std::uint64_t& op_counter) {
+void PinManager::do_unpin_from(Region& r, std::size_t first_slot) {
   auto pins = r.take_pins_from(first_slot);
   if (pins.empty()) return;
   auto& as = r.address_space();
   for (auto& [va, frame] : pins) as.unpin_page(va, frame);
-  ++op_counter;
+  ++counters_.unpin_ops;
   counters_.pages_unpinned += pins.size();
   // In per-communication mode the unpin is part of the undeclare ioctl and
   // blocks the caller (it precedes whatever the application does next). In
@@ -438,16 +432,16 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     // storm event — costs no pins at all.
     const std::size_t cut = r.first_slot_overlapping(start, end);
     if (cut >= r.pinned_pages()) {
-      emit_invalidate(r, cut);
+      emit(obs::EventKind::kPinInvalidate, r, "mmu notifier", cut);
       continue;
     }
 
     const bool mid_pin = t->job.active;
     if (mid_pin) ++t->job.generation;  // discard the chunk in flight
-    do_unpin_from(r, cut, counters_.unpin_ops);
+    do_unpin_from(r, cut);
     // Emitted post-truncation so sinks see the frontier the VM now relies
     // on; the invariant checker asserts it sits at or below the cut slot.
-    emit_invalidate(r, cut);
+    emit(obs::EventKind::kPinInvalidate, r, "mmu notifier", cut);
     if (!mid_pin) continue;
 
     // An invalidation landing on an in-flight pin job restarts the job
@@ -466,7 +460,6 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
     }
     ++job.inval_restarts;
     ++counters_.pin_inval_restarts;
-    r.set_state(Region::PinState::kPinning);
     emit(obs::EventKind::kPinRestart, r, "invalidated mid-pin, restarting");
     schedule_backoff(r, job.inval_restarts, {"pin", "restart_backoff"});
   }
@@ -475,34 +468,19 @@ void PinManager::invalidate_range(mem::VirtAddr start, mem::VirtAddr end) {
 bool PinManager::shed_one_victim() {
   // Ascending-id walk of the ordered map: a last_use tie deterministically
   // picks the lowest region id (strict < keeps the first candidate).
-  Region* victim = nullptr;
-  sim::Time oldest = 0;
+  Tracked* victim = nullptr;
   for (const auto& [rid, t] : tracked_) {
     (void)rid;
-    Region* region = t->region.get();
-    if (region->use_count() != 0 || region->pinned_pages() == 0) continue;
+    const Region& region = *t->region;
+    if (region.use_count() != 0 || region.pinned_pages() == 0) continue;
     if (t->job.active) continue;
-    if (victim == nullptr || t->last_use < oldest) {
-      victim = region;
-      oldest = t->last_use;
-    }
+    if (victim == nullptr || t->last_use < victim->last_use) victim = t.get();
   }
   if (victim == nullptr) return false;  // nothing evictable
   ++counters_.pressure_unpins;
-  emit(obs::EventKind::kPinShed, *victim, "memory pressure");
-  do_unpin(*victim, counters_.unpin_ops);
+  emit(obs::EventKind::kPinShed, *victim->region, "memory pressure");
+  do_unpin(*victim);
   return true;
-}
-
-void PinManager::shed_pins_if_needed(mem::PhysicalMemory& pm,
-                                     std::size_t incoming_pages) {
-  // The PhysicalMemory quota (the RLIMIT_MEMLOCK analogue) bounds the
-  // host's pinned pages. Shed LRU idle regions until the incoming chunk
-  // fits under it — or nothing evictable remains, in which case the caller
-  // shrinks the chunk to the headroom or backs off.
-  while (pm.pinned_pages() + incoming_pages > pm.pin_quota()) {
-    if (!shed_one_victim()) return;
-  }
 }
 
 }  // namespace pinsim::core

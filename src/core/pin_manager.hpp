@@ -27,10 +27,17 @@ class Driver;
 /// invalidation, memory pressure or undeclare; repins transparently on next
 /// use.
 ///
+/// The manager is the one owner of pin state and the only reader of
+/// `PinningConfig`: the mode decides what `declare` makes (a paged region
+/// under PinMode::kNone, a region pinned at once under kPermanent), and the
+/// overlap settings decide `ensure_pinned`'s target. A region's frontier
+/// records which of its pages are pinned; the manager's job table records
+/// whether a pin job is running (`pinning`) or the last one failed.
+///
 /// Every wait for pins is a wait for the region's frontier (`when_pinned`):
 /// a completion names a page count and fires once that many pages, counted
 /// from the region's start, are pinned. `ensure_pinned`, the entry point a
-/// communication starts with, picks the target from the configured mode:
+/// communication starts with, picks the target:
 ///  * non-overlapped: the whole region (the communication start waits —
 ///    Figure 2);
 ///  * overlapped: only `sync_prepin_pages` (default 0, i.e. immediately);
@@ -43,11 +50,12 @@ class Driver;
 /// the manager is one tenant of the host's shared pin quota: it joins the
 /// driver's tenant list when it first schedules a pin chunk, and a quota
 /// denial it cannot cover from its own idle regions sheds other tenants'
-/// (`reclaim_quota`).
+/// (`make_headroom`).
 class PinManager {
  public:
-  /// done(ok): ok=false means a segment was invalid (or went away) and the
-  /// region is PinState::kFailed; the caller aborts its request.
+  /// done(ok): ok=false means a segment was invalid (or went away), or the
+  /// pin was starved past its budget, and the region's pin failed; the
+  /// caller aborts its request. The next use of the region retries.
   using Completion = std::function<void(bool ok)>;
 
   /// `relay` (optional) is the typed observability emission point; it must
@@ -75,7 +83,10 @@ class PinManager {
 
   /// Declares a region: the manager owns it until undeclare (or its own
   /// destruction). Ids ascend from 1 and are never reused, so a timer that
-  /// re-finds its region by id cannot reach a later declaration.
+  /// re-finds its region by id cannot reach a later declaration. Under
+  /// PinMode::kNone the region is paged (never pinned); under kPermanent
+  /// its pin starts here. Declaring invalid segments *succeeds*: the
+  /// failure surfaces at pin time (paper §3.1).
   Region& declare(mem::AddressSpace& as, std::vector<Segment> segments);
   /// Destroys a declared region, cancelling its pin job and releasing its
   /// pins first. Throws std::invalid_argument for an unknown id.
@@ -93,12 +104,16 @@ class PinManager {
   /// had been pinned before and lost its pages (invalidation/pressure).
   void when_pinned(Region& r, std::size_t pages, Completion done);
 
-  /// when_pinned with the configured mode's target (see above).
-  void ensure_pinned(Region& r, Completion done);
-
-  /// Per-request override of the overlap decision (§6: "only enabling
+  /// when_pinned with the configured target (see above). The pin overlaps
+  /// the communication when the config says so, except that with
+  /// `overlap_blocking_only` a request the application will not block on
+  /// (`blocking_hint` false) waits for the whole region (§6: "only enabling
   /// decoupled/overlapped pinning for blocking operations").
-  void ensure_pinned(Region& r, bool overlapped, Completion done);
+  void ensure_pinned(Region& r, Completion done, bool blocking_hint = true);
+
+  /// True while a pin job of `r` runs (started, not yet done, failed or
+  /// cancelled).
+  [[nodiscard]] bool pinning(const Region& r) const;
 
   /// Releases every pin of `r` (charging the unpin cost) without
   /// undeclaring it. Next ensure_pinned repins. A running pin job is
@@ -150,6 +165,7 @@ class PinManager {
     std::unique_ptr<Region> region;
     sim::Time last_use = 0;
     bool was_pinned = false;  // pinned at least once (repin counting)
+    bool failed = false;      // the last job failed; the next use retries
     PinJob job;
 
     void reset() {
@@ -176,17 +192,15 @@ class PinManager {
   /// Calls, in list order, every waiter of `r` whose target is at most
   /// `frontier`, with `ok`.
   void wake(Region& r, std::size_t frontier, bool ok);
-  void shed_pins_if_needed(mem::PhysicalMemory& pm,
-                           std::size_t incoming_pages);
   bool shed_one_victim();
   /// Pages pinned across every region this manager tracks.
   [[nodiscard]] std::size_t pinned_pages() const;
-  /// The host-wide idle-pin reclaim a quota denial runs; true when it
-  /// freed headroom (see the definition for the rule).
-  bool reclaim_quota(mem::PhysicalMemory& pm);
-  void do_unpin(Region& r, std::uint64_t& op_counter);
-  void do_unpin_from(Region& r, std::size_t first_slot,
-                     std::uint64_t& op_counter);
+  /// Frees quota headroom for `pages` more pins (see the definition for
+  /// the rule); true when at least one page fits.
+  bool make_headroom(mem::PhysicalMemory& pm, std::size_t pages);
+  /// Releases every pin of `t`'s region and clears its failure.
+  void do_unpin(Tracked& t);
+  void do_unpin_from(Region& r, std::size_t first_slot);
 
   sim::Engine& eng_;
   cpu::Core& core_;
@@ -209,12 +223,11 @@ class PinManager {
   std::shared_ptr<char> alive_ = std::make_shared<char>('p');
 
   /// Emits a pin event carrying the region's current frontier/total pages.
-  /// `what` must have static storage duration.
-  void emit(obs::EventKind kind, Region& r, const char* what);
-  /// Range-invalidation event: `cut` is the first invalidated slot, the
-  /// frontier snapshot in `offset` must already be post-truncation so the
-  /// invariant `offset <= cut` is checkable.
-  void emit_invalidate(Region& r, std::size_t cut);
+  /// `what` must have static storage duration. A range invalidation passes
+  /// its first invalidated slot as `cut`, after truncating the frontier, so
+  /// the invariant `frontier <= cut` is checkable.
+  void emit(obs::EventKind kind, Region& r, const char* what,
+            std::size_t cut = 0);
 };
 
 }  // namespace pinsim::core

@@ -13,8 +13,8 @@ using mem::page_offset;
 using mem::pages_spanned;
 
 Region::Region(RegionId id, mem::AddressSpace& as,
-               std::vector<Segment> segments)
-    : id_(id), as_(as), segments_(std::move(segments)) {
+               std::vector<Segment> segments, bool paged)
+    : id_(id), as_(as), segments_(std::move(segments)), paged_(paged) {
   if (segments_.empty()) throw std::invalid_argument("region with no segments");
   seg_offset_.reserve(segments_.size());
   seg_slot_base_.reserve(segments_.size());
@@ -25,17 +25,10 @@ Region::Region(RegionId id, mem::AddressSpace& as,
     total_ += seg.len;
     const std::size_t pages = pages_spanned(seg.addr, seg.len);
     for (std::size_t i = 0; i < pages; ++i) {
-      Slot slot;
-      slot.page_va = mem::page_floor(seg.addr) +
-                     static_cast<mem::VirtAddr>(i) * kPageSize;
-      slots_.push_back(slot);
+      slots_.push_back(Slot{mem::page_floor(seg.addr) +
+                            static_cast<mem::VirtAddr>(i) * kPageSize});
     }
   }
-}
-
-mem::VirtAddr Region::next_unpinned_va() const {
-  assert(frontier_ < slots_.size());
-  return slots_[frontier_].page_va;
 }
 
 mem::VirtAddr Region::page_va_at(std::size_t idx) const {
@@ -45,18 +38,7 @@ mem::VirtAddr Region::page_va_at(std::size_t idx) const {
 
 void Region::commit_pins(std::span<const mem::FrameId> frames) {
   assert(frontier_ + frames.size() <= slots_.size());
-  for (mem::FrameId f : frames) {
-    slots_[frontier_].frame = f;
-    slots_[frontier_].pinned = true;
-    ++frontier_;
-  }
-  if (frontier_ == slots_.size()) state_ = PinState::kPinned;
-}
-
-std::vector<std::pair<mem::VirtAddr, mem::FrameId>> Region::take_all_pins() {
-  std::vector<std::pair<mem::VirtAddr, mem::FrameId>> out = take_pins_from(0);
-  state_ = PinState::kUnpinned;
-  return out;
+  for (mem::FrameId f : frames) slots_[frontier_++].frame = f;
 }
 
 std::vector<std::pair<mem::VirtAddr, mem::FrameId>> Region::take_pins_from(
@@ -66,11 +48,9 @@ std::vector<std::pair<mem::VirtAddr, mem::FrameId>> Region::take_pins_from(
   out.reserve(frontier_ - slot);
   for (std::size_t i = slot; i < frontier_; ++i) {
     out.emplace_back(slots_[i].page_va, slots_[i].frame);
-    slots_[i].pinned = false;
     slots_[i].frame = mem::kInvalidFrame;
   }
   frontier_ = slot;
-  state_ = PinState::kUnpinned;
   return out;
 }
 
@@ -112,14 +92,15 @@ Region::Location Region::locate(std::size_t offset,
   return loc;
 }
 
-bool Region::range_pinned(std::size_t offset, std::size_t len) const {
+template <typename F>
+void Region::for_each_chunk(std::size_t offset, std::size_t len,
+                            F&& f) const {
   std::size_t done = 0;
   while (done < len) {
     const Location loc = locate(offset + done, len - done);
-    if (!slots_[loc.slot].pinned) return false;
+    f(loc, done);
     done += loc.chunk;
   }
-  return true;
 }
 
 std::size_t Region::pages_through(std::size_t offset, std::size_t len) const {
@@ -130,52 +111,35 @@ Region::AccessResult Region::copy_out(std::size_t offset,
                                       std::span<std::byte> dst) const {
   if (offset + dst.size() > total_) throw std::out_of_range("copy_out range");
   if (!range_pinned(offset, dst.size())) return AccessResult::kNotPinned;
-  std::size_t done = 0;
   auto& pm = as_.physical();
-  while (done < dst.size()) {
-    const Location loc = locate(offset + done, dst.size() - done);
-    const auto frame = pm.data(slots_[loc.slot].frame);
-    std::memcpy(dst.data() + done, frame.data() + loc.page_off, loc.chunk);
-    done += loc.chunk;
-  }
+  for_each_chunk(offset, dst.size(), [&](const Location& loc,
+                                         std::size_t done) {
+    const Slot& slot = slots_[loc.slot];
+    if (paged_) {
+      as_.read(slot.page_va + loc.page_off, dst.subspan(done, loc.chunk));
+    } else {
+      std::memcpy(dst.data() + done, pm.data(slot.frame).data() + loc.page_off,
+                  loc.chunk);
+    }
+  });
   return AccessResult::kOk;
-}
-
-void Region::copy_out_paged(std::size_t offset, std::span<std::byte> dst) {
-  if (offset + dst.size() > total_) throw std::out_of_range("copy_out range");
-  std::size_t done = 0;
-  while (done < dst.size()) {
-    const Location loc = locate(offset + done, dst.size() - done);
-    as_.read(slots_[loc.slot].page_va + loc.page_off,
-             dst.subspan(done, loc.chunk));
-    done += loc.chunk;
-  }
-}
-
-void Region::copy_in_paged(std::size_t offset,
-                           std::span<const std::byte> src) {
-  if (offset + src.size() > total_) throw std::out_of_range("copy_in range");
-  std::size_t done = 0;
-  while (done < src.size()) {
-    const Location loc = locate(offset + done, src.size() - done);
-    as_.write(slots_[loc.slot].page_va + loc.page_off,
-              src.subspan(done, loc.chunk));
-    done += loc.chunk;
-  }
 }
 
 Region::AccessResult Region::copy_in(std::size_t offset,
                                      std::span<const std::byte> src) {
   if (offset + src.size() > total_) throw std::out_of_range("copy_in range");
   if (!range_pinned(offset, src.size())) return AccessResult::kNotPinned;
-  std::size_t done = 0;
   auto& pm = as_.physical();
-  while (done < src.size()) {
-    const Location loc = locate(offset + done, src.size() - done);
-    auto frame = pm.data(slots_[loc.slot].frame);
-    std::memcpy(frame.data() + loc.page_off, src.data() + done, loc.chunk);
-    done += loc.chunk;
-  }
+  for_each_chunk(offset, src.size(), [&](const Location& loc,
+                                         std::size_t done) {
+    const Slot& slot = slots_[loc.slot];
+    if (paged_) {
+      as_.write(slot.page_va + loc.page_off, src.subspan(done, loc.chunk));
+    } else {
+      std::memcpy(pm.data(slot.frame).data() + loc.page_off, src.data() + done,
+                  loc.chunk);
+    }
+  });
   return AccessResult::kOk;
 }
 

@@ -31,19 +31,24 @@ using SegmentList = sim::SmallVector<Segment, 1>;
 /// Declaration only records the segment list; whether pages are pinned is
 /// the driver's private business. Pages pin strictly in address order, so a
 /// single frontier describes progress — the property overlapped pinning
-/// leans on: in-order pull traffic touches offsets behind the frontier.
+/// leans on: in-order pull traffic touches offsets behind the frontier. The
+/// frontier is the only record of which pages are pinned; whether a pin job
+/// is running or has failed is the PinManager's.
 ///
 /// Data accessors go straight to the pinned frames (the kernel's direct
 /// mapping), never through the page table: if a page is not pinned the
 /// access *fails* with kNotPinned and the caller drops the packet. That is
 /// the paper's §3.3 drop-on-miss design, and it is also what makes the
-/// accessors safe from interrupt context.
+/// accessors safe from interrupt context. A *paged* region (PinMode::kNone,
+/// the QsNet-style no-pin bound) is never pinned: its accessors resolve
+/// translations through the address space on every access, faulting pages
+/// in, and never miss.
 class Region {
  public:
-  enum class PinState { kUnpinned, kPinning, kPinned, kFailed };
   enum class AccessResult { kOk, kNotPinned };
 
-  Region(RegionId id, mem::AddressSpace& as, std::vector<Segment> segments);
+  Region(RegionId id, mem::AddressSpace& as, std::vector<Segment> segments,
+         bool paged = false);
 
   Region(const Region&) = delete;
   Region& operator=(const Region&) = delete;
@@ -56,9 +61,8 @@ class Region {
   [[nodiscard]] std::size_t page_count() const noexcept {
     return slots_.size();
   }
+  [[nodiscard]] bool paged() const noexcept { return paged_; }
 
-  [[nodiscard]] PinState state() const noexcept { return state_; }
-  void set_state(PinState s) noexcept { state_ = s; }
   [[nodiscard]] bool fully_pinned() const noexcept {
     return frontier_ == slots_.size();
   }
@@ -66,10 +70,6 @@ class Region {
   [[nodiscard]] std::size_t unpinned_pages() const noexcept {
     return slots_.size() - frontier_;
   }
-
-  /// Virtual address of the next page to pin (frontier page). Precondition:
-  /// !fully_pinned().
-  [[nodiscard]] mem::VirtAddr next_unpinned_va() const;
 
   /// Virtual address of page slot `idx`. Slots are not VA-contiguous across
   /// segments of a vectorial region.
@@ -79,17 +79,13 @@ class Region {
   /// order) are now pinned with these frames.
   void commit_pins(std::span<const mem::FrameId> frames);
 
-  /// Forgets every pin and returns the (va, frame) pairs so the caller can
-  /// release them through the address space. Used on memory pressure and
-  /// undeclare.
-  [[nodiscard]] std::vector<std::pair<mem::VirtAddr, mem::FrameId>>
-  take_all_pins();
-
-  /// Range-granular variant for MMU-notifier invalidation: forgets the pins
-  /// of slots [slot, frontier) and truncates the frontier to `slot`, keeping
-  /// every pin below it valid (pages pin strictly in order, so the
-  /// contiguous-frontier invariant survives). No-op when `slot` is at or
-  /// past the frontier.
+  /// Forgets the pins of slots [slot, frontier), truncates the frontier to
+  /// `slot` and returns the (va, frame) pairs so the caller can release
+  /// them through the address space. Every pin below `slot` stays valid
+  /// (pages pin strictly in order, so the contiguous-frontier invariant
+  /// survives): 0 drops them all (pressure, undeclare), a higher slot is
+  /// the MMU notifier's range-granular invalidation. No-op when `slot` is at
+  /// or past the frontier.
   [[nodiscard]] std::vector<std::pair<mem::VirtAddr, mem::FrameId>>
   take_pins_from(std::size_t slot);
 
@@ -112,19 +108,17 @@ class Region {
   [[nodiscard]] AccessResult copy_in(std::size_t offset,
                                      std::span<const std::byte> src);
 
-  [[nodiscard]] bool range_pinned(std::size_t offset, std::size_t len) const;
+  /// True when every page [offset, offset+len) touches is accessible:
+  /// always for a paged region, else when the frontier covers them.
+  [[nodiscard]] bool range_pinned(std::size_t offset, std::size_t len) const {
+    return paged_ || pages_through(offset, len) <= frontier_;
+  }
 
   /// Pages, counted from the region's first, that must be pinned for
   /// [offset, offset+len) to be accessible: the frontier target that makes
   /// range_pinned true.
   [[nodiscard]] std::size_t pages_through(std::size_t offset,
                                           std::size_t len) const;
-
-  /// Page-table-based accessors for PinMode::kNone (the QsNet-style no-pin
-  /// bound): translations are resolved through the address space on every
-  /// access, faulting pages in; they never miss.
-  void copy_out_paged(std::size_t offset, std::span<std::byte> dst);
-  void copy_in_paged(std::size_t offset, std::span<const std::byte> src);
 
   /// Active communications currently using this region. The cache never
   /// evicts and pressure never unpins a region in use.
@@ -138,7 +132,6 @@ class Region {
   struct Slot {
     mem::VirtAddr page_va = 0;
     mem::FrameId frame = mem::kInvalidFrame;
-    bool pinned = false;
   };
 
   /// Maps a region offset to (slot index, offset inside that page, bytes
@@ -151,6 +144,11 @@ class Region {
   [[nodiscard]] Location locate(std::size_t offset,
                                 std::size_t remaining) const;
 
+  /// Calls `f(loc, done)` for each page-bounded piece of [offset,
+  /// offset+len), in order; `done` is the bytes of the range before it.
+  template <typename F>
+  void for_each_chunk(std::size_t offset, std::size_t len, F&& f) const;
+
   RegionId id_;
   mem::AddressSpace& as_;
   std::vector<Segment> segments_;
@@ -159,8 +157,8 @@ class Region {
   std::vector<Slot> slots_;
   std::size_t total_ = 0;
   std::size_t frontier_ = 0;  // slots_[0..frontier_) are pinned
-  PinState state_ = PinState::kUnpinned;
   std::uint32_t use_count_ = 0;
+  bool paged_ = false;
 };
 
 }  // namespace pinsim::core

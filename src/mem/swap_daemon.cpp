@@ -12,13 +12,7 @@ void SwapDaemon::watch(AddressSpace* as) { spaces_.push_back(as); }
 void SwapDaemon::start() {
   if (running_) return;
   running_ = true;
-  pending_ = eng_.schedule_after(
-      cfg_.period,
-      [this, alive = std::weak_ptr<void>(alive_)] {
-        if (alive.expired()) return;
-        tick();
-      },
-      {"mem", "swap_tick"});
+  arm();
 }
 
 void SwapDaemon::stop() {
@@ -27,17 +21,17 @@ void SwapDaemon::stop() {
   eng_.cancel(pending_);
 }
 
+void SwapDaemon::arm() {
+  pending_ = eng_.schedule_after(
+      cfg_.period,
+      // pinlint: allow(D7: ~SwapDaemon calls stop(), which cancels pending_,
+      // the only tick queued, before `this` can dangle)
+      [this] { tick(); }, {"mem", "swap_tick"});
+}
+
 void SwapDaemon::tick() {
   scan_once();
-  if (running_) {
-    pending_ = eng_.schedule_after(
-        cfg_.period,
-        [this, alive = std::weak_ptr<void>(alive_)] {
-          if (alive.expired()) return;
-          tick();
-        },
-        {"mem", "swap_tick"});
-  }
+  if (running_) arm();  // stop() leaves nothing queued
 }
 
 std::size_t SwapDaemon::scan_once() {

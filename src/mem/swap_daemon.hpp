@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -49,6 +48,8 @@ class SwapDaemon {
   }
 
  private:
+  /// Queues the next tick; while running exactly one is queued.
+  void arm();
   void tick();
 
   sim::Engine& eng_;
@@ -59,10 +60,6 @@ class SwapDaemon {
   bool running_ = false;
   sim::Engine::EventId pending_{};
   std::uint64_t total_reclaimed_ = 0;
-  // Liveness token for the periodic tick (D7): a queued tick revalidates
-  // through a weak copy, so a daemon destroyed mid-flight (or a missed
-  // cancel) degrades to a no-op instead of a use-after-free.
-  std::shared_ptr<void> alive_ = std::make_shared<int>(0);
 };
 
 }  // namespace pinsim::mem

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/endpoint.hpp"
+#include "core/library.hpp"
+
 namespace pinsim::core {
 namespace {
 
@@ -49,10 +52,11 @@ TEST(Config, QsnetIdealNeverPins) {
 TEST(Config, ProtocolDefaultsMatchTheMxoeSpecAndPaper) {
   const ProtocolConfig p;
   EXPECT_EQ(p.eager_threshold, 32u * 1024);        // MXoE spec (§2.2)
-  EXPECT_EQ(p.pull_block, 32u * 1024);             // MXoE pull blocks
+  EXPECT_EQ(Endpoint::kPullBlock, 32u * 1024);     // MXoE pull blocks
   EXPECT_EQ(p.retransmit_timeout, sim::kSecond);   // paper footnote 4
   EXPECT_TRUE(p.distribute_interrupts);            // "one process per core"
-  EXPECT_GT(p.pull_window, 0u);
+  EXPECT_GT(Endpoint::kPullWindow, 0u);
+  EXPECT_GT(Library::kSyscallCost, 0u);
   EXPECT_GT(p.frame_payload, 0u);
   EXPECT_LE(p.frame_payload + 64, 9000u);  // fits the jumbo MTU with headers
 }

@@ -293,5 +293,16 @@ TEST(EndpointEdge, SixteenEndpointsPerDriverThenFull) {
   EXPECT_NO_THROW(rig.b->driver().open_endpoint(rig.pb->as, rig.pb->core));
 }
 
+TEST(EndpointEdge, DriverRejectsMoreThan64FramesPerPullBlock) {
+  // A pull block tracks its frames in one 64-bit mask.
+  StackConfig stack = pinning_cache_config();
+  stack.protocol.frame_payload = Endpoint::kPullBlock / 64 - 1;
+  EXPECT_THROW(Rig{stack}, std::invalid_argument);
+  stack.protocol.frame_payload = 0;
+  EXPECT_THROW(Rig{stack}, std::invalid_argument);
+  stack.protocol.frame_payload = Endpoint::kPullBlock / 64;
+  EXPECT_NO_THROW(Rig{stack});
+}
+
 }  // namespace
 }  // namespace pinsim::core

@@ -85,12 +85,22 @@ TEST_P(RegionCopyFuzz, BehavesLikeAFlatByteArray) {
     }
   }
 
-  // The paged accessors must agree with the pinned ones.
-  std::vector<std::byte> paged(total);
-  region.copy_out_paged(0, paged);
-  EXPECT_EQ(paged, model);
+  // A paged region over the same bytes must agree with the pinned one, in
+  // both directions.
+  Region paged(2, as, segs, /*paged=*/true);
+  std::vector<std::byte> through_page_table(total);
+  ASSERT_EQ(paged.copy_out(0, through_page_table), Region::AccessResult::kOk);
+  EXPECT_EQ(through_page_table, model);
+  const std::size_t off = rng.next_below(total);
+  std::vector<std::byte> data(1 + rng.next_below(total - off), std::byte{0xa5});
+  ASSERT_EQ(paged.copy_in(off, data), Region::AccessResult::kOk);
+  std::memcpy(model.data() + off, data.data(), data.size());
+  std::vector<std::byte> out(total);
+  ASSERT_EQ(region.copy_out(0, out), Region::AccessResult::kOk);
+  EXPECT_EQ(out, model);
+  EXPECT_EQ(paged.pinned_pages(), 0u);
 
-  for (auto& [va, f] : region.take_all_pins()) as.unpin_page(va, f);
+  for (auto& [va, f] : region.take_pins_from(0)) as.unpin_page(va, f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionCopyFuzz,
@@ -197,7 +207,7 @@ TEST_P(PressureScheduleFuzz, AlwaysConvergesBitExactWhenPressureLifts) {
   inj.set_plan({});
   pm.set_pin_quota(std::numeric_limits<std::size_t>::max());
   bool ok = false;
-  mgr.ensure_pinned(r, /*overlapped=*/false, [&](bool o) { ok = o; });
+  mgr.when_pinned(r, r.page_count(), [&](bool o) { ok = o; });
   eng.run();
   EXPECT_TRUE(ok) << "seed " << GetParam();
   EXPECT_TRUE(r.fully_pinned());

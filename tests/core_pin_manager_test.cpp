@@ -157,7 +157,7 @@ TEST_F(PinManagerTest, InvalidSegmentFailsAtPinTimeNotDeclareTime) {
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
   eng_.run();
   EXPECT_FALSE(ok);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
   EXPECT_EQ(counters_.pin_failures, 1u);
   EXPECT_EQ(pm_.pinned_pages(), 0u);  // partial pins rolled back
   mgr.undeclare(r.id());
@@ -178,7 +178,8 @@ TEST_F(PinManagerTest, FailureHandlerFiresForOverlappedFailure) {
   EXPECT_TRUE(released);  // overlapped: released before the failure is known
   eng_.run();
   EXPECT_EQ(failed, &r);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
+  EXPECT_EQ(r.pinned_pages(), 0u);
   mgr.undeclare(r.id());
 }
 
@@ -227,8 +228,7 @@ TEST_F(PinManagerTest, InvalidationDuringAsyncPinRestartsIt) {
   const auto addr = as_.mmap(64 * 4096);
   Region& r = mgr.declare(as_, {Segment{addr, 64 * 4096}});
   bool done = false, ok = false;
-  mgr.ensure_pinned(r, /*overlapped=*/false,
-                    [&](bool o) { done = true, ok = o; });
+  mgr.when_pinned(r, r.page_count(), [&](bool o) { done = true, ok = o; });
 
   // Let a few chunks land, then invalidate mid-flight. The partial pins are
   // dropped on the spot (the translations are stale), but the job restarts
@@ -262,8 +262,7 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
   const auto addr = as_.mmap(16 * 4096);
   Region& r = mgr.declare(as_, {Segment{addr, 16 * 4096}});
   bool done = false, ok = true;
-  mgr.ensure_pinned(r, /*overlapped=*/false,
-                    [&](bool o) { done = true, ok = o; });
+  mgr.when_pinned(r, r.page_count(), [&](bool o) { done = true, ok = o; });
 
   int storms = 0;
   while (!done && eng_.step()) {
@@ -275,7 +274,7 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
   }
   ASSERT_TRUE(done);
   EXPECT_FALSE(ok);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
   EXPECT_EQ(counters_.pin_inval_restarts, 5u);
   EXPECT_GE(counters_.pin_retry_exhausted, 1u);
   EXPECT_EQ(pm_.pinned_pages(), 0u);
@@ -284,7 +283,7 @@ TEST_F(PinManagerTest, EndlessInvalidationStormFailsCleanlyAfterBudget) {
 
   // And the failure is not sticky: with the storm gone the region repins.
   bool ok2 = false;
-  mgr.ensure_pinned(r, /*overlapped=*/false, [&](bool o) { ok2 = o; });
+  mgr.when_pinned(r, r.page_count(), [&](bool o) { ok2 = o; });
   eng_.run();
   EXPECT_TRUE(ok2);
   EXPECT_TRUE(r.fully_pinned());
@@ -371,7 +370,7 @@ TEST(PinManagerOom, FrameExhaustionFailsTheRequestGracefully) {
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
   eng.run();  // must not throw out of the event loop
   EXPECT_FALSE(ok);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
   EXPECT_EQ(pm.pinned_pages(), 0u);  // partial pins rolled back
   mgr.undeclare(r.id());
 }
@@ -431,7 +430,7 @@ TEST(PinManagerRecovery, FailedRegionResetsAndRepinsOnDemand) {
   mgr.ensure_pinned(r, [&](bool o) { ok = o; });
   eng.run();  // retries with backoff, then gives up — never hangs
   EXPECT_FALSE(ok);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
   EXPECT_GE(counters.pin_retry_exhausted, 1u);
 
   // The hog goes away (application freed memory); the same declared region
@@ -462,7 +461,7 @@ TEST_F(PinManagerTest, QuotaZeroStarvationEndsGracefully) {
   eng_.run();
   EXPECT_FALSE(ok);  // clean abort, not a hang
   EXPECT_EQ(eng_.pending(), 0u);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
   EXPECT_GE(counters_.pins_denied, 1u);
   EXPECT_EQ(counters_.pin_retries, 6u);
   EXPECT_EQ(counters_.pin_retry_exhausted, 1u);
@@ -599,7 +598,7 @@ TEST_F(PinManagerTest, FrontierWaitersWakeInTargetThenArrivalOrder) {
   mgr.when_pinned(r, 8, waiter('b'));
   mgr.when_pinned(r, 16, waiter('c'));
   mgr.when_pinned(r, 32, waiter('d'));
-  mgr.ensure_pinned(r, /*overlapped=*/false, waiter('e'));  // target 32
+  mgr.when_pinned(r, r.page_count(), waiter('e'));  // target 32
   mgr.when_pinned(r, 8, waiter('f'));
   EXPECT_TRUE(woke.empty());
   eng_.run();
@@ -687,13 +686,14 @@ TEST_F(PinManagerTest, FailedJobFailsEachPendingWaiterOnce) {
   mgr.when_pinned(r, 1, waiter(0));  // reached before the failure
   mgr.when_pinned(r, 3, waiter(1));
   mgr.when_pinned(r, 4, waiter(2));
-  mgr.ensure_pinned(r, /*overlapped=*/false, waiter(3));
+  mgr.when_pinned(r, r.page_count(), waiter(3));
   eng_.run();
 
   EXPECT_EQ(oks, (std::vector<int>{1, 0, 0, 0}));
   EXPECT_EQ(fails, (std::vector<int>{0, 1, 1, 1}));
   EXPECT_EQ(handler_calls, 1);
-  EXPECT_EQ(r.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(mgr.pinning(r));
+  EXPECT_EQ(r.pinned_pages(), 0u);
   mgr.undeclare(r.id());
 }
 
@@ -773,7 +773,7 @@ TEST_F(PinManagerTest, RestartBackoffOfAnUndeclaredRegionSkipsTheNextOne) {
   EXPECT_NE(next.id(), gone);
   eng_.run();
   EXPECT_EQ(next.pinned_pages(), 0u);
-  EXPECT_EQ(next.state(), Region::PinState::kUnpinned);
+  EXPECT_FALSE(mgr.pinning(next));
   EXPECT_EQ(counters_.pin_ops, 1u);
   EXPECT_EQ(pm_.pinned_pages(), 0u);
   mgr.undeclare(next.id());
@@ -830,8 +830,7 @@ TEST_F(PinManagerTest, RestartBudgetEndsTheJobWithOnePinFail) {
   Region& r = make_region(mgr, 16 * 4096);
   const mem::VirtAddr addr = r.segments().front().addr;
   bool done = false, ok = true;
-  mgr.ensure_pinned(r, /*overlapped=*/false,
-                    [&](bool o) { done = true, ok = o; });
+  mgr.when_pinned(r, r.page_count(), [&](bool o) { done = true, ok = o; });
   while (!done && eng_.step()) {
     if (r.pinned_pages() > 0) mgr.invalidate_range(addr, addr + 16 * 4096);
   }
@@ -843,6 +842,119 @@ TEST_F(PinManagerTest, RestartBudgetEndsTheJobWithOnePinFail) {
   const auto fail = events.sink.find_first(
       obs::EventKind::kPinFail, "invalidation restart budget exhausted");
   EXPECT_NE(fail, test::CaptureSink::npos);
+  mgr.undeclare(r.id());
+}
+
+// --- a failed region retries on its next use --------------------------------
+
+/// Makes `r`'s pin job fail for want of quota, then lifts the quota.
+void fail_for_quota(PinManager& mgr, Region& r, sim::Engine& eng,
+                    mem::PhysicalMemory& pm) {
+  pm.set_pin_quota(0);
+  bool ok = true;
+  mgr.ensure_pinned(r, [&](bool o) { ok = o; });
+  eng.run();
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(mgr.pinning(r));
+  pm.set_pin_quota(std::numeric_limits<std::size_t>::max());
+}
+
+TEST_F(PinManagerTest, FailedRegionRetriedOnNextUseEmitsOnePinReset) {
+  PinEvents events(eng_);
+  PinningConfig cfg;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
+  cfg.pin_retry_budget = 2;
+  auto mgr = make(cfg);
+  mgr.set_relay(&events.relay);
+  Region& r = make_region(mgr, 8 * 4096);
+  fail_for_quota(mgr, r, eng_, pm_);
+  EXPECT_EQ(events.count(obs::EventKind::kPinReset), 0u);
+
+  bool ok = false;
+  mgr.ensure_pinned(r, [&](bool o) { ok = o; });
+  EXPECT_TRUE(mgr.pinning(r));
+  eng_.run();
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(r.fully_pinned());
+  // Later uses of the repinned region reset nothing.
+  mgr.unpin(r);
+  mgr.ensure_pinned(r, [](bool) {});
+  eng_.run();
+  EXPECT_EQ(events.count(obs::EventKind::kPinReset), 1u);
+  EXPECT_EQ(counters_.pin_fail_resets, 1u);
+  mgr.undeclare(r.id());
+}
+
+TEST_F(PinManagerTest, FailedRegionUnpinnedFirstEmitsNoPinReset) {
+  // unpin() releases whatever the region held and clears the failure with
+  // it: the next use is a plain repin.
+  PinEvents events(eng_);
+  PinningConfig cfg;
+  cfg.pin_retry_backoff = 10 * sim::kMicrosecond;
+  cfg.pin_retry_budget = 2;
+  auto mgr = make(cfg);
+  mgr.set_relay(&events.relay);
+  Region& r = make_region(mgr, 8 * 4096);
+  fail_for_quota(mgr, r, eng_, pm_);
+  mgr.unpin(r);
+
+  bool ok = false;
+  mgr.ensure_pinned(r, [&](bool o) { ok = o; });
+  eng_.run();
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(r.fully_pinned());
+  EXPECT_EQ(events.count(obs::EventKind::kPinReset), 0u);
+  EXPECT_EQ(counters_.pin_fail_resets, 0u);
+  mgr.undeclare(r.id());
+}
+
+// --- the config decides what declare makes and what ensure_pinned waits for --
+
+TEST_F(PinManagerTest, NoPinModeDeclaresPagedRegionsThatNeverPin) {
+  PinningConfig cfg;
+  cfg.mode = PinMode::kNone;
+  auto mgr = make(cfg);
+  Region& r = make_region(mgr, 8 * 4096);
+  EXPECT_TRUE(r.paged());
+  bool ok = false;
+  mgr.ensure_pinned(r, [&](bool o) { ok = o; });
+  EXPECT_TRUE(ok);  // nothing to pin: fires inline
+  EXPECT_FALSE(mgr.pinning(r));
+  eng_.run();
+  EXPECT_EQ(r.pinned_pages(), 0u);
+  EXPECT_EQ(counters_.pin_ops, 0u);
+  mgr.undeclare(r.id());
+}
+
+TEST_F(PinManagerTest, PermanentModePinsAtDeclaration) {
+  PinningConfig cfg;
+  cfg.mode = PinMode::kPermanent;
+  auto mgr = make(cfg);
+  Region& r = make_region(mgr, 8 * 4096);
+  EXPECT_FALSE(r.paged());
+  EXPECT_TRUE(mgr.pinning(r));
+  eng_.run();
+  EXPECT_TRUE(r.fully_pinned());
+  EXPECT_FALSE(mgr.pinning(r));
+  EXPECT_EQ(counters_.pin_ops, 1u);
+  mgr.undeclare(r.id());
+}
+
+TEST_F(PinManagerTest, NonblockingRequestsPinWholeWhenOverlapIsForBlockingOnly) {
+  PinningConfig cfg;
+  cfg.overlapped = true;
+  cfg.overlap_blocking_only = true;
+  auto mgr = make(cfg);
+  Region& r = make_region(mgr, 32 * 4096);
+  bool blocking = false, nonblocking = false;
+  mgr.ensure_pinned(r, [&](bool o) { blocking = o; });
+  EXPECT_TRUE(blocking);  // overlapped: released at once
+  mgr.ensure_pinned(r, [&](bool o) { nonblocking = o; },
+                    /*blocking_hint=*/false);
+  EXPECT_FALSE(nonblocking);  // waits for the whole region
+  eng_.run();
+  EXPECT_TRUE(nonblocking);
+  EXPECT_TRUE(r.fully_pinned());
   mgr.undeclare(r.id());
 }
 

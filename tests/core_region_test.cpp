@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "mem/physical_memory.hpp"
 
@@ -24,7 +26,7 @@ class RegionTest : public ::testing::Test {
   }
 
   void unpin_all(Region& r) {
-    for (auto& [va, frame] : r.take_all_pins()) as_.unpin_page(va, frame);
+    for (auto& [va, frame] : r.take_pins_from(0)) as_.unpin_page(va, frame);
   }
 
   mem::PhysicalMemory pm_;
@@ -37,8 +39,9 @@ TEST_F(RegionTest, SingleSegmentPageMath) {
   EXPECT_EQ(r.id(), 1u);
   EXPECT_EQ(r.total_length(), 64u * 1024);
   EXPECT_EQ(r.page_count(), 16u);
-  EXPECT_EQ(r.state(), Region::PinState::kUnpinned);
+  EXPECT_EQ(r.pinned_pages(), 0u);
   EXPECT_FALSE(r.fully_pinned());
+  EXPECT_FALSE(r.paged());
 }
 
 TEST_F(RegionTest, UnalignedSegmentSpansExtraPage) {
@@ -78,7 +81,6 @@ TEST_F(RegionTest, CopyInOutRoundTripWhenPinned) {
   Region r(1, as_, {Segment{addr, 8192}});
   pin_pages(r, 2);
   EXPECT_TRUE(r.fully_pinned());
-  EXPECT_EQ(r.state(), Region::PinState::kPinned);
 
   std::vector<std::byte> in(5000);
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -103,7 +105,6 @@ TEST_F(RegionTest, PartialPinFrontierSemantics) {
   EXPECT_EQ(r.pinned_pages(), 2u);
   EXPECT_EQ(r.unpinned_pages(), 2u);
   EXPECT_FALSE(r.fully_pinned());
-  EXPECT_EQ(r.next_unpinned_va(), addr + 2 * 4096);
 
   // In-frontier access works, beyond-frontier fails: the overlap-miss test.
   std::vector<std::byte> buf(100);
@@ -176,11 +177,43 @@ TEST_F(RegionTest, TakeAllPinsResetsState) {
   Region r(1, as_, {Segment{addr, 3 * 4096}});
   pin_pages(r, 3);
   EXPECT_EQ(pm_.pinned_pages(), 3u);
-  auto pins = r.take_all_pins();
+  auto pins = r.take_pins_from(0);
   EXPECT_EQ(pins.size(), 3u);
   EXPECT_EQ(r.pinned_pages(), 0u);
-  EXPECT_EQ(r.state(), Region::PinState::kUnpinned);
+  EXPECT_FALSE(r.range_pinned(0, 1));
   for (auto& [va, f] : pins) as_.unpin_page(va, f);
+  EXPECT_EQ(pm_.pinned_pages(), 0u);
+}
+
+TEST_F(RegionTest, PagedRegionCopiesThroughThePageTableWithoutPins) {
+  // PinMode::kNone's region: nothing is ever pinned, no access misses, and
+  // both directions see what the application sees.
+  const auto a = as_.mmap(3 * 4096);
+  const auto b = as_.mmap(4096);
+  Region r(1, as_, {Segment{a + 100, 9000}, Segment{b + 8, 1000}},
+           /*paged=*/true);
+  EXPECT_TRUE(r.paged());
+  EXPECT_TRUE(r.range_pinned(0, r.total_length()));
+
+  std::vector<std::byte> in(r.total_length());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::byte>((i * 7) % 253);
+  }
+  EXPECT_EQ(r.copy_in(0, in), Region::AccessResult::kOk);
+  std::vector<std::byte> app(1000);
+  as_.read(b + 8, app);
+  EXPECT_EQ(0, std::memcmp(app.data(), in.data() + 9000, 1000));
+
+  as_.write(a + 100 + 4000, std::vector<std::byte>(200, std::byte{0x5a}));
+  std::fill_n(in.begin() + 4000, 200, std::byte{0x5a});
+  std::vector<std::byte> out(in.size());
+  EXPECT_EQ(r.copy_out(0, out), Region::AccessResult::kOk);
+  EXPECT_EQ(out, in);
+  std::vector<std::byte> piece(1500);  // straddles the segment boundary
+  EXPECT_EQ(r.copy_out(8500, piece), Region::AccessResult::kOk);
+  EXPECT_EQ(0, std::memcmp(piece.data(), in.data() + 8500, piece.size()));
+
+  EXPECT_EQ(r.pinned_pages(), 0u);
   EXPECT_EQ(pm_.pinned_pages(), 0u);
 }
 

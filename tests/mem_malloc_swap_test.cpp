@@ -168,6 +168,26 @@ TEST(SwapDaemonTest, PeriodicTicksReclaimUnderPressure) {
   EXPECT_EQ(eng.pending(), 0u);
 }
 
+TEST(SwapDaemonTest, DestroyedWhileRunningLeavesNoTickBehind) {
+  // The queued tick captures the daemon itself; destruction stops it, which
+  // must cancel that tick before it can fire into freed memory.
+  sim::Engine eng;
+  PhysicalMemory pm(64);
+  AddressSpace as(pm);
+  SwapDaemon::Config cfg;
+  cfg.period = 10 * sim::kMicrosecond;
+  cfg.high_watermark = 0.0;  // every tick would scan
+  {
+    SwapDaemon daemon(eng, pm, cfg);
+    daemon.watch(&as);
+    daemon.start();
+    eng.run_until(25 * sim::kMicrosecond);  // two ticks ran and re-armed
+    EXPECT_EQ(eng.pending(), 1u);
+  }
+  EXPECT_EQ(eng.pending(), 0u);
+  eng.run();  // nothing left to fire
+}
+
 TEST(SwapDaemonTest, PinnedFramesAreNeverSelectedForEviction) {
   // The invariant the paper's pinning exists to guarantee: a DMA-visible
   // (pinned) frame must never change or vanish under the device, no matter

@@ -37,7 +37,7 @@ struct Tenants {
     Region& r = manager(p).declare(
         as, {Segment{as.mmap(pages * mem::kPageSize), pages * mem::kPageSize}});
     regions_.push_back({p, r.id()});
-    manager(p).ensure_pinned(r, /*overlapped=*/false, [done](bool ok) {
+    manager(p).when_pinned(r, r.page_count(), [done](bool ok) {
       if (done != nullptr) *done = ok;
     });
     return r;

@@ -91,8 +91,7 @@ struct Torture {
   /// exact expected bytes and clean global accounting.
   void assert_converged() {
     bool ok = false;
-    mgr.ensure_pinned(region, /*overlapped=*/false,
-                      [&](bool o) { ok = o; });
+    mgr.when_pinned(region, region.page_count(), [&](bool o) { ok = o; });
     eng.run();
     ASSERT_TRUE(ok);
     ASSERT_TRUE(region.fully_pinned());
@@ -242,13 +241,13 @@ TEST(PressureTorture, PermanentStarvationAbortsThenRecovers) {
   Torture t;
   t.pm.set_pin_quota(0);
   bool done = false, ok = true;
-  t.mgr.ensure_pinned(t.region, /*overlapped=*/false,
-                      [&](bool o) { done = true, ok = o; });
+  t.mgr.when_pinned(t.region, t.region.page_count(),
+                    [&](bool o) { done = true, ok = o; });
   t.eng.run();  // terminates: backoff is bounded by the budget
   ASSERT_TRUE(done);
   EXPECT_FALSE(ok);
   EXPECT_EQ(t.eng.pending(), 0u);
-  EXPECT_EQ(t.region.state(), Region::PinState::kFailed);
+  EXPECT_FALSE(t.mgr.pinning(t.region));
   EXPECT_GE(t.counters.pins_denied, 1u);
   EXPECT_EQ(t.counters.pin_retry_exhausted, 1u);
   EXPECT_EQ(t.pm.pinned_pages(), 0u);
